@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import product
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
@@ -28,11 +29,11 @@ from .errors import (
 )
 from .formulas import (
     And,
-    Atom,
     Not,
     PartialType,
     Signature,
     _atom_linear_parts,
+    _enumeration,
     _has_quantifier,
     _nnf,
     _term_series,
@@ -48,9 +49,9 @@ from .formulas import (
 )
 from .scalars import (
     OracleReal,
-    RealAlgebraic,
-    Rational,
+    _nullspace_of_rows,
     format_scalar,
+    isolate_real_roots,
     rational_height,
     real_algebraic,
     simplest_between,
@@ -73,6 +74,7 @@ from .trees import TreeOracle, find_path_bounded
 from .valbasis import (
     PseudoSequence,
     SpanBasis,
+    _linear_combination,
     check_pseudo_cauchy,
     pseudo_limit,
     valuation_basis,
@@ -143,11 +145,7 @@ def oracle_from_value(x0: Series,
                       height_enum: Callable[[int], Iterable[Series]]) -> CutOracle:
     """Test helper: the cut of a concrete hidden element."""
 
-    def side(d: Series) -> Side:
-        c = compare_series(d, x0)
-        return Side.BELOW if c < 0 else Side.ABOVE if c > 0 else Side.EQUAL
-
-    return CutOracle(side, height_enum)
+    return CutOracle(lambda d: Side(compare_series(d, x0)), height_enum)
 
 
 def _rationals_of_height(h: int):
@@ -173,14 +171,10 @@ def standard_height_enum(generators: Sequence[Series],
         batch = []
         if h - 1 < len(paced):
             batch.extend(paced[h - 1])
-        coeffs = _rationals_of_height(h)
-        for vec in _coeff_vectors(coeffs, len(gens), h):
-            e = zero_series(gens[0].dim) if gens else None
-            for q, g in zip(vec, gens):
-                if q:
-                    e = add(e, scale(g, q))
-            if e is not None:
-                batch.append(e)
+        for vec in product(_rationals_of_height(h), repeat=len(gens)):
+            # only vectors whose maximal height is exactly h are new here
+            if any(vec) and max(rational_height(q) for q in vec) == h:
+                batch.append(_linear_combination(vec, gens, gens[0].dim))
         out = []
         for e in batch:
             if e not in seen and not e.is_zero():
@@ -189,18 +183,6 @@ def standard_height_enum(generators: Sequence[Series],
         return out
 
     return enum
-
-
-def _coeff_vectors(coeffs, n, h):
-    """Coefficient vectors over `coeffs` whose maximal height is exactly h."""
-    if n == 0:
-        return
-    vecs = [()]
-    for _ in range(n):
-        vecs = [v + (q,) for v in vecs for q in coeffs]
-    for v in vecs:
-        if any(q != 0 for q in v) and max(rational_height(q) for q in v) == h:
-            yield v
 
 
 # ---------------------------------------------------------------------------
@@ -234,19 +216,12 @@ class ImmediateTranscendental:
     enum_prefix: tuple  # enumerated comparison elements, in arrival order
 
 
-CutClassification = object
-
-
 # ---------------------------------------------------------------------------
 # grids and exponent arithmetic
 
 
 def _exp_mid(a: tuple, b: tuple) -> tuple:
     return tuple((x + y) / 2 for x, y in zip(a, b))
-
-
-def _exp_lt(a: tuple, b: tuple) -> bool:
-    return tuple(a) < tuple(b)
 
 
 def _group_grid(basis: SpanBasis) -> list:
@@ -341,18 +316,25 @@ _SAME_LEVEL_DIGIT_CAP = 4
 def _algebraic_candidates(lo: Fraction, hi: Fraction, height_cap: int):
     """Roots of integer polynomials (degree 2-3, coefficient height
     ascending) inside the open interval, by (height, degree, coeff order)."""
-    from .scalars import isolate_real_roots
+    # p(a/b) has the sign of b^d * p(a/b) = sum c_i * a^i * b^(d-i) (b > 0),
+    # so the sign-change filter runs on integer dot products
+    def weights(x: Fraction, degree: int):
+        a, b = x.numerator, x.denominator
+        return [a ** i * b ** (degree - i) for i in range(degree + 1)]
 
     for height in range(1, height_cap + 1):
         for degree in (2, 3):
+            w_lo, w_hi = weights(lo, degree), weights(hi, degree)
             span = range(-height, height + 1)
-            for coeffs in _int_tuples(span, degree + 1):
+            for coeffs in product(span, repeat=degree + 1):
                 if coeffs[-1] == 0:
                     continue
                 if max(abs(c) for c in coeffs) != height:
                     continue
-                if _no_sign_change(coeffs, lo, hi):
-                    continue
+                at_lo = sum(c * w for c, w in zip(coeffs, w_lo))
+                at_hi = sum(c * w for c, w in zip(coeffs, w_hi))
+                if at_lo * at_hi > 0:
+                    continue  # no sign change: no root inside
                 for cell_lo, cell_hi in isolate_real_roots(list(coeffs)):
                     root = real_algebraic(list(coeffs), cell_lo, cell_hi)
                     if isinstance(root, Fraction):
@@ -373,24 +355,6 @@ def _inside_after_refining(root, lo: Fraction, hi: Fraction,
         root.refine((rb - ra) / 4)
         ra, rb = root.interval()
     return False
-
-
-def _int_tuples(span, n):
-    vecs = [()]
-    for _ in range(n):
-        vecs = [v + (c,) for v in vecs for c in span]
-    return vecs
-
-
-def _no_sign_change(coeffs, lo, hi):
-    def ev(x):
-        acc = Fraction(0)
-        for c in reversed(coeffs):
-            acc = acc * x + c
-        return acc
-
-    a, b = ev(lo), ev(hi)
-    return a * b > 0
 
 
 def _resolve_level(oracle: CutOracle, d0: Series, u: Series, direction: int,
@@ -512,7 +476,7 @@ class _ClassifyState:
 
 
 def classify_cut(oracle: CutOracle, basis: SpanBasis, budgets: Budgets,
-                 mode: str = "group") -> CutClassification:
+                 mode: str = "group") -> object:
     if mode not in ("group", "field"):
         raise ValueError("mode must be 'group' or 'field'")
     dim = basis.generators[0].dim
@@ -580,8 +544,7 @@ def _adopt_from_enum(oracle: CutOracle, state: _ClassifyState, known: list,
             if compare_series(e, state.d0) * state.direction <= 0:
                 continue
             gamma = tuple(valuation(diff))
-            if state.achieved is not None and not _exp_lt(state.achieved,
-                                                          gamma):
+            if state.achieved is not None and not state.achieved < gamma:
                 continue
             candidates.append((gamma, format_series(e), e))
         if not candidates:
@@ -624,10 +587,10 @@ def _observed_bounds(oracle: CutOracle, state: _ClassifyState):
         gamma = tuple(valuation(diff))
         if s == mine:
             if compare_series(e, state.d0) * state.direction > 0:
-                if gamma_hi is None or _exp_lt(gamma, gamma_hi):
+                if gamma_hi is None or gamma < gamma_hi:
                     gamma_hi = gamma
         elif s != Side.EQUAL:
-            if gamma_lo is None or _exp_lt(gamma_lo, gamma):
+            if gamma_lo is None or gamma_lo < gamma:
                 gamma_lo = gamma
     return gamma_lo, gamma_hi
 
@@ -639,7 +602,7 @@ def _scan_levels(oracle: CutOracle, state: _ClassifyState, basis: SpanBasis,
     while True:
         gamma_lo, gamma_hi = _observed_bounds(oracle, state)
         if state.window_hi is not None and (
-                gamma_hi is None or _exp_lt(state.window_hi, gamma_hi)):
+                gamma_hi is None or state.window_hi < gamma_hi):
             gamma_hi = state.window_hi
         levels = set(grid)
         for e, _ in list(oracle.log):
@@ -652,16 +615,15 @@ def _scan_levels(oracle: CutOracle, state: _ClassifyState, basis: SpanBasis,
         for gamma in sorted(levels):
             if state.achieved is not None:
                 if state.achieved_strict:
-                    if not _exp_lt(state.achieved, gamma):
+                    if not state.achieved < gamma:
                         continue
-                elif _exp_lt(gamma, state.achieved):
+                elif gamma < state.achieved:
                     continue
-            if gamma_lo is not None and _exp_lt(gamma, gamma_lo):
+            if gamma_lo is not None and gamma < gamma_lo:
                 continue
-            if gamma_hi is not None and _exp_lt(gamma_hi, gamma):
+            if gamma_hi is not None and gamma_hi < gamma:
                 continue
-            if state.window_hi is not None and not _exp_lt(gamma,
-                                                           state.window_hi):
+            if state.window_hi is not None and not gamma < state.window_hi:
                 continue
             chosen = gamma
             break
@@ -696,12 +658,12 @@ def _resolve_with_digits(oracle: CutOracle, state: _ClassifyState,
             return Realized(payload)
         if outcome == _ResolveOutcome.UNBOUNDED:
             new_hi = tuple(gamma)
-            if state.window_hi is None or _exp_lt(new_hi, state.window_hi):
+            if state.window_hi is None or new_hi < state.window_hi:
                 state.window_hi = new_hi
                 state.note_improvement()
             return None
         if outcome == _ResolveOutcome.FILL_ZERO:
-            if state.achieved is None or _exp_lt(state.achieved, gamma) or \
+            if state.achieved is None or state.achieved < gamma or \
                     not state.achieved_strict:
                 state.achieved = tuple(gamma)
                 state.achieved_strict = True
@@ -731,22 +693,22 @@ def _stable_conclusion(state: _ClassifyState, grid: list, mode: str,
     lower = state.achieved
     upper = state.window_hi
     _, gamma_hi = _observed_bounds(oracle, state)
-    if gamma_hi is not None and (upper is None or _exp_lt(gamma_hi, upper)):
+    if gamma_hi is not None and (upper is None or gamma_hi < upper):
         upper = gamma_hi  # an unadopted same-side element caps the gap
     if lower is not None and upper is not None:
-        if _exp_lt(upper, lower):
+        if upper < lower:
             raise OracleFailure("inconsistent level window")
-        if not _exp_lt(lower, upper):
+        if not lower < upper:
             raise BudgetExhausted(
                 "stable cut pinched at the achieved level", stage="classify")
     for gamma in grid:
         if lower is not None:
             if state.achieved_strict:
-                if not _exp_lt(lower, gamma):
+                if not lower < gamma:
                     continue
-            elif _exp_lt(gamma, lower):
+            elif gamma < lower:
                 continue
-        if upper is not None and not _exp_lt(gamma, upper):
+        if upper is not None and not gamma < upper:
             continue
         raise BudgetExhausted(
             f"stable cut with unresolved grid level {gamma}",
@@ -762,37 +724,11 @@ def _field_rank_guard(state: _ClassifyState, basis: SpanBasis, dim: int):
         diff = subtract(b, a)
         if not diff.is_zero():
             vectors.append(list(make_exp(valuation(diff), dim)))
-    rank = _rational_rank(vectors)
+    rank = len(vectors) - len(_nullspace_of_rows(vectors))
     if rank > len(basis.generators):
         raise OracleFailure(
             f"observed value rank {rank} exceeds parameter count "
             f"{len(basis.generators)}")
-
-
-def _rational_rank(vectors: list) -> int:
-    rows = [list(v) for v in vectors]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    pivot_row = 0
-    for col in range(cols):
-        pivot = None
-        for r in range(pivot_row, len(rows)):
-            if rows[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
-        pv = rows[pivot_row][col]
-        rows[pivot_row] = [c / pv for c in rows[pivot_row]]
-        for r in range(len(rows)):
-            if r != pivot_row and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r],
-                                                     rows[pivot_row])]
-        pivot_row += 1
-        rank += 1
-    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -825,7 +761,7 @@ def _gap_exponent(lower: Optional[tuple], upper: Optional[tuple]) -> tuple:
     return (Fraction(_first_floor(upper) - 1),)
 
 
-def realize_cut_group(cls: CutClassification, oracle: CutOracle,
+def realize_cut_group(cls: object, oracle: CutOracle,
                       basis: SpanBasis, budgets: Budgets) -> Series:
     dim = basis.generators[0].dim
     if isinstance(cls, Realized):
@@ -845,7 +781,7 @@ def realize_cut_group(cls: CutClassification, oracle: CutOracle,
         "group cuts have finite rank: no immediate-transcendental case")
 
 
-def realize_cut_field(cls: CutClassification, oracle: CutOracle,
+def realize_cut_field(cls: object, oracle: CutOracle,
                       basis: SpanBasis, budgets: Budgets) -> Series:
     dim = basis.generators[0].dim
     if isinstance(cls, Realized):
@@ -1024,7 +960,7 @@ def _witness_past_records(oracle: CutOracle, marks: list, gammas: list,
         gap = subtract(opposite, base)
         exp0 = Fraction(_first_floor(tuple(valuation(gap))) + 1)
     gamma_last = gammas[-1]
-    if not _exp_lt(gamma_last, make_exp((exp0,), dim)):
+    if not gamma_last < make_exp((exp0,), dim):
         exp0 = Fraction(_first_floor(gamma_last) + 1)
     step = _exp_monomial((exp0,), dim)
     return add(base, step if direction > 0 else negate(step))
@@ -1150,12 +1086,14 @@ def _check_prefix_satisfiable(thetas: list, env: dict, var: str) -> list:
 def complete_type(tau: PartialType, env: dict, mode: str = "group",
                   budgets: Budgets = Budgets()) -> Completion:
     """Decide the first formula_prefix_budget enumerated formulas against the
-    type's emissions, leftmost-consistent (negation preferred)."""
+    type's emissions, leftmost-consistent (negation preferred); a smaller
+    finite fragment is decided whole."""
     dim = next(iter(env.values())).dim if env else 2
     thetas = _materialize(tau, env, dim, budgets)
     root_states = _check_prefix_satisfiable(thetas, env, tau.var)
     sig = Signature(mode, (tau.var,) + tuple(tau.params))
     k = budgets.formula_prefix_budget
+    k = min(k, len(_enumeration(sig, k).by_index))
     states_memo: dict = {"": root_states}
 
     def states_for(sigma: str) -> list:
@@ -1232,9 +1170,7 @@ def derived_oracle(completion: Completion, env: dict, basis: SpanBasis,
 
     def side(e: Series) -> Side:
         if completion.point is not None:
-            c = compare_series(e, completion.point)
-            return Side.BELOW if c < 0 else Side.ABOVE if c > 0 \
-                else Side.EQUAL
+            return Side(compare_series(e, completion.point))
         if completion.lower is not None and \
                 compare_series(e, completion.lower) <= 0:
             return Side.BELOW
@@ -1245,8 +1181,7 @@ def derived_oracle(completion: Completion, env: dict, basis: SpanBasis,
             center_box["center"] = gap_center(completion.lower,
                                               completion.upper, dim)
         counters["free_decisions"] += 1
-        c = compare_series(e, center_box["center"])
-        return Side.BELOW if c < 0 else Side.ABOVE if c > 0 else Side.EQUAL
+        return Side(compare_series(e, center_box["center"]))
 
     enum = standard_height_enum(basis.generators, paced=paced)
     return CutOracle(side, enum)
@@ -1255,7 +1190,7 @@ def derived_oracle(completion: Completion, env: dict, basis: SpanBasis,
 @dataclass(frozen=True)
 class RealizationResult:
     witness: Series
-    classification: CutClassification
+    classification: object
     completion: Completion
     verification: tuple  # (formula text, passed) pairs
     report: str
@@ -1318,7 +1253,7 @@ def _fmt_level(gamma) -> str:
     return "(" + ",".join(str(v) for v in vals) + ")"
 
 
-def _classification_lines(cls: CutClassification) -> list:
+def _classification_lines(cls: object) -> list:
     if isinstance(cls, Realized):
         return ["realized", f"element: {format_series(cls.element)}"]
     if isinstance(cls, ResidueTranscendental):
@@ -1349,7 +1284,15 @@ _CASE_NAMES = {
 }
 
 
-def _render_report(completion: Completion, cls: CutClassification,
+def _budget_lines(budgets: Budgets) -> list:
+    return ["== BUDGETS ==",
+            f"height: {budgets.height_budget}",
+            f"denominator: {budgets.exponent_denominator_budget}",
+            f"prefix: {budgets.formula_prefix_budget}",
+            f"precision: {budgets.precision_budget}"]
+
+
+def _render_report(completion: Completion, cls: object,
                    witness: Series, verification: list, oracle: CutOracle,
                    counters: dict, budgets: Budgets, mode: str,
                    clamped: bool = False) -> str:
@@ -1375,11 +1318,7 @@ def _render_report(completion: Completion, cls: CutClassification,
     lines.append("== VERIFICATION ==")
     for text, ok in verification:
         lines.append(f"{'PASS' if ok else 'FAIL'}  {text}")
-    lines.append("== BUDGETS ==")
-    lines.append(f"height: {budgets.height_budget}")
-    lines.append(f"denominator: {budgets.exponent_denominator_budget}")
-    lines.append(f"prefix: {budgets.formula_prefix_budget}")
-    lines.append(f"precision: {budgets.precision_budget}")
+    lines.extend(_budget_lines(budgets))
     lines.append(f"oracle queries: {len(oracle.log)}")
     lines.append(f"interval states: {completion.interval_states}")
     lines.append(f"free decisions: {counters['free_decisions']}")
@@ -1396,11 +1335,7 @@ def render_inconclusive_report(exc: BudgetExhausted, mode: str,
              f"detail: {exc}",
              "== CASE ==",
              "inconclusive",
-             "== BUDGETS ==",
-             f"height: {budgets.height_budget}",
-             f"denominator: {budgets.exponent_denominator_budget}",
-             f"prefix: {budgets.formula_prefix_budget}",
-             f"precision: {budgets.precision_budget}"]
+             *_budget_lines(budgets)]
     return "\n".join(lines) + "\n"
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
@@ -27,7 +28,6 @@ from .series import (
     make_exp,
     monomial as series_monomial,
     multiply as series_multiply,
-    scale as series_scale,
     zero_series,
 )
 
@@ -674,25 +674,6 @@ def _atom_linear_parts(a: Atom, var: str):
     return coeff, rest
 
 
-def _subst(t: Term, var: str, replacement: Term) -> Term:
-    syms: dict = {}
-    acc = Term.build({}, t.lit_dict())
-    for m, q in t.syms:
-        if m == ((var, 1),):
-            acc = acc.plus(replacement.scaled(q))
-        elif any(s == var for s, _ in m):
-            raise NonlinearUnsupported(f"cannot substitute into {_format_mono(m)}")
-        else:
-            syms[m] = syms.get(m, Fraction(0)) + q
-    return acc.plus(Term.build(syms, {}))
-
-
-def _subst_atom(a: Atom, var: str, replacement: Term):
-    diff = a.pos.plus(a.neg.scaled(Fraction(-1)))
-    new = _subst(diff, var, replacement)
-    return make_atom(a.rel, new, Term())
-
-
 def _eliminate_one(var: str, world: list) -> Formula:
     """Fourier-Motzkin elimination of var from a conjunction of atoms."""
     lowers: list[Term] = []   # L < var
@@ -728,49 +709,21 @@ def _eliminate_one(var: str, world: list) -> Formula:
         for lo in lowers:
             for up in uppers:
                 out.append(make_atom("<", lo, up))
-    return _and_fold(out)
+    return _fold(out, And, TrueF, FalseF)
 
 
-def _and_fold(atoms: list) -> Formula:
-    clean = []
-    seen = set()
-    for a in atoms:
-        if isinstance(a, FalseF):
-            return FalseF()
-        if isinstance(a, TrueF):
-            continue
-        key = str(a)
-        if key not in seen:
-            seen.add(key)
-            clean.append(a)
+def _fold(items: list, join, unit, absorbing) -> Formula:
+    """Join the distinct items in print order; `unit` items drop out and an
+    `absorbing` item decides the whole fold."""
+    clean: dict = {}
+    for f in items:
+        if isinstance(f, absorbing):
+            return absorbing()
+        if not isinstance(f, unit):
+            clean.setdefault(str(f), f)
     if not clean:
-        return TrueF()
-    clean.sort(key=str)
-    out = clean[0]
-    for a in clean[1:]:
-        out = And(out, a)
-    return out
-
-
-def _or_fold(disjuncts: list) -> Formula:
-    clean = []
-    seen = set()
-    for d in disjuncts:
-        if isinstance(d, TrueF):
-            return TrueF()
-        if isinstance(d, FalseF):
-            continue
-        key = str(d)
-        if key not in seen:
-            seen.add(key)
-            clean.append(d)
-    if not clean:
-        return FalseF()
-    clean.sort(key=str)
-    out = clean[0]
-    for d in clean[1:]:
-        out = Or(out, d)
-    return out
+        return unit()
+    return reduce(join, (clean[key] for key in sorted(clean)))
 
 
 def doag_qe(f: Formula) -> Formula:
@@ -786,7 +739,7 @@ def doag_qe(f: Formula) -> Formula:
     if isinstance(f, Exists):
         body = _nnf(doag_qe(f.body))
         disjuncts = [_eliminate_one(f.var, w) for w in iter_worlds(body)]
-        return _or_fold(disjuncts)
+        return _fold(disjuncts, Or, FalseF, TrueF)
     raise TypeError(f"cannot eliminate quantifiers from {type(f).__name__}")
 
 
@@ -803,13 +756,7 @@ def cut_bounds(constraints, env: dict, var: str = "x"):
     Unsatisfiable); equalities force a point, and conflicting or out-of-range
     points raise Unsatisfiable.
     """
-    if env:
-        dims = {v.dim for v in env.values()}
-        if len(dims) != 1:
-            raise ValueError("environment series have mixed dimensions")
-        dim = dims.pop()
-    else:
-        dim = 2
+    dim = _infer_dim(None, env, 2)
     atoms: list[Atom] = []
     for f in constraints:
         atoms.extend(_conjunct_atoms(f))
@@ -1004,20 +951,25 @@ _side_cache: dict = {}
 _enum_cache: dict = {}
 
 
+def _enumeration(sig: Signature, n: int) -> _Enumeration:
+    """The cached enumeration of sig, extended to at least n formulas, or to
+    the whole fragment when it has fewer."""
+    enum = _enum_cache.setdefault(sig, _Enumeration(sig))
+    while len(enum.by_index) < n and \
+            enum.complete_len < enum.max_possible_len:
+        enum.extend_to_length(enum.complete_len + 1)
+    return enum
+
+
 def enumerate_formulas(i: int, sig: Signature) -> Formula:
     """The i-th formula of the atomic fragment in length-lex order of
     canonical prints; stable across calls and injective."""
     if i < 0:
         raise ValueError("index must be nonnegative")
-    enum = _enum_cache.get(sig)
-    if enum is None:
-        enum = _Enumeration(sig)
-        _enum_cache[sig] = enum
-    while len(enum.by_index) <= i:
-        if enum.complete_len >= enum.max_possible_len:
-            raise ValueError(f"enumeration exhausted below index {i}")
-        enum.extend_to_length(enum.complete_len + 1)
-    return enum.by_index[i]
+    by_index = _enumeration(sig, i + 1).by_index
+    if len(by_index) <= i:
+        raise ValueError(f"enumeration exhausted below index {i}")
+    return by_index[i]
 
 
 def _in_fragment(f: Formula, sig: Signature) -> bool:
@@ -1049,10 +1001,7 @@ def formula_index(f: Formula, sig: Signature) -> int:
     text = str(f)
     if not _in_fragment(f, sig):
         raise ValueError(f"not in the enumerable fragment: {text}")
-    enum = _enum_cache.get(sig)
-    if enum is None:
-        enum = _Enumeration(sig)
-        _enum_cache[sig] = enum
+    enum = _enum_cache.setdefault(sig, _Enumeration(sig))
     enum.extend_to_length(min(len(text), enum.max_possible_len))
     idx = enum.index_of.get(text)
     if idx is None:

@@ -79,7 +79,8 @@ def _prem(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return _ptrim(a)
 
 
-def _sturm_chain(p: Sequence[Fraction]) -> list[tuple[Fraction, ...]]:
+def _sturm_chain(p: Sequence) -> list[tuple[Fraction, ...]]:
+    p = [Fraction(c) for c in p]
     chain = [_ptrim(p), _pderiv(p)]
     while chain[-1]:
         r = _prem(chain[-2], chain[-1])
@@ -157,7 +158,7 @@ def isolate_real_roots(coeffs: Sequence[int]) -> list[tuple[Fraction, Fraction]]
     Scans unit integer cells first (so sqrt2 isolates to [1, 2]) and bisects
     any cell that holds more than one root.
     """
-    chain = _sturm_chain([Fraction(c) for c in coeffs])
+    chain = _sturm_chain(coeffs)
     bound = _root_bound(coeffs)
     out: list[tuple[Fraction, Fraction]] = []
     stack = [(Fraction(k), Fraction(k + 1)) for k in range(-bound, bound)]
@@ -211,11 +212,10 @@ class RealAlgebraic:
     def refine(self, width: Fraction) -> tuple[Fraction, Fraction]:
         """Narrow the isolating interval to at most `width` and return it."""
         lo, hi = self._lo, self._hi
-        slo = 1 if _peval([Fraction(c) for c in self.coeffs], lo) > 0 else -1
+        slo = 1 if _peval(self.coeffs, lo) > 0 else -1
         while hi - lo > width:
             mid = (lo + hi) / 2
-            sm = _peval([Fraction(c) for c in self.coeffs], mid)
-            if (1 if sm > 0 else -1) == slo:
+            if (1 if _peval(self.coeffs, mid) > 0 else -1) == slo:
                 lo = mid
             else:
                 hi = mid
@@ -235,7 +235,7 @@ class RealAlgebraic:
 
 
 def _index_of_root(coeffs: tuple[int, ...], lo: Fraction) -> int:
-    chain = _sturm_chain([Fraction(c) for c in coeffs])
+    chain = _sturm_chain(coeffs)
     bound = Fraction(_root_bound(coeffs))
     return _count_roots(chain, -bound, lo)
 
@@ -275,11 +275,10 @@ def real_algebraic(coeffs: Sequence[int], lo, hi) -> Union[RealAlgebraic, Fracti
         raise MalformedAlgebraic("polynomial is constant")
     if lo > hi:
         raise MalformedAlgebraic("empty interval")
-    fl = [Fraction(c) for c in cs]
-    chain = _sturm_chain(fl)
+    chain = _sturm_chain(cs)
     if len(chain[-1]) > 1:  # last chain entry ~ gcd(p, p')
         raise MalformedAlgebraic("polynomial is not square-free")
-    n = _count_roots(chain, lo, hi) + (1 if _peval(fl, lo) == 0 else 0)
+    n = _count_roots(chain, lo, hi) + (1 if _peval(cs, lo) == 0 else 0)
     if n != 1:
         raise MalformedAlgebraic(f"interval isolates {n} roots, need exactly 1")
     for fc in _sympy_factors(cs):
@@ -288,8 +287,7 @@ def real_algebraic(coeffs: Sequence[int], lo, hi) -> Union[RealAlgebraic, Fracti
             if lo <= root <= hi:
                 return root
             continue
-        fchain = _sturm_chain([Fraction(c) for c in fc])
-        if _count_roots(fchain, lo, hi) == 1:
+        if _count_roots(_sturm_chain(fc), lo, hi) == 1:
             return _make_algebraic(fc, lo, hi)
     raise MalformedAlgebraic("no factor owns the isolated root")
 
@@ -330,9 +328,8 @@ def _ralg_mul_q(a: RealAlgebraic, q: Fraction):
 
 
 def _ralg_inv(a: RealAlgebraic):
+    ralg_sign(a)  # refines the interval off zero
     lo, hi = a.interval()
-    while not (lo > 0 or hi < 0):
-        lo, hi = a.refine((hi - lo) / 2)
     cs = tuple(reversed(a.coeffs))
     if cs[-1] < 0:
         cs = tuple(-c for c in cs)
@@ -356,7 +353,7 @@ def _resultant_poly(a: RealAlgebraic, b: RealAlgebraic, op: str) -> list[tuple[i
 
 def _combine(a: RealAlgebraic, b: RealAlgebraic, op: str):
     factors = _resultant_poly(a, b, op)
-    chains = {fc: _sturm_chain([Fraction(c) for c in fc]) for fc in factors}
+    chains = {fc: _sturm_chain(fc) for fc in factors}
     width = Fraction(1, 16)
     for _ in range(80):
         alo, ahi = a.refine(width)
@@ -522,23 +519,10 @@ def oracle_rational(q) -> OracleReal:
 
 
 def oracle_algebraic(a: RealAlgebraic) -> OracleReal:
-    state = list(a.interval())
-    coeffs = [Fraction(c) for c in a.coeffs]
-    slo = 1 if _peval(coeffs, state[0]) > 0 else -1
-
-    def approx(n: int):
-        lo, hi = state
-        width = Fraction(1, 2**n)
-        while hi - lo > width:
-            mid = (lo + hi) / 2
-            if (1 if _peval(coeffs, mid) > 0 else -1) == slo:
-                lo = mid
-            else:
-                hi = mid
-        state[0], state[1] = lo, hi
-        return lo, hi
-
-    return OracleReal(approx, name=f"alg-oracle({format_scalar(a)})")
+    # refine a private copy so that building the oracle leaves `a` as it is
+    own = RealAlgebraic(a.coeffs, a.index, *a.interval())
+    return OracleReal(lambda n: own.refine(Fraction(1, 2**n)),
+                      name=f"alg-oracle({format_scalar(a)})")
 
 
 def oracle_bits(int_part: int, bit: Callable[[int], int], name: str = "bits") -> OracleReal:
@@ -647,9 +631,8 @@ def _ralg_vs_rational(a: RealAlgebraic, q: Fraction) -> int:
         return 1
     if q >= hi:
         return -1
-    coeffs = [Fraction(c) for c in a.coeffs]
-    slo = 1 if _peval(coeffs, lo) > 0 else -1
-    sq = 1 if _peval(coeffs, q) > 0 else -1
+    slo = 1 if _peval(a.coeffs, lo) > 0 else -1
+    sq = 1 if _peval(a.coeffs, q) > 0 else -1
     return -1 if sq != slo else 1
 
 

@@ -149,6 +149,14 @@ class TestExitCodes:
         assert "inconclusive" in out
         assert "stage: realize" in out
 
+    def test_group_mode_decides_the_whole_small_fragment(self, capsys):
+        # the group fragment over {x} has 5 formulas, fewer than the
+        # default prefix budget of 48
+        rc, out, _ = run(capsys, "realize",
+                         str(FIXTURES / "immediate_tail.type"))
+        assert rc == 3
+        assert "stage: classify" in out
+
     def test_missing_file_exits_one(self, capsys):
         rc, _, err = run(capsys, "realize", "/nonexistent/x.type")
         assert rc == 1 and "error:" in err

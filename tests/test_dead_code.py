@@ -1,0 +1,46 @@
+"""Every module-level private name in the package has a reader."""
+
+import ast
+from pathlib import Path
+
+import hahnsat
+
+SRC = Path(hahnsat.__file__).parent
+
+
+def _private_definitions(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for t in targets:
+                if isinstance(t, ast.Name):
+                    yield t.id
+
+
+def _references(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def unreferenced_privates(src: Path) -> list:
+    """`module.name` for each `_name` (not dunder) defined at module level
+    in `src` that no module in `src` reads."""
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
+    used = {name for tree in trees.values() for name in _references(tree)}
+    return [f"{mod}.{name}" for mod, tree in trees.items()
+            for name in _private_definitions(tree)
+            if name.startswith("_") and not name.startswith("__")
+            and name not in used]
+
+
+def test_no_unreferenced_private_names():
+    assert unreferenced_privates(SRC) == []

@@ -24,6 +24,7 @@ from hahnsat.engine import (
     sequence_is_computable_in,
     standard_height_enum,
 )
+from hahnsat.engine import _ClassifyState, _field_rank_guard
 from hahnsat.errors import (
     BudgetExhausted,
     NotFinitelySatisfiable,
@@ -298,6 +299,27 @@ class TestClassifyField:
         with pytest.raises(BudgetExhausted):
             classify_cut(oracle, valuation_basis([ONE]), budgets,
                          mode="group")
+
+
+class TestFieldRankGuard:
+    """The chain's difference valuations may span at most as many
+    dimensions as there are generators."""
+
+    @staticmethod
+    def chain_state(*chain):
+        return _ClassifyState(d0=chain[-1], direction=1, chain=list(chain))
+
+    def test_rank_equal_to_generator_count_passes(self):
+        # differences t and t^2: valuations (1,0), (2,0) have rank 1
+        state = self.chain_state(zero_series(DIM), T, add(T, t_pow(2)))
+        _field_rank_guard(state, valuation_basis([T]), DIM)
+
+    def test_rank_above_generator_count_raises(self):
+        # differences t and t^(0,1): valuations (1,0), (0,1) have rank 2
+        state = self.chain_state(zero_series(DIM), T,
+                                 add(T, monomial([F(0), F(1)], 1, DIM)))
+        with pytest.raises(OracleFailure, match="rank 2 exceeds"):
+            _field_rank_guard(state, valuation_basis([T]), DIM)
 
 
 def beta_type():
