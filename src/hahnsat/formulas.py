@@ -28,6 +28,7 @@ from .series import (
     make_exp,
     monomial as series_monomial,
     multiply as series_multiply,
+    scale as series_scale,
     zero_series,
 )
 
@@ -510,13 +511,13 @@ def _term_series(t: Term, env: dict, dim: int) -> Series:
         if m == CONST:
             out = series_add(out, series_monomial([Fraction(0)], q, dim))
             continue
-        acc = series_monomial([Fraction(0)], q, dim)
+        acc = None
         for s, p in m:
             if s not in env:
                 raise KeyError(f"symbol {s!r} is not bound")
             for _ in range(p):
-                acc = series_multiply(acc, env[s])
-        out = series_add(out, acc)
+                acc = env[s] if acc is None else series_multiply(acc, env[s])
+        out = series_add(out, series_scale(acc, q))
     for e, q in t.lits:
         out = series_add(out, series_monomial(make_exp(e, dim), q, dim))
     return out

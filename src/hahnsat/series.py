@@ -6,6 +6,13 @@ lexicographic order; t^gamma for gamma > 0 is a positive infinitesimal.  A
 series may carry a truncation bound: stored exponents are all strictly below
 it, and nothing is known at or beyond it.  Arithmetic propagates bounds so
 that every stored term of a result is genuine.
+
+Invariant of every Series: each exponent is a tuple of exactly `dim`
+Fractions, each coefficient is nonzero, and each stored exponent lies
+strictly below `trunc` when a bound is present.  The public constructor
+(`Series(...)`, `series`, `parse_series`) normalizes outside input to it;
+arithmetic results preserve it by construction and are built through the
+trusted `Series._raw`, which does not re-check.
 """
 
 from __future__ import annotations
@@ -114,8 +121,19 @@ class Series:
             if trunc is not None and not exp < trunc:
                 continue
             kept[tuple(Fraction(q) for q in exp)] = c
+        self._fill(kept, dim, trunc)
+
+    @classmethod
+    def _raw(cls, terms: dict, dim: int, trunc: Optional[Exponent] = None) -> "Series":
+        """Trusted constructor for arithmetic results: `terms` already meets
+        the module invariant and is owned by the new series."""
+        self = object.__new__(cls)
+        self._fill(terms, dim, trunc)
+        return self
+
+    def _fill(self, terms: dict, dim: int, trunc: Optional[Exponent]):
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "terms", kept)
+        object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "trunc", trunc)
         object.__setattr__(self, "_hash", None)
 
@@ -156,7 +174,7 @@ def series(terms: dict, dim: int, trunc: Optional[Exponent] = None) -> Series:
 
 
 def zero_series(dim: int) -> Series:
-    return Series({}, dim)
+    return Series._raw({}, dim)
 
 
 def monomial(exponent, coeff, dim: Optional[int] = None) -> Series:
@@ -166,13 +184,13 @@ def monomial(exponent, coeff, dim: Optional[int] = None) -> Series:
     exp = make_exp(exponent, dim)
     if isinstance(coeff, int):
         coeff = Fraction(coeff)
-    return Series({exp: coeff}, dim)
+    return Series._raw({} if scalar_is_zero(coeff) else {exp: coeff}, dim)
 
 
 def from_scalar(c, dim: int) -> Series:
     if isinstance(c, int):
         c = Fraction(c)
-    return Series({zero_exp(dim): c}, dim)
+    return Series._raw({} if scalar_is_zero(c) else {zero_exp(dim): c}, dim)
 
 
 def valuation(x: Series):
@@ -212,20 +230,33 @@ def _min_trunc(a: Optional[Exponent], b: Optional[Exponent]) -> Optional[Exponen
     return min(a, b)
 
 
+def _below(terms: dict, trunc: Exponent) -> dict:
+    return {e: c for e, c in terms.items() if e < trunc}
+
+
 def add(x: Series, y: Series) -> Series:
     if x.dim != y.dim:
         raise ValueError("dimension mismatch")
-    out = dict(x.terms)
+    trunc = _min_trunc(x.trunc, y.trunc)
+    out = dict(x.terms) if trunc == x.trunc else _below(x.terms, trunc)
+    y_cut = trunc is not None and trunc != y.trunc
     for exp, c in y.terms.items():
-        if exp in out:
-            out[exp] = scalar_add(out[exp], c)
+        if y_cut and not exp < trunc:
+            continue
+        prev = out.get(exp)
+        if prev is None:
+            out[exp] = c
+            continue
+        c = scalar_add(prev, c)
+        if scalar_is_zero(c):
+            del out[exp]
         else:
             out[exp] = c
-    return Series(out, x.dim, _min_trunc(x.trunc, y.trunc))
+    return Series._raw(out, x.dim, trunc)
 
 
 def negate(x: Series) -> Series:
-    return Series({e: scalar_neg(c) for e, c in x.terms.items()}, x.dim, x.trunc)
+    return Series._raw({e: scalar_neg(c) for e, c in x.terms.items()}, x.dim, x.trunc)
 
 
 def subtract(x: Series, y: Series) -> Series:
@@ -255,7 +286,9 @@ def multiply(x: Series, y: Series) -> Series:
                 out[e] = scalar_add(out[e], p)
             else:
                 out[e] = p
-    return Series(out, x.dim, trunc)
+    for e in [e for e, c in out.items() if scalar_is_zero(c)]:
+        del out[e]
+    return Series._raw(out, x.dim, trunc)
 
 
 def scale(x: Series, c) -> Series:
@@ -264,11 +297,14 @@ def scale(x: Series, c) -> Series:
         c = Fraction(c)
     if scalar_is_zero(c):
         return zero_series(x.dim)
-    return Series({e: scalar_mul(coef, c) for e, coef in x.terms.items()}, x.dim, x.trunc)
+    return Series._raw({e: scalar_mul(coef, c) for e, coef in x.terms.items()},
+                       x.dim, x.trunc)
 
 
 def with_trunc(x: Series, bound: Optional[Exponent]) -> Series:
-    return Series(x.terms, x.dim, _min_trunc(x.trunc, bound))
+    trunc = _min_trunc(x.trunc, bound)
+    terms = dict(x.terms) if trunc == x.trunc else _below(x.terms, trunc)
+    return Series._raw(terms, x.dim, trunc)
 
 
 def restrict_exponents(x: Series, bound: Exponent, inclusive: bool = True) -> Series:
@@ -277,8 +313,8 @@ def restrict_exponents(x: Series, bound: Exponent, inclusive: bool = True) -> Se
     if inclusive:
         kept = {e: c for e, c in x.terms.items() if e <= bound}
     else:
-        kept = {e: c for e, c in x.terms.items() if e < bound}
-    return Series(kept, x.dim)
+        kept = _below(x.terms, bound)
+    return Series._raw(kept, x.dim)
 
 
 def invert(x: Series, order: Optional[Exponent] = None) -> Series:
@@ -296,11 +332,11 @@ def invert(x: Series, order: Optional[Exponent] = None) -> Series:
         raise TruncationInsufficient("no terms below the bound; cannot invert")
     v, c = leading_term(x)
     if len(x.terms) == 1 and x.trunc is None:
-        return Series({exp_neg(v): scalar_inv(c)}, x.dim)
+        return Series._raw({exp_neg(v): scalar_inv(c)}, x.dim)
     if order is None:
         raise ValueError("order is required to invert a non-monomial series")
     order = make_exp(order, x.dim)
-    lead_inv = Series({exp_neg(v): scalar_inv(c)}, x.dim)
+    lead_inv = Series._raw({exp_neg(v): scalar_inv(c)}, x.dim)
     eps = subtract(multiply(x, lead_inv), from_scalar(Fraction(1), x.dim))
     out_trunc = exp_add(exp_add(order, exp_neg(v)), exp_neg(v))
     if not eps.terms and eps.trunc is None:
@@ -330,18 +366,28 @@ def invert(x: Series, order: Optional[Exponent] = None) -> Series:
 def compare_series(x: Series, y: Series) -> int:
     """Sign of x - y in the ordered Hahn field.
 
-    Raises TruncationInsufficient when the stored difference is empty but a
-    bound prevents certifying equality, and propagates
-    ComparisonUndecidedAtPrecision from oracle coefficient signs.
+    Walks the union of the supports upward and stops at the first exponent
+    where the coefficients differ; raises TruncationInsufficient when none
+    does below the smaller bound, so equality cannot be certified, and
+    propagates ComparisonUndecidedAtPrecision from oracle coefficient signs.
     """
-    d = subtract(x, y)
-    if d.terms:
-        _, c = leading_term(d)
-        return scalar_sign(c)
-    if d.trunc is None:
+    if x.dim != y.dim:
+        raise ValueError("dimension mismatch")
+    trunc = _min_trunc(x.trunc, y.trunc)
+    xt, yt = x.terms, y.terms
+    for e in sorted(set(xt).union(yt)):
+        if trunc is not None and not e < trunc:
+            break
+        cx, cy = xt.get(e), yt.get(e)
+        if cy is None:
+            return scalar_sign(cx)
+        d = scalar_neg(cy) if cx is None else scalar_add(cx, scalar_neg(cy))
+        if not scalar_is_zero(d):
+            return scalar_sign(d)
+    if trunc is None:
         return 0
     raise TruncationInsufficient(
-        f"difference has no terms below {_format_exp(d.trunc)}; sign unknown"
+        f"difference has no terms below {_format_exp(trunc)}; sign unknown"
     )
 
 

@@ -164,19 +164,19 @@ def real_from_path(prefix: Sequence[str]) -> DyadicInterval:
 
 def find_path_bounded(tree: TreeOracle, depth: int) -> Optional[str]:
     """Leftmost node of exactly the given length whose prefixes all lie in
-    the tree; None when the tree dies out earlier."""
-    if "" not in tree:
-        return None
+    the tree; None when the tree dies out earlier.  A node's membership is
+    tested when it is popped, so a right child is tested only after the
+    subtree to its left has died."""
     stack = [""]
     while stack:
         node = stack.pop()
+        if node not in tree:
+            continue
         if len(node) == depth:
             return node
         # push right child first so the left is explored first
-        for bit in ("1", "0"):
-            child = node + bit
-            if child in tree:
-                stack.append(child)
+        stack.append(node + "1")
+        stack.append(node + "0")
     return None
 
 

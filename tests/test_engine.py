@@ -543,3 +543,30 @@ class TestComputableSequences:
         emit = sequence_is_computable_in(emit_raw, third)
         assert format_formula(emit(0)) == "0 < x"
         assert emit.precision_log[0] == 2
+
+
+class TestReportDigest:
+    """Byte-identity guard for kernel rewrites: the concatenated reports of
+    a fixed set of generated types, beyond the three CLI goldens."""
+
+    # gate c8's generator seeds: span (1001, 1006, 1007, 1009), gap (1000,
+    # 1004, 1005, 1013) and residue (1010, 1014) types, group mode
+    GROUP_SEEDS = (1000, 1001, 1004, 1005, 1006, 1007, 1009, 1010, 1013, 1014)
+    DIGEST = "44c62ab19df3f622fc928f766d18ad4ef32ef9870daa70bde62e3763e4e542e2"
+
+    def test_reports_are_byte_identical(self):
+        import hashlib
+
+        from test_acceptance import _generated_type
+
+        h = hashlib.sha256()
+        for seed in self.GROUP_SEEDS:
+            tau, env = _generated_type(seed)
+            res = realize_type(tau, env, mode="group",
+                               budgets=Budgets(formula_prefix_budget=100))
+            h.update(res.report.encode())
+        # an immediate-tail chain in field mode
+        res = realize_type(tail_type(), {}, mode="field",
+                           budgets=Budgets(formula_prefix_budget=32))
+        h.update(res.report.encode())
+        assert h.hexdigest() == self.DIGEST

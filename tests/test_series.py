@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_series
 from hahnsat.errors import (
@@ -12,10 +14,17 @@ from hahnsat.errors import (
     ParseError,
     TruncationInsufficient,
 )
-from hahnsat.scalars import real_algebraic
+from hahnsat.scalars import (
+    real_algebraic,
+    scalar_add,
+    scalar_is_zero,
+    scalar_neg,
+    scalar_sign,
+)
 from hahnsat.series import (
     INFINITY,
     Series,
+    _format_exp,
     add,
     arch_ratio,
     compare_series,
@@ -350,3 +359,96 @@ class TestLiterals:
         v, c = leading_term(parse_series("3*t^(1/2) + t^2", DIM))
         assert v == make_exp([F(1, 2)], DIM)
         assert c == F(3)
+
+
+# ---------------------------------------------------------------------------
+# the trusted construction path
+
+# int coordinates exercise the public constructor's normalization; the
+# small grids make exponents collide and coefficients cancel
+_COORD = st.sampled_from([-1, 0, 1, F(-1, 2), F(1, 2), F(3, 2)])
+_COEFF = st.sampled_from([F(-2), F(-1), F(-1, 2), F(0), F(1, 2), F(1), F(2),
+                          SQRT2, scalar_neg(SQRT2)])
+
+
+def _exps(dim):
+    return st.tuples(*[_COORD] * dim)
+
+
+@st.composite
+def _series(draw, dim=DIM):
+    terms = draw(st.dictionaries(_exps(dim), _COEFF, max_size=4))
+    return Series(terms, dim, draw(st.none() | _exps(dim)))
+
+
+def _pairs():
+    """Independent pairs, equal pairs, and pairs that share a prefix."""
+    return st.one_of(
+        st.tuples(_series(), _series()),
+        _series().map(lambda x: (x, x)),
+        st.tuples(_series(), _series()).map(lambda p: (p[0], add(*p))),
+        st.tuples(_series(), _series(dim=1)),
+    )
+
+
+def _assert_normal(r):
+    for e, c in r.terms.items():
+        assert type(e) is tuple and len(e) == r.dim
+        assert all(type(q) is F for q in e)
+        assert not scalar_is_zero(c)
+        assert r.trunc is None or e < r.trunc
+    assert r == Series(r.terms, r.dim, r.trunc)
+
+
+def _reference_compare(x, y):
+    """Sign of the leading term of a subtraction rebuilt through the
+    normalizing constructor."""
+    if x.dim != y.dim:
+        raise ValueError("dimension mismatch")
+    diff = dict(x.terms)
+    for e, c in y.terms.items():
+        diff[e] = scalar_add(diff[e], scalar_neg(c)) if e in diff \
+            else scalar_neg(c)
+    truncs = [b for b in (x.trunc, y.trunc) if b is not None]
+    d = Series(diff, x.dim, min(truncs) if truncs else None)
+    if d.terms:
+        return scalar_sign(d.terms[min(d.terms)])
+    if d.trunc is None:
+        return 0
+    raise TruncationInsufficient(
+        f"difference has no terms below {_format_exp(d.trunc)}; sign unknown")
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (TruncationInsufficient, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestTrustedPath:
+    @given(_series(), _series(), _COEFF, st.none() | _exps(DIM), _exps(DIM),
+           st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_arithmetic_results_keep_the_invariant(self, x, y, c, bound, cut,
+                                                   inclusive):
+        for r in (add(x, y), subtract(x, y), negate(x), scale(x, c),
+                  multiply(x, y), with_trunc(x, bound),
+                  # the cross terms of (x + y)(x - y) cancel
+                  multiply(add(x, y), subtract(x, y)),
+                  restrict_exponents(x, cut, inclusive)):
+            _assert_normal(r)
+
+    @given(_exps(DIM), _COEFF)
+    def test_constructors_drop_zero_coefficients(self, e, c):
+        for r in (monomial(e, c, DIM), from_scalar(c, DIM), zero_series(DIM)):
+            _assert_normal(r)
+
+    @given(_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_compare_matches_normalizing_subtraction(self, pair):
+        x, y = pair
+        assert _outcome(compare_series, x, y) == \
+            _outcome(_reference_compare, x, y)
+        assert _outcome(compare_series, y, x) == \
+            _outcome(_reference_compare, y, x)

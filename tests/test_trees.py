@@ -169,6 +169,16 @@ class TestFindPathBounded:
         assert "11" not in U
         assert "" in U
 
+    def test_right_child_tested_only_when_reached(self):
+        # the leftmost path is found without testing any right sibling:
+        # the root and the eight nodes below it
+        T = full_tree()
+        calls = []
+        raw = T._raw
+        T._raw = lambda sigma: calls.append(sigma) or raw(sigma)
+        assert find_path_bounded(T, 8) == "00000000"
+        assert calls == ["0" * k for k in range(9)]
+
 
 class TestJoin:
     def test_zero(self):
