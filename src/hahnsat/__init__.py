@@ -22,6 +22,7 @@ from .series import (
     Series,
     add,
     compare_series,
+    diff_valuation,
     format_series,
     invert,
     make_exp,

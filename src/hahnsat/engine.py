@@ -54,13 +54,16 @@ from .scalars import (
     isolate_real_roots,
     rational_height,
     real_algebraic,
+    scalar_sign,
     simplest_between,
 )
 from .series import (
     INFINITY,
     Series,
+    _first_difference,
     add,
     compare_series,
+    diff_valuation,
     format_series,
     make_exp,
     monomial,
@@ -538,12 +541,12 @@ def _adopt_from_enum(oracle: CutOracle, state: _ClassifyState, known: list,
             s = oracle.side(e)
             if s != mine:
                 continue
-            diff = subtract(e, state.d0)
-            if diff.is_zero():
+            first = _first_difference(e, state.d0)
+            if first is None:
                 continue
-            if compare_series(e, state.d0) * state.direction <= 0:
+            gamma, c = first
+            if scalar_sign(c) * state.direction <= 0:
                 continue
-            gamma = tuple(valuation(diff))
             if state.achieved is not None and not state.achieved < gamma:
                 continue
             candidates.append((gamma, format_series(e), e))
@@ -581,12 +584,12 @@ def _observed_bounds(oracle: CutOracle, state: _ClassifyState):
     gamma_lo = None
     gamma_hi = None
     for e, s in list(oracle.log):
-        diff = subtract(e, state.d0)
-        if diff.is_zero():
+        first = _first_difference(e, state.d0)
+        if first is None:
             continue
-        gamma = tuple(valuation(diff))
+        gamma, c = first
         if s == mine:
-            if compare_series(e, state.d0) * state.direction > 0:
+            if scalar_sign(c) * state.direction > 0:
                 if gamma_hi is None or gamma < gamma_hi:
                     gamma_hi = gamma
         elif s != Side.EQUAL:
@@ -606,9 +609,9 @@ def _scan_levels(oracle: CutOracle, state: _ClassifyState, basis: SpanBasis,
             gamma_hi = state.window_hi
         levels = set(grid)
         for e, _ in list(oracle.log):
-            diff = subtract(e, state.d0)
-            if not diff.is_zero():
-                levels.add(tuple(valuation(diff)))
+            gamma = diff_valuation(e, state.d0)
+            if gamma is not INFINITY:
+                levels.add(gamma)
         if gamma_lo is not None:
             levels.add(gamma_lo)
         chosen = None
@@ -721,9 +724,9 @@ def _field_rank_guard(state: _ClassifyState, basis: SpanBasis, dim: int):
     parameter count (transcendence-degree tripwire)."""
     vectors = []
     for a, b in zip(state.chain, state.chain[1:]):
-        diff = subtract(b, a)
-        if not diff.is_zero():
-            vectors.append(list(make_exp(valuation(diff), dim)))
+        gamma = diff_valuation(b, a)
+        if gamma is not INFINITY:
+            vectors.append(list(make_exp(gamma, dim)))
     rank = len(vectors) - len(_nullspace_of_rows(vectors))
     if rank > len(basis.generators):
         raise OracleFailure(
@@ -875,18 +878,17 @@ def _realize_immediate(cls: ImmediateTranscendental, oracle: CutOracle,
             "record subsequence is not pseudo-Cauchy",
             query=format_series(marks[-1]))
     limit = pseudo_limit(seq, len(marks))
-    gammas = [tuple(valuation(subtract(b, a)))
-              for a, b in zip(marks, marks[1:])]
+    gammas = [diff_valuation(b, a) for a, b in zip(marks, marks[1:])]
     for a_i, gamma_i in zip(marks, gammas):
-        got = valuation(subtract(limit, a_i))
-        if got is INFINITY or tuple(got) != gamma_i:
+        got = diff_valuation(limit, a_i)
+        if got != gamma_i:
             raise PseudoLimitUnverified(
                 "pseudo-limit misses a difference valuation",
                 query=format_series(a_i))
     witness = _witness_past_records(oracle, marks, gammas, dim)
     for a_i, gamma_i in zip(marks, gammas):
-        got = valuation(subtract(witness, a_i))
-        if got is INFINITY or tuple(got) != gamma_i:
+        got = diff_valuation(witness, a_i)
+        if got != gamma_i:
             raise PseudoLimitUnverified(
                 "witness misses a difference valuation",
                 query=format_series(a_i))
@@ -957,8 +959,7 @@ def _witness_past_records(oracle: CutOracle, marks: list, gammas: list,
     if opposite is None:
         exp0 = Fraction(_first_floor(gammas[-1]) + 1)
     else:
-        gap = subtract(opposite, base)
-        exp0 = Fraction(_first_floor(tuple(valuation(gap))) + 1)
+        exp0 = Fraction(_first_floor(diff_valuation(opposite, base)) + 1)
     gamma_last = gammas[-1]
     if not gamma_last < make_exp((exp0,), dim):
         exp0 = Fraction(_first_floor(gamma_last) + 1)

@@ -13,11 +13,18 @@ strictly below `trunc` when a bound is present.  The public constructor
 (`Series(...)`, `series`, `parse_series`) normalizes outside input to it;
 arithmetic results preserve it by construction and are built through the
 trusted `Series._raw`, which does not re-check.
+
+A Series computes its support in ascending order once, on first use, and
+keeps it (`sorted_terms`).  Order and the valuation of a difference are
+decided by `_first_difference`, which merge-walks two such supports up to
+the first exponent where they differ, without hashing an exponent or
+building the difference.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .errors import (
@@ -107,9 +114,10 @@ class Series:
 
     `terms` maps exponents to nonzero coefficients, all strictly below
     `trunc` when a bound is present.  Equality and hashing are structural.
+    `_order` caches `sorted_terms()`.
     """
 
-    __slots__ = ("dim", "terms", "trunc", "_hash")
+    __slots__ = ("dim", "terms", "trunc", "_hash", "_order")
 
     def __init__(self, terms: dict, dim: int, trunc: Optional[Exponent] = None):
         kept = {}
@@ -136,12 +144,22 @@ class Series:
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "trunc", trunc)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_order", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Series is immutable")
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0])
+    def sorted_terms(self) -> tuple:
+        """The terms by ascending exponent, flat: (e0, c0, e1, c1, ...).
+
+        Computed once and kept for the life of the series, so it is one
+        tuple without a pair object per term, built from a list so that it
+        is allocated at its final size."""
+        if self._order is None:
+            items = sorted(self.terms.items(), key=itemgetter(0))
+            object.__setattr__(self, "_order",
+                               tuple([v for term in items for v in term]))
+        return self._order
 
     def is_zero(self) -> bool:
         """True only for the exact zero series."""
@@ -158,9 +176,9 @@ class Series:
 
     def __hash__(self):
         if self._hash is None:
-            h = hash((self.dim, self.trunc, frozenset(self.terms.items())))
-            object.__setattr__(self, "_hash", h)
-        return h if self._hash is None else self._hash
+            object.__setattr__(self, "_hash", hash(
+                (self.dim, self.trunc, frozenset(self.terms.items()))))
+        return self._hash
 
     def __repr__(self):
         body = format_series(self)
@@ -193,6 +211,10 @@ def from_scalar(c, dim: int) -> Series:
     return Series._raw({} if scalar_is_zero(c) else {zero_exp(dim): c}, dim)
 
 
+_VALUATION_UNKNOWN = "no terms below the bound {}; valuation unknown"
+_SIGN_UNKNOWN = "difference has no terms below {}; sign unknown"
+
+
 def valuation(x: Series):
     """Least exponent in the support; INFINITY for the exact zero series.
 
@@ -200,26 +222,24 @@ def valuation(x: Series):
     valuation, so TruncationInsufficient is raised.
     """
     if x.terms:
-        return min(x.terms)
+        return x.sorted_terms()[0]
     if x.trunc is None:
         return INFINITY
     raise TruncationInsufficient(
-        f"no terms below the bound {_format_exp(x.trunc)}; valuation unknown"
-    )
+        _VALUATION_UNKNOWN.format(_format_exp(x.trunc)))
 
 
 def _valuation_floor(x: Series):
     """A certified lower bound on the valuation (INFINITY for exact zero)."""
     if x.terms:
-        return min(x.terms)
+        return x.sorted_terms()[0]
     return INFINITY if x.trunc is None else x.trunc
 
 
 def leading_term(x: Series):
-    v = valuation(x)
-    if v is INFINITY:
+    if valuation(x) is INFINITY:
         raise ValueError("zero series has no leading term")
-    return v, x.terms[v]
+    return x.sorted_terms()[:2]
 
 
 def _min_trunc(a: Optional[Exponent], b: Optional[Exponent]) -> Optional[Exponent]:
@@ -363,41 +383,75 @@ def invert(x: Series, order: Optional[Exponent] = None) -> Series:
     return with_trunc(multiply(acc, lead_inv), out_trunc)
 
 
-def compare_series(x: Series, y: Series) -> int:
-    """Sign of x - y in the ordered Hahn field.
+def _first_difference(x: Series, y: Series, unknown: str = _SIGN_UNKNOWN):
+    """(exponent, coefficient of x - y) at the least exponent where x and y
+    differ, or None when they are equal exact series.
 
-    Walks the union of the supports upward and stops at the first exponent
-    where the coefficients differ; raises TruncationInsufficient when none
-    does below the smaller bound, so equality cannot be certified, and
-    propagates ComparisonUndecidedAtPrecision from oracle coefficient signs.
+    Merge-walks the two sorted supports; exponents are compared, never
+    hashed.  When they agree below the smaller bound, equality cannot be
+    certified and TruncationInsufficient is raised with `unknown` formatted
+    by that bound.  Only rational coefficient pairs are compared directly;
+    RealAlgebraic and OracleReal ones are subtracted as scalars.
     """
     if x.dim != y.dim:
         raise ValueError("dimension mismatch")
     trunc = _min_trunc(x.trunc, y.trunc)
-    xt, yt = x.terms, y.terms
-    for e in sorted(set(xt).union(yt)):
+    xs, ys = x.sorted_terms(), y.sorted_terms()
+    nx, ny = len(xs), len(ys)
+    i = j = 0
+    while i < nx or j < ny:
+        if j == ny:
+            e, d = xs[i], xs[i + 1]
+        elif i == nx:
+            e, d = ys[j], scalar_neg(ys[j + 1])
+        else:
+            e, ey = xs[i], ys[j]
+            if e is ey or e == ey:
+                cx, cy = xs[i + 1], ys[j + 1]
+                i += 2
+                j += 2
+                if type(cx) is Fraction and type(cy) is Fraction:
+                    if cx == cy:
+                        continue
+                    d = cx - cy
+                else:
+                    d = scalar_add(cx, scalar_neg(cy))
+                    if scalar_is_zero(d):
+                        continue
+            elif e < ey:
+                d = xs[i + 1]
+            else:
+                e, d = ey, scalar_neg(ys[j + 1])
         if trunc is not None and not e < trunc:
             break
-        cx, cy = xt.get(e), yt.get(e)
-        if cy is None:
-            return scalar_sign(cx)
-        d = scalar_neg(cy) if cx is None else scalar_add(cx, scalar_neg(cy))
-        if not scalar_is_zero(d):
-            return scalar_sign(d)
+        return e, d
     if trunc is None:
-        return 0
-    raise TruncationInsufficient(
-        f"difference has no terms below {_format_exp(trunc)}; sign unknown"
-    )
+        return None
+    raise TruncationInsufficient(unknown.format(_format_exp(trunc)))
+
+
+def compare_series(x: Series, y: Series) -> int:
+    """Sign of x - y in the ordered Hahn field; ValueError on a dimension
+    mismatch, TruncationInsufficient when x and y agree below the smaller
+    bound, and ComparisonUndecidedAtPrecision from oracle coefficient signs."""
+    first = _first_difference(x, y)
+    return 0 if first is None else scalar_sign(first[1])
+
+
+def diff_valuation(x: Series, y: Series):
+    """valuation(subtract(x, y)), errors included, without building the
+    difference."""
+    first = _first_difference(x, y, _VALUATION_UNKNOWN)
+    return INFINITY if first is None else first[0]
 
 
 def residue(a: Series):
     """Coefficient at exponent zero for a series of nonnegative valuation."""
     zero = zero_exp(a.dim)
-    if a.terms and min(a.terms) < zero:
-        raise NegativeValuation(
-            f"valuation {_format_exp(min(a.terms))} is negative"
-        )
+    if a.terms:
+        v = a.sorted_terms()[0]
+        if v < zero:
+            raise NegativeValuation(f"valuation {_format_exp(v)} is negative")
     if zero in a.terms:
         return a.terms[zero]
     if a.trunc is not None and not zero < a.trunc:
@@ -441,7 +495,8 @@ def format_series(x: Series) -> str:
     if not x.terms:
         return "0"
     parts = []
-    for i, (exp, c) in enumerate(x.sorted_terms()):
+    order = x.sorted_terms()
+    for i, (exp, c) in enumerate(zip(order[::2], order[1::2])):
         if isinstance(c, OracleReal):
             sign, mag = 1, format_scalar(c)
         else:

@@ -24,6 +24,7 @@ from .series import (
     Series,
     add,
     compare_series,
+    diff_valuation,
     negate,
     restrict_exponents,
     scale,
@@ -275,8 +276,7 @@ def check_pseudo_cauchy(seq: PseudoSequence, k: int) -> bool:
     elems = seq.materialize(k)
     prev = None
     for i in range(k - 1):
-        d = subtract(elems[i + 1], elems[i])
-        v = valuation(d)
+        v = diff_valuation(elems[i + 1], elems[i])
         if v is INFINITY:
             return False
         if prev is not None and not prev < v:
@@ -297,5 +297,5 @@ def pseudo_limit(seq: PseudoSequence, k: int) -> Series:
     if not check_pseudo_cauchy(seq, k):
         raise ValueError("prefix is not pseudo-Cauchy")
     elems = seq.materialize(k)
-    gamma = valuation(subtract(elems[k - 1], elems[k - 2]))
+    gamma = diff_valuation(elems[k - 1], elems[k - 2])
     return restrict_exponents(elems[k - 1], gamma, inclusive=True)

@@ -28,6 +28,7 @@ from hahnsat.series import (
     add,
     arch_ratio,
     compare_series,
+    diff_valuation,
     format_series,
     from_scalar,
     invert,
@@ -398,6 +399,8 @@ def _assert_normal(r):
         assert not scalar_is_zero(c)
         assert r.trunc is None or e < r.trunc
     assert r == Series(r.terms, r.dim, r.trunc)
+    assert r.sorted_terms() == \
+        tuple(v for term in sorted(r.terms.items()) for v in term)
 
 
 def _reference_compare(x, y):
@@ -417,6 +420,25 @@ def _reference_compare(x, y):
         return 0
     raise TruncationInsufficient(
         f"difference has no terms below {_format_exp(d.trunc)}; sign unknown")
+
+
+def _valuation_of_difference(x, y):
+    return valuation(subtract(x, y))
+
+
+class _UnhashableFraction(F):
+    """An exponent coordinate whose hash raises while `armed` is set."""
+
+    armed = False
+
+    def __hash__(self):
+        if _UnhashableFraction.armed:
+            raise AssertionError("an exponent coordinate was hashed")
+        return super().__hash__()
+
+
+def _unhashable_exp(*coords):
+    return tuple(_UnhashableFraction(q) for q in coords)
 
 
 def _outcome(fn, *args):
@@ -452,3 +474,36 @@ class TestTrustedPath:
             _outcome(_reference_compare, x, y)
         assert _outcome(compare_series, y, x) == \
             _outcome(_reference_compare, y, x)
+
+    @given(_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_diff_valuation_matches_valuation_of_difference(self, pair):
+        x, y = pair
+        assert _outcome(diff_valuation, x, y) == \
+            _outcome(_valuation_of_difference, x, y)
+        assert _outcome(diff_valuation, y, x) == \
+            _outcome(_valuation_of_difference, y, x)
+
+    def test_order_and_difference_valuation_never_hash_an_exponent(self):
+        shared = _unhashable_exp(0, 0)
+        x = Series._raw({shared: F(1), _unhashable_exp(1, 0): F(2),
+                         _unhashable_exp(2, 0): F(3)}, DIM)
+        y = Series._raw({shared: F(1), _unhashable_exp(1, 0): F(2),
+                         _unhashable_exp(5, 2): F(-1)}, DIM)
+        cut = Series._raw({_unhashable_exp(0, 0): F(1)}, DIM,
+                          _unhashable_exp(1, 0))
+        _UnhashableFraction.armed = True
+        try:
+            assert compare_series(x, y) == 1
+            assert compare_series(y, x) == -1
+            assert compare_series(x, x) == 0
+            assert diff_valuation(x, y) == (2, 0)
+            assert diff_valuation(y, y) is INFINITY
+            assert valuation(y) == (0, 0)
+            with pytest.raises(TruncationInsufficient, match="sign unknown"):
+                compare_series(cut, x)
+            with pytest.raises(TruncationInsufficient,
+                               match="valuation unknown"):
+                diff_valuation(x, cut)
+        finally:
+            _UnhashableFraction.armed = False
