@@ -152,14 +152,9 @@ def oracle_from_value(x0: Series,
 
 
 def _rationals_of_height(h: int):
-    """All p/q with max(|p|, q) <= h, in a deterministic order."""
-    out = set()
-    for den in range(1, h + 1):
-        for num in range(-h, h + 1):
-            q = Fraction(num, den)
-            if rational_height(q) <= h:
-                out.add(q)
-    return sorted(out)
+    """All p/q with max(|p|, q) <= h, ascending."""
+    return sorted({Fraction(num, den) for den in range(1, h + 1)
+                   for num in range(-h, h + 1)})
 
 
 def standard_height_enum(generators: Sequence[Series],
@@ -396,8 +391,8 @@ def _resolve_level(oracle: CutOracle, d0: Series, u: Series, direction: int,
         else:
             hi = mid
     for _ in range(3):
-        q_star, kind = _pick_candidate(lo, hi)
-        if kind != "algebraic":
+        q_star = _pick_candidate(lo, hi)
+        if isinstance(q_star, Fraction):
             if q_star == 0:
                 return _ResolveOutcome.FILL_ZERO, None
             s = probe(q_star)
@@ -427,22 +422,14 @@ def _resolve_level(oracle: CutOracle, d0: Series, u: Series, direction: int,
 
 
 def _pick_candidate(lo: Fraction, hi: Fraction):
-    """Minimal-height value in [lo, hi]: endpoints, then the simplest
-    rational strictly inside, then small algebraic irrationals."""
-    candidates = [(rational_height(lo), 0, lo, "endpoint")]
-    candidates.append((rational_height(hi), 1, hi, "endpoint"))
-    sb = simplest_between(lo, hi)
-    if sb is not None and lo < sb < hi:
-        candidates.append((rational_height(sb), 2, sb, "rational"))
-    best_rational = min(c[0] for c in candidates)
-    for height, root in _algebraic_candidates(lo, hi,
-                                              min(_ALG_HEIGHT_CAP,
-                                                  best_rational - 1)):
-        candidates.append((height, 3, root, "algebraic"))
-        break
-    candidates.sort(key=lambda c: (c[0], c[1]))
-    _, _, value, kind = candidates[0]
-    return value, kind
+    """Minimal-height value in [lo, hi]: the first of lo, hi and the
+    simplest rational strictly inside that has the least height, unless a
+    small algebraic irrational has lower height still."""
+    best = min((lo, hi, simplest_between(lo, hi)), key=rational_height)
+    cap = min(_ALG_HEIGHT_CAP, rational_height(best) - 1)
+    for _, root in _algebraic_candidates(lo, hi, cap):
+        return root
+    return best
 
 
 def _bisection_oracle(probe, lo: Fraction, hi: Fraction) -> OracleReal:
@@ -465,17 +452,49 @@ def _bisection_oracle(probe, lo: Fraction, hi: Fraction) -> OracleReal:
 
 @dataclass
 class _ClassifyState:
+    """The approximation d0 and the window known for v(hidden - d0).
+
+    The hidden element lies on the `direction` side of d0 (+1: above).  Its
+    level v(hidden - d0) is at least `achieved`, or strictly above it when
+    `achieved_strict` (that level's digit resolved to zero), and strictly
+    below `window_hi` (an unbounded digit scan there).  The level scan also
+    caps the level at the least v(e - d0) over logged same-side elements e
+    beyond d0, inclusively.  Only `start` and `adopt` move d0.
+    """
+
     d0: Series
     direction: int
     achieved: Optional[tuple] = None
     achieved_strict: bool = False
-    window_hi: Optional[tuple] = None  # strict upper bound on the level
-    chain: list = field(default_factory=list)
-    improved: bool = False
-    generations_used: int = 0
+    window_hi: Optional[tuple] = None
+    chain: list = field(default_factory=list)  # adopted approximations
+    improved: bool = False  # moved since the caller last cleared it
 
-    def note_improvement(self):
+    @classmethod
+    def start(cls, d0: Series, side: Side,
+              achieved: Optional[tuple] = None) -> "_ClassifyState":
+        return cls(d0, _direction(side), achieved, chain=[d0])
+
+    def adopt(self, d0: Series, side: Side, gamma: tuple):
+        """Move to the closer approximation d0 with v(hidden - d0) >= gamma."""
+        self.d0 = d0
+        self.direction = _direction(side)
+        self.achieved = gamma
+        self.achieved_strict = False
+        self.window_hi = None
+        self.chain.append(d0)
         self.improved = True
+
+    def above_achieved(self, gamma: tuple) -> bool:
+        if self.achieved is None:
+            return True
+        if self.achieved_strict:
+            return self.achieved < gamma
+        return not gamma < self.achieved
+
+
+def _direction(side: Side) -> int:
+    return 1 if side == Side.BELOW else -1
 
 
 def classify_cut(oracle: CutOracle, basis: SpanBasis, budgets: Budgets,
@@ -487,17 +506,14 @@ def classify_cut(oracle: CutOracle, basis: SpanBasis, budgets: Budgets,
     s0 = oracle.side(zero)
     if s0 == Side.EQUAL:
         return Realized(zero)
-    state = _ClassifyState(d0=zero, direction=1 if s0 == Side.BELOW else -1,
-                           chain=[zero])
+    state = _ClassifyState.start(zero, s0)
     grid = (_group_grid(basis) if mode == "group"
             else _field_grid(basis, budgets.exponent_denominator_budget, dim))
-    grid = [tuple(make_exp(g, dim)) for g in grid]
     known: list = []
     known_set: set = set()
 
     for h in range(1, budgets.height_budget + 1):
         state.improved = False
-        state.generations_used = h
         for e in oracle.height_enum(h):
             if e in known_set:
                 continue
@@ -511,13 +527,13 @@ def classify_cut(oracle: CutOracle, basis: SpanBasis, budgets: Budgets,
         if result is not None:
             return result
         if not state.improved:
-            return _stable_conclusion(state, grid, mode, dim, oracle)
+            return _stable_conclusion(state, grid, oracle)
     if mode == "field":
         if len(state.chain) < 2:
             raise BudgetExhausted(
                 "no approximation chain found within the height budget",
                 stage="classify")
-        _field_rank_guard(state, basis, dim)
+        _field_rank_guard(state, basis)
         return ImmediateTranscendental(tuple(state.chain), tuple(known))
     raise BudgetExhausted(
         "cut still improving at the height budget (group mode)",
@@ -563,13 +579,7 @@ def _adopt_from_enum(oracle: CutOracle, state: _ClassifyState, known: list,
             if hi == Side.EQUAL:
                 return
             if lo == Side.BELOW and hi == Side.ABOVE:
-                state.d0 = e
-                state.direction = 1 if oracle.side(e) == Side.BELOW else -1
-                state.achieved = gamma
-                state.achieved_strict = False
-                state.window_hi = None
-                state.chain.append(e)
-                state.note_improvement()
+                state.adopt(e, mine, gamma)
                 adopted = True
                 break
         if not adopted:
@@ -577,17 +587,20 @@ def _adopt_from_enum(oracle: CutOracle, state: _ClassifyState, known: list,
 
 
 def _observed_bounds(oracle: CutOracle, state: _ClassifyState):
-    """(gamma_lo, gamma_hi) from the query log relative to the current d0:
-    opposite-side elements bound the level from below, same-side elements
-    strictly beyond d0 bound it from above."""
+    """(gamma_lo, gamma_hi, levels) from the query log relative to the
+    current d0: opposite-side elements bound the level from below, same-side
+    elements strictly beyond d0 bound it from above, and `levels` holds
+    every v(e - d0) of a logged e other than d0."""
     mine = _effective_side(state.direction)
     gamma_lo = None
     gamma_hi = None
-    for e, s in list(oracle.log):
+    levels = set()
+    for e, s in oracle.log:
         first = _first_difference(e, state.d0)
         if first is None:
             continue
         gamma, c = first
+        levels.add(gamma)
         if s == mine:
             if scalar_sign(c) * state.direction > 0:
                 if gamma_hi is None or gamma < gamma_hi:
@@ -595,7 +608,7 @@ def _observed_bounds(oracle: CutOracle, state: _ClassifyState):
         elif s != Side.EQUAL:
             if gamma_lo is None or gamma_lo < gamma:
                 gamma_lo = gamma
-    return gamma_lo, gamma_hi
+    return gamma_lo, gamma_hi, levels
 
 
 def _scan_levels(oracle: CutOracle, state: _ClassifyState, basis: SpanBasis,
@@ -603,25 +616,11 @@ def _scan_levels(oracle: CutOracle, state: _ClassifyState, basis: SpanBasis,
     """Resolve digits at candidate valuation levels, ascending.  Returns a
     final classification when one is forced, else None."""
     while True:
-        gamma_lo, gamma_hi = _observed_bounds(oracle, state)
-        if state.window_hi is not None and (
-                gamma_hi is None or state.window_hi < gamma_hi):
-            gamma_hi = state.window_hi
-        levels = set(grid)
-        for e, _ in list(oracle.log):
-            gamma = diff_valuation(e, state.d0)
-            if gamma is not INFINITY:
-                levels.add(gamma)
-        if gamma_lo is not None:
-            levels.add(gamma_lo)
+        gamma_lo, gamma_hi, levels = _observed_bounds(oracle, state)
         chosen = None
-        for gamma in sorted(levels):
-            if state.achieved is not None:
-                if state.achieved_strict:
-                    if not state.achieved < gamma:
-                        continue
-                elif gamma < state.achieved:
-                    continue
+        for gamma in sorted(levels.union(grid)):
+            if not state.above_achieved(gamma):
+                continue
             if gamma_lo is not None and gamma < gamma_lo:
                 continue
             if gamma_hi is not None and gamma_hi < gamma:
@@ -632,21 +631,13 @@ def _scan_levels(oracle: CutOracle, state: _ClassifyState, basis: SpanBasis,
             break
         if chosen is None:
             return None
-        scale_u = _level_scale(basis, chosen, mode, state.d0.dim)
-        if scale_u is None:
+        u = (_class_rep_for(basis, chosen) if mode == "group"
+             else _exp_monomial(chosen, state.d0.dim))
+        if u is None:
             return None
-        outcome = _resolve_with_digits(oracle, state, scale_u, chosen,
-                                       budgets)
+        outcome = _resolve_with_digits(oracle, state, u, chosen, budgets)
         if outcome is not None:
             return outcome
-
-
-def _level_scale(basis: SpanBasis, gamma: tuple, mode: str,
-                 dim: int) -> Optional[Series]:
-    if mode == "group":
-        rep = _class_rep_for(basis, make_exp(gamma, dim))
-        return rep
-    return _exp_monomial(gamma, dim)
 
 
 def _resolve_with_digits(oracle: CutOracle, state: _ClassifyState,
@@ -660,42 +651,34 @@ def _resolve_with_digits(oracle: CutOracle, state: _ClassifyState,
         if outcome == _ResolveOutcome.REALIZED:
             return Realized(payload)
         if outcome == _ResolveOutcome.UNBOUNDED:
-            new_hi = tuple(gamma)
-            if state.window_hi is None or new_hi < state.window_hi:
-                state.window_hi = new_hi
-                state.note_improvement()
+            if state.window_hi is None or gamma < state.window_hi:
+                state.window_hi = gamma
+                state.improved = True
             return None
         if outcome == _ResolveOutcome.FILL_ZERO:
             if state.achieved is None or state.achieved < gamma or \
                     not state.achieved_strict:
-                state.achieved = tuple(gamma)
+                state.achieved = gamma
                 state.achieved_strict = True
-                state.note_improvement()
+                state.improved = True
             return None
         if outcome == _ResolveOutcome.RESIDUE:
-            return ResidueTranscendental(state.d0, u, payload, tuple(gamma))
+            return ResidueTranscendental(state.d0, u, payload, gamma)
         # a rational digit: adopt and re-resolve the same level
-        q = payload
-        state.d0 = add(state.d0, scale(u, q))
-        side_now = oracle.side(state.d0)
-        if side_now == Side.EQUAL:
-            return Realized(state.d0)
-        state.direction = 1 if side_now == Side.BELOW else -1
-        state.achieved = tuple(gamma)
-        state.achieved_strict = False
-        state.window_hi = None
-        state.chain.append(state.d0)
-        state.note_improvement()
+        d0 = add(state.d0, scale(u, payload))
+        side = oracle.side(d0)
+        if side == Side.EQUAL:
+            return Realized(d0)
+        state.adopt(d0, side, gamma)
     raise BudgetExhausted(
         f"more than {_SAME_LEVEL_DIGIT_CAP} digits at level {gamma}",
         stage="resolve")
 
 
-def _stable_conclusion(state: _ClassifyState, grid: list, mode: str,
-                       dim: int, oracle: CutOracle):
+def _stable_conclusion(state: _ClassifyState, grid: list, oracle: CutOracle):
     lower = state.achieved
     upper = state.window_hi
-    _, gamma_hi = _observed_bounds(oracle, state)
+    _, gamma_hi, _ = _observed_bounds(oracle, state)
     if gamma_hi is not None and (upper is None or gamma_hi < upper):
         upper = gamma_hi  # an unadopted same-side element caps the gap
     if lower is not None and upper is not None:
@@ -705,28 +688,21 @@ def _stable_conclusion(state: _ClassifyState, grid: list, mode: str,
             raise BudgetExhausted(
                 "stable cut pinched at the achieved level", stage="classify")
     for gamma in grid:
-        if lower is not None:
-            if state.achieved_strict:
-                if not lower < gamma:
-                    continue
-            elif gamma < lower:
-                continue
-        if upper is not None and not gamma < upper:
-            continue
-        raise BudgetExhausted(
-            f"stable cut with unresolved grid level {gamma}",
-            stage="classify")
+        if state.above_achieved(gamma) and (upper is None or gamma < upper):
+            raise BudgetExhausted(
+                f"stable cut with unresolved grid level {gamma}",
+                stage="classify")
     return GroupTranscendental(state.d0, lower, upper, state.direction)
 
 
-def _field_rank_guard(state: _ClassifyState, basis: SpanBasis, dim: int):
+def _field_rank_guard(state: _ClassifyState, basis: SpanBasis):
     """Rank of the observed difference valuations must not exceed the
     parameter count (transcendence-degree tripwire)."""
     vectors = []
     for a, b in zip(state.chain, state.chain[1:]):
         gamma = diff_valuation(b, a)
         if gamma is not INFINITY:
-            vectors.append(list(make_exp(gamma, dim)))
+            vectors.append(gamma)
     rank = len(vectors) - len(_nullspace_of_rows(vectors))
     if rank > len(basis.generators):
         raise OracleFailure(
@@ -766,27 +742,23 @@ def _gap_exponent(lower: Optional[tuple], upper: Optional[tuple]) -> tuple:
 
 def realize_cut_group(cls: object, oracle: CutOracle,
                       basis: SpanBasis, budgets: Budgets) -> Series:
-    dim = basis.generators[0].dim
     if isinstance(cls, Realized):
         return cls.element
     if isinstance(cls, ResidueTranscendental):
-        _require_exact_residue(cls)
-        witness = add(cls.d0, scale(cls.scale, cls.residue))
-        _verify_against_log(witness, oracle)
-        return witness
-    if isinstance(cls, GroupTranscendental):
-        gamma = _gap_exponent(cls.lower, cls.upper)
-        mono = _exp_monomial(gamma, dim)
+        witness = _install_residue(cls)
+    elif isinstance(cls, GroupTranscendental):
+        mono = _exp_monomial(_gap_exponent(cls.lower, cls.upper),
+                             basis.generators[0].dim)
         witness = add(cls.d0, mono if cls.direction > 0 else negate(mono))
-        _verify_against_log(witness, oracle)
-        return witness
-    raise ValueError(
-        "group cuts have finite rank: no immediate-transcendental case")
+    else:
+        raise ValueError(
+            "group cuts have finite rank: no immediate-transcendental case")
+    _verify_against_log(witness, oracle)
+    return witness
 
 
 def realize_cut_field(cls: object, oracle: CutOracle,
                       basis: SpanBasis, budgets: Budgets) -> Series:
-    dim = basis.generators[0].dim
     if isinstance(cls, Realized):
         return cls.element
     if isinstance(cls, GroupTranscendental):
@@ -794,60 +766,51 @@ def realize_cut_field(cls: object, oracle: CutOracle,
     if isinstance(cls, ResidueTranscendental):
         return _realize_residue_field(cls, oracle, basis, budgets)
     if isinstance(cls, ImmediateTranscendental):
-        return _realize_immediate(cls, oracle, basis, budgets)
+        return _realize_immediate(cls, oracle, basis)
     raise TypeError(f"unknown classification {type(cls).__name__}")
 
 
-def _require_exact_residue(cls: ResidueTranscendental) -> None:
-    """Realization installs the residue as a series coefficient, so it must
-    be an exact scalar; a bisection approximation cannot be compared exactly
-    and only says the candidate rounds ran out."""
+def _install_residue(cls: ResidueTranscendental) -> Series:
+    """d0 + scale * residue.  The residue becomes a series coefficient, so
+    it must be an exact scalar; a bisection approximation cannot be compared
+    exactly and only says the candidate rounds ran out."""
     if isinstance(cls.residue, OracleReal):
         raise BudgetExhausted(
             "residue was not certified within the candidate rounds; "
             "raise the candidate budget to pin it to an exact scalar",
             stage="realize")
+    return add(cls.d0, scale(cls.scale, cls.residue))
 
 
 def _realize_residue_field(cls: ResidueTranscendental, oracle: CutOracle,
                            basis: SpanBasis, budgets: Budgets) -> Series:
     """Install the irrational digit, then keep resolving deeper levels until
-    the cut closes or stabilizes."""
-    _require_exact_residue(cls)
-    dim = basis.generators[0].dim
-    d0 = add(cls.d0, scale(cls.scale, cls.residue))
-    s = oracle.side(d0)
-    if s == Side.EQUAL:
-        return d0
-    state = _ClassifyState(d0=d0, direction=1 if s == Side.BELOW else -1,
-                           chain=[d0])
-    state.achieved = tuple(cls.level)
-    state.achieved_strict = False
-    grid = _field_grid(basis, budgets.exponent_denominator_budget, dim)
-    grid = [tuple(make_exp(g, dim)) for g in grid]
-    for _ in range(budgets.height_budget):
-        state.improved = False
-        result = _scan_levels(oracle, state, basis, grid, "field", budgets)
+    the cut closes or stabilizes; a deeper residue is installed in turn,
+    within height_budget level scans in all."""
+    grid = _field_grid(basis, budgets.exponent_denominator_budget,
+                       basis.generators[0].dim)
+    result = cls
+    for scans_left in range(budgets.height_budget, -1, -1):
         if isinstance(result, Realized):
             return result.element
         if isinstance(result, ResidueTranscendental):
-            d0 = add(result.d0, scale(result.scale, result.residue))
+            d0 = _install_residue(result)
             s = oracle.side(d0)
             if s == Side.EQUAL:
                 return d0
-            state = _ClassifyState(d0=d0,
-                                   direction=1 if s == Side.BELOW else -1,
-                                   chain=[d0])
-            state.achieved = tuple(result.level)
-            continue
-        if not state.improved:
+            state = _ClassifyState.start(d0, s, result.level)
+        elif not state.improved:
             break
-    tail = _stable_conclusion(state, grid, "field", dim, oracle)
+        if not scans_left:
+            break
+        state.improved = False
+        result = _scan_levels(oracle, state, basis, grid, "field", budgets)
+    tail = _stable_conclusion(state, grid, oracle)
     return realize_cut_group(tail, oracle, basis, budgets)
 
 
 def _realize_immediate(cls: ImmediateTranscendental, oracle: CutOracle,
-                       basis: SpanBasis, budgets: Budgets) -> Series:
+                       basis: SpanBasis) -> Series:
     """Pseudo-limit realization: extract the record subsequence through the
     consistency tree, take its pseudo-limit machinery as certificate, and
     place the witness just past the deepest record inside the logged gap."""
@@ -933,8 +896,7 @@ def _case1_node_ok(sigma: str, elements: list, sides: dict, want: Side,
 
 
 def _cmp_toward(e: Series, last: Series, want: Side) -> int:
-    c = compare_series(e, last)
-    return c if want == Side.BELOW else -c
+    return compare_series(e, last) * _direction(want)
 
 
 def _abs_series(x: Series) -> Series:
@@ -947,15 +909,14 @@ def _witness_past_records(oracle: CutOracle, marks: list, gammas: list,
                           dim: int) -> Series:
     want = oracle.side(marks[-1])
     base = marks[-1]
-    for e, s in oracle.log:
-        if s == want and _cmp_toward(e, base, want) > 0:
-            base = e
     opposite = None
     for e, s in oracle.log:
-        if s not in (want, Side.EQUAL):
+        if s == want:
+            if _cmp_toward(e, base, want) > 0:
+                base = e
+        elif s != Side.EQUAL:
             if opposite is None or _cmp_toward(e, opposite, want) < 0:
                 opposite = e
-    direction = 1 if want == Side.BELOW else -1
     if opposite is None:
         exp0 = Fraction(_first_floor(gammas[-1]) + 1)
     else:
@@ -964,7 +925,7 @@ def _witness_past_records(oracle: CutOracle, marks: list, gammas: list,
     if not gamma_last < make_exp((exp0,), dim):
         exp0 = Fraction(_first_floor(gamma_last) + 1)
     step = _exp_monomial((exp0,), dim)
-    return add(base, step if direction > 0 else negate(step))
+    return add(base, step if want == Side.BELOW else negate(step))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Callable, Optional, Sequence
 
 from .errors import OracleFailure, TruncationInsufficient
@@ -128,12 +129,13 @@ def valuation_basis(gs: Sequence[Series]) -> SpanBasis:
             break
         if not reduced:
             break
-    # back-reduce each element at the other classes' valuations, ascending
+    # back-reduce each element at the other classes' valuations, ascending;
+    # only higher-valuation terms change, so the classes stay put
     work.sort(key=valuation)
+    classes = _classes_by_valuation(work)
     for i in range(len(work)):
         exps_done = set()
         while True:
-            classes = _classes_by_valuation(work)
             g = work[i]
             candidates = sorted(
                 e for e in g.terms
@@ -157,19 +159,8 @@ def valuation_basis(gs: Sequence[Series]) -> SpanBasis:
     for i, g in enumerate(work):
         if scalar_sign(g.terms[valuation(g)]) < 0:
             work[i] = negate(g)
-    # ascending as positive group elements: higher valuation first, then
-    # element order inside each class
-    basis = sorted(work, key=valuation, reverse=True)
-    i = 0
-    while i < len(basis):
-        j = i
-        while j + 1 < len(basis) and valuation(basis[j + 1]) == valuation(basis[i]):
-            j += 1
-        if j > i:
-            chunk = basis[i:j + 1]
-            chunk.sort(key=_AsElement)
-            basis[i:j + 1] = chunk
-        i = j + 1
+    # ascending as (now positive) group elements
+    basis = sorted(work, key=cmp_to_key(compare_series))
     class_reps = []
     rep_by_val = {}
     for g in basis:
@@ -184,16 +175,6 @@ def valuation_basis(gs: Sequence[Series]) -> SpanBasis:
     )
     change = tuple(tuple(represent(g, basis)) for g in gs)
     return SpanBasis(tuple(basis), component_reals, tuple(class_reps), change)
-
-
-class _AsElement:
-    """Sort key wrapper ordering series as group elements."""
-
-    def __init__(self, s: Series):
-        self.s = s
-
-    def __lt__(self, other):
-        return compare_series(self.s, other.s) < 0
 
 
 def represent(x: Series, basis: Sequence[Series]) -> list[Fraction]:

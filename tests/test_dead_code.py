@@ -1,4 +1,5 @@
-"""Every module-level private name in the package has a reader."""
+"""Every module-level private name in the package has a reader, and so
+does every parameter of a private function."""
 
 import ast
 from pathlib import Path
@@ -44,3 +45,28 @@ def unreferenced_privates(src: Path) -> list:
 
 def test_no_unreferenced_private_names():
     assert unreferenced_privates(SRC) == []
+
+
+def unread_private_parameters(src: Path) -> list:
+    """`module.function(param)` for each parameter of a private, non-dunder
+    function in `src` that the function's body never reads."""
+    out = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    or not node.name.startswith("_") \
+                    or node.name.startswith("__"):
+                continue
+            args = node.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args,
+                                      *args.kwonlyargs, args.vararg,
+                                      args.kwarg) if a is not None]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            out.extend(f"{path.stem}.{node.name}({p})" for p in params
+                       if p not in read)
+    return out
+
+
+def test_no_unread_private_parameters():
+    assert unread_private_parameters(SRC) == []

@@ -1,5 +1,6 @@
 """Cut classification, realization, type completion, and reports."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -31,8 +32,14 @@ from hahnsat.errors import (
     OracleFailure,
 )
 from hahnsat.formulas import PartialType, format_formula, parse_formula
-from hahnsat.scalars import OracleReal, format_scalar, real_algebraic
+from hahnsat.scalars import (
+    OracleReal,
+    format_scalar,
+    oracle_bits,
+    real_algebraic,
+)
 from hahnsat.series import (
+    Series,
     add,
     compare_series,
     format_series,
@@ -266,6 +273,21 @@ class TestClassifyField:
         assert isinstance(cls2, Realized)
         assert format_series(cls2.element) == "t^(1/3)"
 
+    def test_uncertified_deeper_residue_refuses_realization(self):
+        # the residue at t^1 is exact, the one at t^2 only a bit oracle that
+        # no algebraic candidate matches at this precision
+        rng = random.Random(1)
+        bits = [rng.randint(0, 1) for _ in range(400)]
+        r = oracle_bits(0, lambda i: bits[i])
+        hidden = Series({exp_of(1): SQRT2, exp_of(2): r}, DIM)
+        cls = ResidueTranscendental(d0=zero_series(DIM), scale=T,
+                                    residue=SQRT2, level=exp_of(1))
+        oracle = oracle_from_value(hidden, standard_height_enum([T]))
+        with pytest.raises(BudgetExhausted) as ei:
+            realize_cut_field(cls, oracle, valuation_basis([T]),
+                              Budgets(precision_budget=4))
+        assert ei.value.stage == "realize"
+
     def test_immediate_chain_and_pseudo_limit(self):
         hidden = tail_series(40)
         budgets = Budgets(height_budget=5, exponent_denominator_budget=1)
@@ -312,14 +334,14 @@ class TestFieldRankGuard:
     def test_rank_equal_to_generator_count_passes(self):
         # differences t and t^2: valuations (1,0), (2,0) have rank 1
         state = self.chain_state(zero_series(DIM), T, add(T, t_pow(2)))
-        _field_rank_guard(state, valuation_basis([T]), DIM)
+        _field_rank_guard(state, valuation_basis([T]))
 
     def test_rank_above_generator_count_raises(self):
         # differences t and t^(0,1): valuations (1,0), (0,1) have rank 2
         state = self.chain_state(zero_series(DIM), T,
                                  add(T, monomial([F(0), F(1)], 1, DIM)))
         with pytest.raises(OracleFailure, match="rank 2 exceeds"):
-            _field_rank_guard(state, valuation_basis([T]), DIM)
+            _field_rank_guard(state, valuation_basis([T]))
 
 
 def beta_type():
@@ -570,3 +592,23 @@ class TestReportDigest:
                            budgets=Budgets(formula_prefix_budget=32))
         h.update(res.report.encode())
         assert h.hexdigest() == self.DIGEST
+
+    # span (1001, 1009), gap (1004) and residue (1010, 1014) types in field
+    # mode; the residue types resolve deeper levels after installing their
+    # first residue and end in a stable value gap
+    FIELD_SEEDS = (1001, 1004, 1009, 1010, 1014)
+    FIELD_DIGEST = \
+        "da2cf6433494ab3dbb014772edab589c7707e27685b0be9fe6e360b7e0964978"
+
+    def test_field_reports_are_byte_identical(self):
+        import hashlib
+
+        from test_acceptance import _generated_type
+
+        h = hashlib.sha256()
+        for seed in self.FIELD_SEEDS:
+            tau, env = _generated_type(seed)
+            res = realize_type(tau, env, mode="field",
+                               budgets=Budgets(formula_prefix_budget=100))
+            h.update(res.report.encode())
+        assert h.hexdigest() == self.FIELD_DIGEST
