@@ -25,26 +25,23 @@ from .errors import (
     NotFinitelySatisfiable,
     OracleFailure,
     PseudoLimitUnverified,
-    Unsatisfiable,
 )
 from .formulas import (
     And,
     Not,
     PartialType,
     Signature,
-    _atom_linear_parts,
     _enumeration,
     _has_quantifier,
-    _nnf,
+    _solve_for,
     _term_series,
-    cut_bounds,
+    conjoin,
     doag_qe,
     enumerate_formulas,
     eval_formula,
     format_formula,
     free_symbols,
     iter_atoms,
-    iter_worlds,
     satisfiable,
 )
 from .scalars import (
@@ -671,8 +668,8 @@ def _resolve_with_digits(oracle: CutOracle, state: _ClassifyState,
             return Realized(d0)
         state.adopt(d0, side, gamma)
     raise BudgetExhausted(
-        f"more than {_SAME_LEVEL_DIGIT_CAP} digits at level {gamma}",
-        stage="resolve")
+        f"more than {_SAME_LEVEL_DIGIT_CAP} digits at level "
+        f"{_fmt_level(gamma)}", stage="resolve")
 
 
 def _stable_conclusion(state: _ClassifyState, grid: list, oracle: CutOracle):
@@ -690,7 +687,7 @@ def _stable_conclusion(state: _ClassifyState, grid: list, oracle: CutOracle):
     for gamma in grid:
         if state.above_achieved(gamma) and (upper is None or gamma < upper):
             raise BudgetExhausted(
-                f"stable cut with unresolved grid level {gamma}",
+                f"stable cut with unresolved grid level {_fmt_level(gamma)}",
                 stage="classify")
     return GroupTranscendental(state.d0, lower, upper, state.direction)
 
@@ -970,61 +967,12 @@ def _materialize(tau: PartialType, env: dict, dim: int,
     return thetas
 
 
-_STATE_CAP = 64
-
-
-def _merge_store(a: tuple, b: tuple):
-    """Intersect two (lower, upper, point) stores; None when inconsistent."""
-    lo, up, pt = a
-    lo2, up2, pt2 = b
-    if pt is not None and pt2 is not None and compare_series(pt, pt2) != 0:
-        return None
-    if pt is None:
-        pt = pt2
-    if lo is None or (lo2 is not None and compare_series(lo2, lo) > 0):
-        lo = lo2
-    if up is None or (up2 is not None and compare_series(up2, up) < 0):
-        up = up2
-    if lo is not None and up is not None and compare_series(lo, up) >= 0:
-        return None
-    if pt is not None:
-        if lo is not None and compare_series(lo, pt) >= 0:
-            return None
-        if up is not None and compare_series(pt, up) >= 0:
-            return None
-    return (lo, up, pt)
-
-
-def _extend_states(states: list, constraint, env: dict, var: str) -> list:
-    """Conjoin one more formula onto a disjunction of interval stores."""
-    world_bounds = []
-    for world in iter_worlds(_nnf(constraint)):
-        try:
-            world_bounds.append(cut_bounds(world, env, var))
-        except Unsatisfiable:
-            continue
-    out: list = []
-    seen: set = set()
-    for st in states:
-        for wb in world_bounds:
-            merged = _merge_store(st, wb)
-            if merged is None or merged in seen:
-                continue
-            seen.add(merged)
-            out.append(merged)
-            if len(out) > _STATE_CAP:
-                raise BudgetExhausted(
-                    f"more than {_STATE_CAP} interval states",
-                    stage="worlds")
-    return out
-
-
 def _check_prefix_satisfiable(thetas: list, env: dict, var: str) -> list:
     """Conjoin emissions in order; on collapse, name a minimal refuting
     subset.  Returns the surviving interval states."""
     states = [(None, None, None)]
     for j, (i_bad, f_bad) in enumerate(thetas):
-        new = _extend_states(states, f_bad, env, var)
+        new = conjoin(states, f_bad, env, var)
         if new:
             states = new
             continue
@@ -1063,8 +1011,7 @@ def complete_type(tau: PartialType, env: dict, mode: str = "group",
             parent = states_for(sigma[:-1])
             f = enumerate_formulas(len(sigma) - 1, sig)
             constraint = f if sigma[-1] == "1" else Not(f)
-            states_memo[sigma] = _extend_states(parent, constraint, env,
-                                                tau.var)
+            states_memo[sigma] = conjoin(parent, constraint, env, tau.var)
         return states_memo[sigma]
 
     path = find_path_bounded(TreeOracle(lambda s: bool(states_for(s))), k)
@@ -1110,12 +1057,12 @@ def _theta_bound_elements(thetas: list, env: dict, var: str,
             batches.append([])
         for a in iter_atoms(f):
             try:
-                coeff, rest = _atom_linear_parts(a, var)
+                solved = _solve_for(a, var)
             except NonlinearUnsupported:
                 continue
-            if coeff == 0:
+            if solved is None:
                 continue
-            bound = _term_series(rest.scaled(Fraction(-1) / coeff), env, dim)
+            bound = _term_series(solved[1], env, dim)
             if bound not in seen:
                 seen.add(bound)
                 batches[-1].append(bound)

@@ -6,6 +6,15 @@ a parameter name).  Atoms canonicalize to integer-scaled `P < N` / `P = N`
 with sign-split sides; compound structure is preserved as written.  The
 group fragment admits quantifier elimination; one-variable conjunctions
 reduce to cuts.
+
+A cut is held as a store `(lower, upper, point)` of series, each None when
+absent: the values of the variable strictly between lower and upper, or the
+one point when it is set.  A store is consistent when its point lies strictly
+inside its bounds or, without a point, when the open interval is nonempty;
+`cut_bounds` builds the store of one DNF world and rejects an inconsistent
+one, `satisfiable` scans the stores of a formula's worlds, and `conjoin`
+intersects a disjunction of stores with a further formula.  Each atom is
+solved for the variable by `_solve_for` only.
 """
 
 from __future__ import annotations
@@ -17,6 +26,7 @@ from functools import reduce
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
+    BudgetExhausted,
     NonlinearUnsupported,
     ParseError,
     Unsatisfiable,
@@ -29,7 +39,6 @@ from .series import (
     monomial as series_monomial,
     multiply as series_multiply,
     scale as series_scale,
-    zero_series,
 )
 
 RESERVED = {"and", "or", "not", "exists", "forall", "true", "false", "t"}
@@ -211,13 +220,6 @@ class PartialType:
     params: tuple
 
 
-def _coeff_iter(t: Term):
-    for _, q in t.syms:
-        yield q
-    for _, q in t.lits:
-        yield q
-
-
 def make_atom(rel: str, left: Term, right: Term):
     """Canonicalize left REL right; returns Atom, TrueF, or FalseF."""
     if rel == ">":
@@ -230,12 +232,9 @@ def make_atom(rel: str, left: Term, right: Term):
         if rel == "=":
             return TrueF() if c == 0 else FalseF()
         return TrueF() if c < 0 else FalseF()
-    lcm = 1
-    for q in _coeff_iter(diff):
-        lcm = lcm * q.denominator // math.gcd(lcm, q.denominator)
-    g = 0
-    for q in _coeff_iter(diff):
-        g = math.gcd(g, abs(q.numerator * (lcm // q.denominator)))
+    coeffs = [q for _, q in diff.syms + diff.lits]
+    lcm = math.lcm(*(q.denominator for q in coeffs))
+    g = math.gcd(*(q.numerator * (lcm // q.denominator) for q in coeffs))
     diff = diff.scaled(Fraction(lcm, g))
     pos_s, neg_s, pos_l, neg_l = {}, {}, {}, {}
     for m, q in diff.syms:
@@ -469,36 +468,30 @@ def _parse_factor(toks) -> Term:
 
 
 def _parse_lit_exponent(toks) -> tuple:
-    kind, val, col = toks.peek()
-    if val == "(":
-        toks.next()
-        coords = []
-        negate = False
-        while True:
-            kind, val, col = toks.next()
-            if val == "-":
-                negate = True
-                kind, val, col = toks.next()
-            if kind != "num":
-                raise ParseError("expected an exponent coordinate", col)
-            q = Fraction(val)
-            coords.append(-q if negate else q)
-            negate = False
-            kind, val, col = toks.next()
-            if val == ")":
-                return tuple(coords)
-            if val != ",":
-                raise ParseError("expected ',' or ')'", col)
-    negate = False
-    if val == "-":
-        toks.next()
-        negate = True
-        kind, val, col = toks.peek()
-    if kind != "num":
-        raise ParseError("expected an exponent", col)
+    if toks.peek()[1] != "(":
+        return (_parse_signed_rational(toks, "expected an exponent"),)
     toks.next()
+    coords = []
+    while True:
+        coords.append(
+            _parse_signed_rational(toks, "expected an exponent coordinate"))
+        kind, val, col = toks.next()
+        if val == ")":
+            return tuple(coords)
+        if val != ",":
+            raise ParseError("expected ',' or ')'", col)
+
+
+def _parse_signed_rational(toks, message: str) -> Fraction:
+    """An optionally negated number token; `message` names a missing one."""
+    kind, val, col = toks.next()
+    negate = val == "-"
+    if negate:
+        kind, val, col = toks.next()
+    if kind != "num":
+        raise ParseError(message, col)
     q = Fraction(val)
-    return ((-q if negate else q),)
+    return -q if negate else q
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +499,10 @@ def _parse_lit_exponent(toks) -> tuple:
 
 
 def _term_series(t: Term, env: dict, dim: int) -> Series:
-    out = zero_series(dim)
+    # stripped literal exponents are distinct and their coefficients nonzero,
+    # so the literal part meets the Series invariant as built; a t^(0)
+    # literal and the constant meet in the add below
+    out = Series._raw({make_exp(e, dim): q for e, q in t.lits}, dim)
     for m, q in t.syms:
         if m == CONST:
             out = series_add(out, series_monomial([Fraction(0)], q, dim))
@@ -518,8 +514,6 @@ def _term_series(t: Term, env: dict, dim: int) -> Series:
             for _ in range(p):
                 acc = env[s] if acc is None else series_multiply(acc, env[s])
         out = series_add(out, series_scale(acc, q))
-    for e, q in t.lits:
-        out = series_add(out, series_monomial(make_exp(e, dim), q, dim))
     return out
 
 
@@ -656,23 +650,21 @@ def iter_worlds(f: Formula):
     raise TypeError(f"cannot expand {type(f).__name__}")
 
 
-def _atom_linear_parts(a: Atom, var: str):
-    """(coeff of var, var-free remainder Term) for diff = pos - neg."""
+def _solve_for(a: Atom, var: str):
+    """(coeff, bound) reading `a` as coeff*var + rest REL 0 and solving it to
+    var REL' bound, bound = -rest/coeff (REL' flips when coeff < 0); None
+    when var does not occur in `a`."""
     diff = a.pos.plus(a.neg.scaled(Fraction(-1)))
-    coeff = Fraction(0)
-    rest_s: dict = {}
-    for m, q in diff.syms:
+    syms = diff.sym_dict()
+    coeff = syms.pop(((var, 1),), None)
+    for m in syms:
         if any(s == var for s, _ in m):
-            if m == ((var, 1),):
-                coeff += q
-            else:
-                raise NonlinearUnsupported(
-                    f"atom is not linear in {var}: {_format_mono(m)}"
-                )
-        else:
-            rest_s[m] = rest_s.get(m, Fraction(0)) + q
-    rest = Term.build(rest_s, diff.lit_dict())
-    return coeff, rest
+            raise NonlinearUnsupported(
+                f"atom is not linear in {var}: {_format_mono(m)}")
+    if coeff is None:
+        return None
+    rest = Term.build(syms, diff.lit_dict())
+    return coeff, rest.scaled(Fraction(-1) / coeff)
 
 
 def _eliminate_one(var: str, world: list) -> Formula:
@@ -682,12 +674,11 @@ def _eliminate_one(var: str, world: list) -> Formula:
     points: list[Term] = []   # var = E
     keep: list = []
     for a in world:
-        coeff, rest = _atom_linear_parts(a, var)
-        if coeff == 0:
+        solved = _solve_for(a, var)
+        if solved is None:
             keep.append(a)
             continue
-        # coeff*var + rest REL 0
-        bound = rest.scaled(Fraction(-1) / coeff)
+        coeff, bound = solved
         if a.rel == "=":
             points.append(bound)
         elif coeff > 0:
@@ -749,13 +740,16 @@ def doag_qe(f: Formula) -> Formula:
 
 
 def cut_bounds(constraints, env: dict, var: str = "x"):
-    """Reduce a conjunction of one-variable atoms to
-    (lower, upper, point) bounds in the model.
+    """Reduce a conjunction of one-variable atoms to its store
+    (lower, upper, point) of series in the model.
 
     Atoms must be linear in `var`; symbols other than `var` are evaluated
-    through `env`.  Var-free atoms are checked outright (a false one raises
-    Unsatisfiable); equalities force a point, and conflicting or out-of-range
-    points raise Unsatisfiable.
+    through `env`.  One pass over the atoms in order: a false var-free atom
+    or a second, different point raises Unsatisfiable at once, before any
+    later atom is read.  The resulting store must be consistent (the point
+    strictly inside the bounds or, without a point, a nonempty open
+    interval); otherwise, an empty interval included, Unsatisfiable is
+    raised.
     """
     dim = _infer_dim(None, env, 2)
     atoms: list[Atom] = []
@@ -763,12 +757,12 @@ def cut_bounds(constraints, env: dict, var: str = "x"):
         atoms.extend(_conjunct_atoms(f))
     lower = upper = point = None
     for a in atoms:
-        coeff, rest = _atom_linear_parts(a, var)
-        if coeff == 0:
+        solved = _solve_for(a, var)
+        if solved is None:
             if not _eval_qf(a, env, dim):
                 raise Unsatisfiable(f"constraint fails outright: {a}")
             continue
-        bound_term = rest.scaled(Fraction(-1) / coeff)
+        coeff, bound_term = solved
         bound = _term_series(bound_term, env, dim)
         if a.rel == "=":
             if point is not None and compare_series(point, bound) != 0:
@@ -780,12 +774,18 @@ def cut_bounds(constraints, env: dict, var: str = "x"):
         else:
             if lower is None or compare_series(bound, lower) > 0:
                 lower = bound
-    if point is not None:
-        if lower is not None and compare_series(lower, point) >= 0:
-            raise Unsatisfiable("point constraint below the lower bound")
-        if upper is not None and compare_series(point, upper) >= 0:
-            raise Unsatisfiable("point constraint above the upper bound")
+    if not _consistent(lower, upper, point):
+        raise Unsatisfiable("no value lies within the bounds")
     return lower, upper, point
+
+
+def _consistent(lower, upper, point) -> bool:
+    """Whether the store holds a value: its point strictly inside the
+    bounds or, without a point, a nonempty open interval."""
+    if point is not None:
+        return (lower is None or compare_series(lower, point) < 0) and \
+            (upper is None or compare_series(point, upper) < 0)
+    return lower is None or upper is None or compare_series(lower, upper) < 0
 
 
 def _conjunct_atoms(f: Formula) -> list:
@@ -800,34 +800,70 @@ def _conjunct_atoms(f: Formula) -> list:
     raise ValueError("cut extraction expects a conjunction of atoms")
 
 
+def _world_stores(f: Formula, env: dict, var: str):
+    """Lazily yield the store of each DNF world of f, None for a world with
+    no value."""
+    for world in iter_worlds(_nnf(f)):
+        try:
+            store = cut_bounds(world, env, var)
+        except Unsatisfiable:
+            store = None
+        yield store
+
+
 def satisfiable(f: Formula, env: dict, var: str = "x", world_cap: int = 64) -> bool:
     """Whether some value of `var` satisfies f under env: lazily scan DNF
     worlds, short-circuiting on the first satisfiable one.  Raises
     BudgetExhausted if no world within the cap is satisfiable and some
     remain unexamined."""
-    from .errors import BudgetExhausted
-
-    body = _nnf(f)
-    checked = 0
-    worlds = iter_worlds(body)
-    for world in worlds:
+    for checked, store in enumerate(_world_stores(f, env, var)):
         if checked >= world_cap:
             raise BudgetExhausted(
                 f"satisfiability scan exceeded {world_cap} worlds",
                 stage="worlds",
             )
-        checked += 1
-        try:
-            lower, upper, point = cut_bounds(world, env, var)
-        except Unsatisfiable:
-            continue
-        if point is not None:
-            return True
-        if lower is None or upper is None:
-            return True
-        if compare_series(lower, upper) < 0:
+        if store is not None:
             return True
     return False
+
+
+def _merge_store(a: tuple, b: tuple):
+    """Intersect two stores; None when the intersection is inconsistent."""
+    lo, up, pt = a
+    lo2, up2, pt2 = b
+    if pt is None:
+        pt = pt2
+    elif pt2 is not None and compare_series(pt, pt2) != 0:
+        return None
+    if lo is None or (lo2 is not None and compare_series(lo2, lo) > 0):
+        lo = lo2
+    if up is None or (up2 is not None and compare_series(up2, up) < 0):
+        up = up2
+    return (lo, up, pt) if _consistent(lo, up, pt) else None
+
+
+_STATE_CAP = 64
+
+
+def conjoin(states: list, f: Formula, env: dict, var: str = "x") -> list:
+    """Conjoin f onto a disjunction of stores: the distinct consistent
+    intersections of each store with each world of f, in order.  Raises
+    BudgetExhausted past _STATE_CAP stores."""
+    world_stores = [st for st in _world_stores(f, env, var) if st is not None]
+    out: list = []
+    seen: set = set()
+    for st in states:
+        for ws in world_stores:
+            merged = _merge_store(st, ws)
+            if merged is None or merged in seen:
+                continue
+            seen.add(merged)
+            out.append(merged)
+            if len(out) > _STATE_CAP:
+                raise BudgetExhausted(
+                    f"more than {_STATE_CAP} interval states",
+                    stage="worlds")
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -114,13 +114,9 @@ def _int_primitive(p: Sequence[Fraction]) -> tuple[int, ...]:
     p = _ptrim(p)
     if not p:
         return ()
-    lcm = 1
-    for c in p:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
+    lcm = math.lcm(*(c.denominator for c in p))
     ints = [int(c * lcm) for c in p]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, abs(c))
+    g = math.gcd(*ints)
     ints = [c // g for c in ints]
     if ints[-1] < 0:
         ints = [-c for c in ints]

@@ -157,6 +157,14 @@ class TestExitCodes:
         assert rc == 3
         assert "stage: classify" in out
 
+    def test_budget_detail_prints_levels_as_exponents(self, capsys,
+                                                       tmp_path):
+        p = tmp_path / "level.type"
+        p.write_text("param g1 = t\nformula t^(3) < x\nformula x < t^(2)\n")
+        rc, out, _ = run(capsys, "realize", str(p))
+        assert rc == 3
+        assert "detail: stable cut with unresolved grid level (1)\n" in out
+
     @pytest.mark.xfail(strict=True, reason=(
         "known crash: the algebraic candidate search hands a reducible "
         "polynomial to real_algebraic ('interval isolates 2 roots, need "

@@ -388,6 +388,43 @@ class TestCompleteType:
             complete_type(tau, {})
         assert info.value.witness == ("false",)
 
+    def test_emission_unsatisfiable_alone_is_named(self):
+        def emit(i):
+            return parse_formula("x < g1 and g2 < x") if i == 0 else None
+
+        tau = PartialType(emit, "x", ("g1", "g2"))
+        with pytest.raises(NotFinitelySatisfiable) as info:
+            complete_type(tau, {"g1": t_pow(2), "g2": T})
+        assert info.value.witness == ("(x < g1 and g2 < x)",)
+
+    def test_pairwise_satisfiable_prefix_is_named_whole(self):
+        texts = ["(0 < x and x < g1) or (2*g1 < x and x < 3*g1)",
+                 "(0 < x and x < g1) or (4*g1 < x and x < 5*g1)",
+                 "(2*g1 < x and x < 3*g1) or (4*g1 < x and x < 5*g1)"]
+        formulas = [parse_formula(tx) for tx in texts]
+
+        def emit(i):
+            return formulas[i] if i < len(formulas) else None
+
+        tau = PartialType(emit, "x", ("g1",))
+        with pytest.raises(NotFinitelySatisfiable,
+                           match="prefix of length 3 is unsatisfiable") as info:
+            complete_type(tau, {"g1": T})
+        assert info.value.witness == tuple(format_formula(f)
+                                           for f in formulas)
+
+    def test_too_many_interval_states_exhaust_the_budget(self):
+        f = parse_formula(" or ".join(
+            f"({2 * k}*g1 < x and x < {2 * k + 1}*g1)" for k in range(65)))
+
+        def emit(i):
+            return f if i == 0 else None
+
+        with pytest.raises(BudgetExhausted,
+                           match="more than 64 interval states") as info:
+            complete_type(PartialType(emit, "x", ("g1",)), {"g1": T})
+        assert info.value.stage == "worlds"
+
     def test_none_emissions_are_skipped(self):
         def emit(i):
             if i % 3:

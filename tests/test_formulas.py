@@ -23,6 +23,7 @@ from hahnsat.formulas import (
     Or,
     Signature,
     TrueF,
+    conjoin,
     cut_bounds,
     doag_qe,
     enumerate_formulas,
@@ -367,6 +368,11 @@ class TestCutBounds:
             cut_bounds([parse_formula("x = g1"), parse_formula("g2 < x")],
                        self.env)
 
+    def test_empty_open_interval_rejected(self):
+        with pytest.raises(Unsatisfiable):
+            cut_bounds([parse_formula("g2 < x"), parse_formula("x < g1")],
+                       self.env)
+
     def test_nonlinear_rejected(self):
         with pytest.raises(NonlinearUnsupported):
             cut_bounds([parse_formula("x*x < g1")], self.env)
@@ -378,6 +384,10 @@ class TestCutBounds:
     def test_literal_bounds_without_env(self):
         lo, up, pt = cut_bounds([parse_formula("t < x")], {})
         assert format_series(lo) == "t^(1)"
+
+    def test_unit_literal_adds_to_the_constant(self):
+        lo, up, pt = cut_bounds([parse_formula("t^(0) + 1 < x")], {})
+        assert format_series(lo) == "2"
 
     def test_soundness_randomized(self):
         rng = random.Random(11)
@@ -435,6 +445,18 @@ class TestSatisfiable:
             satisfiable(f, self.env, world_cap=64)
         # a generous cap scans them all and concludes unsatisfiable
         assert satisfiable(f, self.env, world_cap=128) is False
+
+    def test_agrees_with_conjoin_on_qe_formulas(self):
+        from test_acceptance import _random_qe_formula
+
+        rng = random.Random(7)
+        for _ in range(40):
+            _, matrix, _ = _random_qe_formula(rng)
+            env = {"a": random_series(rng, 2, max_terms=2),
+                   "b": random_series(rng, 2, max_terms=2)}
+            for f in (matrix, Not(matrix)):
+                assert satisfiable(f, env) == \
+                    bool(conjoin([(None, None, None)], f, env, "x"))
 
 
 class TestEnumeration:
