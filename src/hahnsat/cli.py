@@ -179,7 +179,8 @@ def cmd_realize(args) -> int:
     budgets = _budgets(args)
     tau, params = load_type_file(args.file, args.dim)
     try:
-        result = realize_type(tau, params, mode=args.mode, budgets=budgets)
+        result = realize_type(tau, params, mode=args.mode, budgets=budgets,
+                              dim=args.dim)
     except NotFinitelySatisfiable as e:
         lines = ["== NOT FINITELY SATISFIABLE =="]
         lines.extend(e.witness or (str(e),))

@@ -33,6 +33,7 @@ from .formulas import (
     Signature,
     _enumeration,
     _has_quantifier,
+    _infer_dim,
     _solve_for,
     _term_series,
     conjoin,
@@ -50,8 +51,8 @@ from .scalars import (
     format_scalar,
     isolate_real_roots,
     rational_height,
+    compare,
     real_algebraic,
-    scalar_sign,
     simplest_between,
 )
 from .series import (
@@ -227,12 +228,10 @@ def _field_grid(basis: SpanBasis, denom_budget: int, dim: int) -> list:
     """Rational multiples p/q of the parameter valuations, q and |p| up to
     the denominator budget, combined additively across classes."""
     base = sorted({valuation(rep) for rep in basis.class_reps})
-    ratios = [Fraction(p, q) for q in range(1, denom_budget + 1)
-              for p in range(-denom_budget, denom_budget + 1)]
     grid = {tuple([Fraction(0)] * dim)}
     for gamma in base:
         extended = set()
-        for r in ratios:
+        for r in _rationals_of_height(denom_budget):
             scaled_g = tuple(c * r for c in gamma)
             for g0 in grid:
                 extended.add(tuple(a + b for a, b in zip(g0, scaled_g)))
@@ -341,6 +340,9 @@ def _algebraic_candidates(lo: Fraction, hi: Fraction, height_cap: int):
 
 def _inside_after_refining(root, lo: Fraction, hi: Fraction,
                            rounds: int = 12) -> bool:
+    # Not an exact `compare`: the refinement narrows root's interval in
+    # place, and _resolve_level probes the oracle at that interval's
+    # endpoints (ra, rb), so the reports depend on where it stops.
     ra, rb = root.interval()
     for _ in range(rounds):
         if lo < ra and rb < hi:
@@ -557,8 +559,8 @@ def _adopt_from_enum(oracle: CutOracle, state: _ClassifyState, known: list,
             first = _first_difference(e, state.d0)
             if first is None:
                 continue
-            gamma, c = first
-            if scalar_sign(c) * state.direction <= 0:
+            gamma, cx, cy = first
+            if compare(cx, cy) * state.direction <= 0:
                 continue
             if state.achieved is not None and not state.achieved < gamma:
                 continue
@@ -596,10 +598,10 @@ def _observed_bounds(oracle: CutOracle, state: _ClassifyState):
         first = _first_difference(e, state.d0)
         if first is None:
             continue
-        gamma, c = first
+        gamma, cx, cy = first
         levels.add(gamma)
         if s == mine:
-            if scalar_sign(c) * state.direction > 0:
+            if compare(cx, cy) * state.direction > 0:
                 if gamma_hi is None or gamma < gamma_hi:
                     gamma_hi = gamma
         elif s != Side.EQUAL:
@@ -967,22 +969,23 @@ def _materialize(tau: PartialType, env: dict, dim: int,
     return thetas
 
 
-def _check_prefix_satisfiable(thetas: list, env: dict, var: str) -> list:
+def _check_prefix_satisfiable(thetas: list, env: dict, var: str,
+                              dim: int) -> list:
     """Conjoin emissions in order; on collapse, name a minimal refuting
     subset.  Returns the surviving interval states."""
     states = [(None, None, None)]
     for j, (i_bad, f_bad) in enumerate(thetas):
-        new = conjoin(states, f_bad, env, var)
+        new = conjoin(states, f_bad, env, var, dim)
         if new:
             states = new
             continue
-        if not satisfiable(f_bad, env, var):
+        if not satisfiable(f_bad, env, var, dim=dim):
             raise NotFinitelySatisfiable(
                 f"emission {i_bad} alone is unsatisfiable: "
                 f"{format_formula(f_bad)}",
                 witness=(format_formula(f_bad),))
         for i_prev, f_prev in thetas[:j]:
-            if not satisfiable(And(f_prev, f_bad), env, var):
+            if not satisfiable(And(f_prev, f_bad), env, var, dim=dim):
                 raise NotFinitelySatisfiable(
                     f"emissions {i_prev} and {i_bad} conflict: "
                     f"{format_formula(f_prev)}  //  {format_formula(f_bad)}",
@@ -994,13 +997,14 @@ def _check_prefix_satisfiable(thetas: list, env: dict, var: str) -> list:
 
 
 def complete_type(tau: PartialType, env: dict, mode: str = "group",
-                  budgets: Budgets = Budgets()) -> Completion:
+                  budgets: Budgets = Budgets(), dim: int = 2) -> Completion:
     """Decide the first formula_prefix_budget enumerated formulas against the
     type's emissions, leftmost-consistent (negation preferred); a smaller
-    finite fragment is decided whole."""
-    dim = next(iter(env.values())).dim if env else 2
+    finite fragment is decided whole.  The parameters' dimension overrides
+    `dim`."""
+    dim = _infer_dim(None, env, dim)
     thetas = _materialize(tau, env, dim, budgets)
-    root_states = _check_prefix_satisfiable(thetas, env, tau.var)
+    root_states = _check_prefix_satisfiable(thetas, env, tau.var, dim)
     sig = Signature(mode, (tau.var,) + tuple(tau.params))
     k = budgets.formula_prefix_budget
     k = min(k, len(_enumeration(sig, k).by_index))
@@ -1011,7 +1015,8 @@ def complete_type(tau: PartialType, env: dict, mode: str = "group",
             parent = states_for(sigma[:-1])
             f = enumerate_formulas(len(sigma) - 1, sig)
             constraint = f if sigma[-1] == "1" else Not(f)
-            states_memo[sigma] = conjoin(parent, constraint, env, tau.var)
+            states_memo[sigma] = conjoin(parent, constraint, env, tau.var,
+                                         dim)
         return states_memo[sigma]
 
     path = find_path_bounded(TreeOracle(lambda s: bool(states_for(s))), k)
@@ -1069,7 +1074,7 @@ def _theta_bound_elements(thetas: list, env: dict, var: str,
     return batches
 
 
-def derived_oracle(completion: Completion, env: dict, basis: SpanBasis,
+def derived_oracle(completion: Completion, basis: SpanBasis,
                    paced: Sequence[Sequence[Series]], dim: int,
                    counters: dict) -> CutOracle:
     """Answer side queries from the completion: the store bounds decide
@@ -1106,17 +1111,18 @@ class RealizationResult:
 
 
 def realize_type(tau: PartialType, env: dict, mode: str = "group",
-                 budgets: Budgets = Budgets()) -> RealizationResult:
+                 budgets: Budgets = Budgets(), dim: int = 2) -> RealizationResult:
     """Complete the type, classify the resulting cut through the derived
-    oracle, realize it, and verify the witness against every emission."""
-    dim = next(iter(env.values())).dim if env else 2
-    completion = complete_type(tau, env, mode, budgets)
+    oracle, realize it, and verify the witness against every emission.  The
+    parameters' dimension overrides `dim`."""
+    dim = _infer_dim(None, env, dim)
+    completion = complete_type(tau, env, mode, budgets, dim)
     generators = [env[p] for p in tau.params] if tau.params \
         else [monomial(make_exp((0,), dim), Fraction(1), dim)]
     basis = valuation_basis(generators)
     paced = _theta_bound_elements(list(completion.thetas), env, tau.var, dim)
     counters = {"free_decisions": 0}
-    oracle = derived_oracle(completion, env, basis, paced, dim, counters)
+    oracle = derived_oracle(completion, basis, paced, dim, counters)
     classification = classify_cut(oracle, basis, budgets, mode)
     if mode == "group":
         witness = realize_cut_group(classification, oracle, basis, budgets)

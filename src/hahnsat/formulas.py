@@ -739,7 +739,7 @@ def doag_qe(f: Formula) -> Formula:
 # cut extraction
 
 
-def cut_bounds(constraints, env: dict, var: str = "x"):
+def cut_bounds(constraints, env: dict, var: str = "x", dim: int = 2):
     """Reduce a conjunction of one-variable atoms to its store
     (lower, upper, point) of series in the model.
 
@@ -749,9 +749,10 @@ def cut_bounds(constraints, env: dict, var: str = "x"):
     later atom is read.  The resulting store must be consistent (the point
     strictly inside the bounds or, without a point, a nonempty open
     interval); otherwise, an empty interval included, Unsatisfiable is
-    raised.
+    raised.  Literal terms are read in dimension `dim` unless env has
+    series, whose dimension wins.
     """
-    dim = _infer_dim(None, env, 2)
+    dim = _infer_dim(None, env, dim)
     atoms: list[Atom] = []
     for f in constraints:
         atoms.extend(_conjunct_atoms(f))
@@ -800,23 +801,24 @@ def _conjunct_atoms(f: Formula) -> list:
     raise ValueError("cut extraction expects a conjunction of atoms")
 
 
-def _world_stores(f: Formula, env: dict, var: str):
+def _world_stores(f: Formula, env: dict, var: str, dim: int):
     """Lazily yield the store of each DNF world of f, None for a world with
     no value."""
     for world in iter_worlds(_nnf(f)):
         try:
-            store = cut_bounds(world, env, var)
+            store = cut_bounds(world, env, var, dim)
         except Unsatisfiable:
             store = None
         yield store
 
 
-def satisfiable(f: Formula, env: dict, var: str = "x", world_cap: int = 64) -> bool:
+def satisfiable(f: Formula, env: dict, var: str = "x", world_cap: int = 64,
+                dim: int = 2) -> bool:
     """Whether some value of `var` satisfies f under env: lazily scan DNF
     worlds, short-circuiting on the first satisfiable one.  Raises
     BudgetExhausted if no world within the cap is satisfiable and some
     remain unexamined."""
-    for checked, store in enumerate(_world_stores(f, env, var)):
+    for checked, store in enumerate(_world_stores(f, env, var, dim)):
         if checked >= world_cap:
             raise BudgetExhausted(
                 f"satisfiability scan exceeded {world_cap} worlds",
@@ -845,11 +847,13 @@ def _merge_store(a: tuple, b: tuple):
 _STATE_CAP = 64
 
 
-def conjoin(states: list, f: Formula, env: dict, var: str = "x") -> list:
+def conjoin(states: list, f: Formula, env: dict, var: str = "x",
+            dim: int = 2) -> list:
     """Conjoin f onto a disjunction of stores: the distinct consistent
     intersections of each store with each world of f, in order.  Raises
     BudgetExhausted past _STATE_CAP stores."""
-    world_stores = [st for st in _world_stores(f, env, var) if st is not None]
+    world_stores = [st for st in _world_stores(f, env, var, dim)
+                    if st is not None]
     out: list = []
     seen: set = set()
     for st in states:

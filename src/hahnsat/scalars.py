@@ -6,6 +6,11 @@ with a sign change), or an `OracleReal` (a checked nested-interval
 approximation function).  Rationals and algebraics compare decidably;
 comparisons that involve a genuine oracle may raise
 `ComparisonUndecidedAtPrecision` once the precision budget is spent.
+
+`compare` is the one order rule, and `scalar_sign` is `compare` against
+zero.  Negating an algebraic number, or adding or multiplying it by a
+rational, is one affine map `s*a + q` on its defining polynomial; only sums
+and products of two distinct algebraic numbers go through a resultant.
 """
 
 from __future__ import annotations
@@ -110,7 +115,8 @@ def _root_bound(coeffs: Sequence[int]) -> int:
 
 
 def _int_primitive(p: Sequence[Fraction]) -> tuple[int, ...]:
-    """Scale a rational polynomial to primitive integer form, leading > 0."""
+    """Scale a rational (or integer) polynomial to primitive integer form,
+    leading > 0."""
     p = _ptrim(p)
     if not p:
         return ()
@@ -123,30 +129,6 @@ def _int_primitive(p: Sequence[Fraction]) -> tuple[int, ...]:
     return tuple(ints)
 
 
-def _compose_shift(coeffs: Sequence[int], q: Fraction) -> tuple[int, ...]:
-    """p(x + q) as a primitive integer polynomial."""
-    acc: list[Fraction] = [Fraction(0)] * len(coeffs)
-    for c in reversed(coeffs):
-        # acc = acc * (x + q) + c
-        new = [Fraction(0)] * len(coeffs)
-        for i in range(len(acc) - 1, -1, -1):
-            if acc[i] == 0:
-                continue
-            new[i] += acc[i] * q
-            if i + 1 < len(new):
-                new[i + 1] += acc[i]
-        new[0] += c
-        acc = new
-    return _int_primitive(acc)
-
-
-def _compose_scale(coeffs: Sequence[int], q: Fraction) -> tuple[int, ...]:
-    """p(x / q) cleared to a primitive integer polynomial (q nonzero)."""
-    n = len(coeffs) - 1
-    scaled = [Fraction(coeffs[i]) * q ** (n - i) for i in range(len(coeffs))]
-    return _int_primitive(scaled)
-
-
 def isolate_real_roots(coeffs: Sequence[int]) -> list[tuple[Fraction, Fraction]]:
     """Isolating intervals for the real roots of a square-free integer
     polynomial with no rational roots, one root per interval, ascending.
@@ -156,7 +138,6 @@ def isolate_real_roots(coeffs: Sequence[int]) -> list[tuple[Fraction, Fraction]]
     """
     chain = _sturm_chain(coeffs)
     bound = _root_bound(coeffs)
-    out: list[tuple[Fraction, Fraction]] = []
     stack = [(Fraction(k), Fraction(k + 1)) for k in range(-bound, bound)]
     found: list[tuple[Fraction, Fraction]] = []
     for lo, hi in stack:
@@ -175,9 +156,7 @@ def isolate_real_roots(coeffs: Sequence[int]) -> list[tuple[Fraction, Fraction]]
                 cells.append((a, mid, kl))
             if k - kl:
                 cells.append((mid, b, k - kl))
-    found.sort()
-    out.extend(found)
-    return out
+    return sorted(found)
 
 
 # ---------------------------------------------------------------------------
@@ -247,13 +226,8 @@ def _sympy_factors(coeffs: Sequence[int]) -> list[tuple[int, ...]]:
     x = sympy.Symbol("x")
     poly = sympy.Poly(list(reversed(coeffs)), x, domain="ZZ")
     _, factors = poly.factor_list()
-    out = []
-    for f, _mult in factors:
-        cs = [int(c) for c in reversed(f.all_coeffs())]
-        if cs[-1] < 0:
-            cs = [-c for c in cs]
-        out.append(tuple(cs))
-    return out
+    return [_int_primitive([int(c) for c in reversed(f.all_coeffs())])
+            for f, _mult in factors]
 
 
 def real_algebraic(coeffs: Sequence[int], lo, hi) -> Union[RealAlgebraic, Fraction]:
@@ -293,43 +267,31 @@ def _canonical_interval(a: RealAlgebraic) -> tuple[Fraction, Fraction]:
     return isolate_real_roots(a.coeffs)[a.index]
 
 
-def ralg_sign(a) -> int:
-    """Sign of a real algebraic number (Fraction accepted for linear data)."""
-    if isinstance(a, Fraction):
-        return (a > 0) - (a < 0)
-    lo, hi = a.interval()
-    while not (lo > 0 or hi < 0):
-        lo, hi = a.refine((hi - lo) / 2)
-    return 1 if lo > 0 else -1
-
-
 # arithmetic -----------------------------------------------------------------
 
 
-def _ralg_add_q(a: RealAlgebraic, q: Fraction):
-    if q == 0:
+def _ralg_affine(a: RealAlgebraic, s: Fraction, q: Fraction):
+    """s*a + q, a root of the primitive form of s^n * p((y - q) / s)."""
+    if s == 0:
+        return q
+    if s == 1 and q == 0:
         return a
+    n = len(a.coeffs) - 1
+    out = [Fraction(0)] * (n + 1)
+    for i, c in enumerate(a.coeffs):
+        w = c * s ** (n - i)  # c * s^(n-i) * (y - q)^i, expanded
+        for k in range(i + 1):
+            out[k] += w * math.comb(i, k) * (-q) ** (i - k)
     lo, hi = a.interval()
-    return _make_algebraic(_compose_shift(a.coeffs, -q), lo + q, hi + q)
-
-
-def _ralg_mul_q(a: RealAlgebraic, q: Fraction):
-    if q == 0:
-        return Fraction(0)
-    if q == 1:
-        return a
-    lo, hi = a.interval()
-    nlo, nhi = sorted((lo * q, hi * q))
-    return _make_algebraic(_compose_scale(a.coeffs, q), nlo, nhi)
+    lo, hi = sorted((s * lo + q, s * hi + q))
+    return _make_algebraic(_int_primitive(out), lo, hi)
 
 
 def _ralg_inv(a: RealAlgebraic):
-    ralg_sign(a)  # refines the interval off zero
     lo, hi = a.interval()
-    cs = tuple(reversed(a.coeffs))
-    if cs[-1] < 0:
-        cs = tuple(-c for c in cs)
-    return _make_algebraic(cs, 1 / hi, 1 / lo)
+    while not (lo > 0 or hi < 0):  # refine the interval off zero
+        lo, hi = a.refine((hi - lo) / 2)
+    return _make_algebraic(_int_primitive(a.coeffs[::-1]), 1 / hi, 1 / lo)
 
 
 def _resultant_poly(a: RealAlgebraic, b: RealAlgebraic, op: str) -> list[tuple[int, ...]]:
@@ -382,7 +344,7 @@ def scalar_neg(a):
     if isinstance(a, Fraction):
         return -a
     if isinstance(a, RealAlgebraic):
-        return _ralg_mul_q(a, Fraction(-1))
+        return _ralg_affine(a, Fraction(-1), Fraction(0))
     return oracle_map1(a, lambda lo, hi: (-hi, -lo), f"-({a.name})")
 
 
@@ -392,10 +354,10 @@ def scalar_add(a, b):
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         return a + b
     if isinstance(a, Fraction):
-        return _ralg_add_q(b, a)
+        return _ralg_affine(b, Fraction(1), a)
     if isinstance(b, Fraction):
-        return _ralg_add_q(a, b)
-    if scalar_eq_exact(a, scalar_neg(b)):
+        return _ralg_affine(a, Fraction(1), b)
+    if a == scalar_neg(b):
         return Fraction(0)
     return _combine(a, b, "add")
 
@@ -406,10 +368,10 @@ def scalar_mul(a, b):
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         return a * b
     if isinstance(a, Fraction):
-        return _ralg_mul_q(b, a)
+        return _ralg_affine(b, a, Fraction(0))
     if isinstance(b, Fraction):
-        return _ralg_mul_q(a, b)
-    if scalar_eq_exact(a, _ralg_inv(b)):
+        return _ralg_affine(a, b, Fraction(0))
+    if a == _ralg_inv(b):
         return Fraction(1)
     return _combine(a, b, "mul")
 
@@ -446,15 +408,6 @@ def _oracle_inv(a: OracleReal, n_sep: int) -> OracleReal:
             m += 4
 
     return OracleReal(approx, name=f"1/({a.name})")
-
-
-def scalar_eq_exact(a, b) -> bool:
-    """Decidable equality for Fraction/RealAlgebraic operands."""
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a == b
-    if isinstance(a, RealAlgebraic) and isinstance(b, RealAlgebraic):
-        return a == b
-    return False  # a rational never equals an irrational root
 
 
 def scalar_is_zero(a) -> bool:
@@ -580,6 +533,8 @@ def compare(a, b, precision_budget: int | None = None) -> int:
     involved, identical objects compare equal, interval separation decides,
     and otherwise ComparisonUndecidedAtPrecision is raised at the budget.
     """
+    if type(a) is type(b) is Fraction:
+        return (a > b) - (a < b)
     if a is b:
         return 0
     oracle = isinstance(a, OracleReal) or isinstance(b, OracleReal)
@@ -633,10 +588,6 @@ def _ralg_vs_rational(a: RealAlgebraic, q: Fraction) -> int:
 
 
 def scalar_sign(a, precision_budget: int | None = None) -> int:
-    if isinstance(a, Fraction):
-        return (a > 0) - (a < 0)
-    if isinstance(a, RealAlgebraic):
-        return ralg_sign(a)
     return compare(a, Fraction(0), precision_budget)
 
 

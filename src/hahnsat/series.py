@@ -18,14 +18,16 @@ A Series computes its support in ascending order once, on first use, and
 keeps it (`sorted_terms`).  Order and the valuation of a difference are
 decided by `_first_difference`, which merge-walks two such supports up to
 the first exponent where they differ, without hashing an exponent or
-building the difference.
+building the difference.  It returns the two coefficients found there, and
+their order (`scalars.compare`) is the order of the series: no coefficient
+is negated or added.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from operator import itemgetter
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import (
     ClassMismatch,
@@ -35,10 +37,9 @@ from .errors import (
 )
 from .scalars import (
     OracleReal,
-    RealAlgebraic,
+    compare,
     format_scalar,
     parse_scalar,
-    ralg_sign,
     scalar_add,
     scalar_inv,
     scalar_is_zero,
@@ -211,6 +212,7 @@ def from_scalar(c, dim: int) -> Series:
     return Series._raw({} if scalar_is_zero(c) else {zero_exp(dim): c}, dim)
 
 
+_ZERO = Fraction(0)  # the coefficient of a missing term
 _VALUATION_UNKNOWN = "no terms below the bound {}; valuation unknown"
 _SIGN_UNKNOWN = "difference has no terms below {}; sign unknown"
 
@@ -384,14 +386,15 @@ def invert(x: Series, order: Optional[Exponent] = None) -> Series:
 
 
 def _first_difference(x: Series, y: Series, unknown: str = _SIGN_UNKNOWN):
-    """(exponent, coefficient of x - y) at the least exponent where x and y
-    differ, or None when they are equal exact series.
+    """(exponent, cx, cy) at the least exponent where x and y differ, with
+    cx and cy their coefficients there (Fraction(0) for a missing term), or
+    None when they are equal exact series.
 
     Merge-walks the two sorted supports; exponents are compared, never
-    hashed.  When they agree below the smaller bound, equality cannot be
+    hashed, and coefficients are compared with `==`, never negated or
+    added.  When they agree below the smaller bound, equality cannot be
     certified and TruncationInsufficient is raised with `unknown` formatted
-    by that bound.  Only rational coefficient pairs are compared directly;
-    RealAlgebraic and OracleReal ones are subtracted as scalars.
+    by that bound.
     """
     if x.dim != y.dim:
         raise ValueError("dimension mismatch")
@@ -401,30 +404,24 @@ def _first_difference(x: Series, y: Series, unknown: str = _SIGN_UNKNOWN):
     i = j = 0
     while i < nx or j < ny:
         if j == ny:
-            e, d = xs[i], xs[i + 1]
+            e, cx, cy = xs[i], xs[i + 1], _ZERO
         elif i == nx:
-            e, d = ys[j], scalar_neg(ys[j + 1])
+            e, cx, cy = ys[j], _ZERO, ys[j + 1]
         else:
             e, ey = xs[i], ys[j]
             if e is ey or e == ey:
                 cx, cy = xs[i + 1], ys[j + 1]
                 i += 2
                 j += 2
-                if type(cx) is Fraction and type(cy) is Fraction:
-                    if cx == cy:
-                        continue
-                    d = cx - cy
-                else:
-                    d = scalar_add(cx, scalar_neg(cy))
-                    if scalar_is_zero(d):
-                        continue
+                if cx is cy or cx == cy:
+                    continue
             elif e < ey:
-                d = xs[i + 1]
+                cx, cy = xs[i + 1], _ZERO
             else:
-                e, d = ey, scalar_neg(ys[j + 1])
+                e, cx, cy = ey, _ZERO, ys[j + 1]
         if trunc is not None and not e < trunc:
             break
-        return e, d
+        return e, cx, cy
     if trunc is None:
         return None
     raise TruncationInsufficient(unknown.format(_format_exp(trunc)))
@@ -433,9 +430,9 @@ def _first_difference(x: Series, y: Series, unknown: str = _SIGN_UNKNOWN):
 def compare_series(x: Series, y: Series) -> int:
     """Sign of x - y in the ordered Hahn field; ValueError on a dimension
     mismatch, TruncationInsufficient when x and y agree below the smaller
-    bound, and ComparisonUndecidedAtPrecision from oracle coefficient signs."""
+    bound, and ComparisonUndecidedAtPrecision from oracle coefficients."""
     first = _first_difference(x, y)
-    return 0 if first is None else scalar_sign(first[1])
+    return 0 if first is None else compare(first[1], first[2])
 
 
 def diff_valuation(x: Series, y: Series):
@@ -500,10 +497,8 @@ def format_series(x: Series) -> str:
         if isinstance(c, OracleReal):
             sign, mag = 1, format_scalar(c)
         else:
-            s = ralg_sign(c) if isinstance(c, RealAlgebraic) else (1 if c > 0 else -1)
-            sign = s
-            mag_val = c if s > 0 else scalar_neg(c)
-            mag = format_scalar(mag_val)
+            sign = scalar_sign(c)
+            mag = format_scalar(c if sign > 0 else scalar_neg(c))
         stripped = _format_exp(exp)
         if stripped == "()":
             body = mag

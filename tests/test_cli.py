@@ -165,6 +165,37 @@ class TestExitCodes:
         assert rc == 3
         assert "detail: stable cut with unresolved grid level (1)\n" in out
 
+    @pytest.fixture
+    def dim3_type(self, tmp_path):
+        p = tmp_path / "dim3.type"
+        p.write_text("formula t^(1,0,1) < x\nformula x < t^(1)\n")
+        return str(p)
+
+    def test_dim_reaches_a_parameter_free_group_type(self, capsys,
+                                                     dim3_type):
+        rc, out, err = run(capsys, "realize", dim3_type, "--dim", "3")
+        assert rc == 3, err
+        assert "detail: stable cut with unresolved grid level (0)\n" in out
+
+    def test_dim_reaches_a_parameter_free_field_type(self, capsys,
+                                                     dim3_type):
+        rc, out, err = run(capsys, "realize", dim3_type, "--dim", "3",
+                           "--mode", "field")
+        assert rc == 0, err
+        verification = out.split("== VERIFICATION ==\n")[1] \
+            .split("== BUDGETS ==")[0].splitlines()
+        assert len(verification) == 2
+        assert all(line.startswith("PASS  ") for line in verification)
+
+    def test_dim_keeps_the_bytes_of_two_coordinate_literals(self, capsys,
+                                                            tmp_path):
+        p = tmp_path / "dim2.type"
+        p.write_text("formula t^(1) < x\nformula x < t^(1/2)\n")
+        outs = [run(capsys, "realize", str(p), "--mode", "field", "--dim", d)
+                for d in ("2", "3")]
+        assert outs[0][0] == 0
+        assert outs[0] == outs[1]
+
     @pytest.mark.xfail(strict=True, reason=(
         "known crash: the algebraic candidate search hands a reducible "
         "polynomial to real_algebraic ('interval isolates 2 roots, need "

@@ -1,5 +1,5 @@
 """Every module-level private name in the package has a reader, and so
-does every parameter of a private function."""
+do every parameter of a private function and every name a module imports."""
 
 import ast
 from pathlib import Path
@@ -70,3 +70,30 @@ def unread_private_parameters(src: Path) -> list:
 
 def test_no_unread_private_parameters():
     assert unread_private_parameters(SRC) == []
+
+
+def unused_imports(src: Path) -> list:
+    """`module.name` for each name a non-`__init__` module in `src` imports
+    and never reads."""
+    out = []
+    for path in sorted(src.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.extend((a.asname or a.name).split(".")[0]
+                                for a in node.names)
+            elif isinstance(node, ast.ImportFrom) \
+                    and node.module != "__future__":
+                imported.extend(a.asname or a.name for a in node.names)
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        out.extend(f"{path.stem}.{name}" for name in imported
+                   if name not in read)
+    return out
+
+
+def test_no_unused_imports():
+    assert unused_imports(SRC) == []

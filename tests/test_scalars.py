@@ -14,6 +14,7 @@ from hahnsat.errors import (
 )
 from hahnsat.scalars import (
     OracleReal,
+    _ralg_affine,
     RealAlgebraic,
     compare,
     creal_approx,
@@ -24,7 +25,6 @@ from hahnsat.scalars import (
     oracle_bits,
     oracle_rational,
     parse_scalar,
-    ralg_sign,
     rational_height,
     rational_relations,
     real_algebraic,
@@ -84,14 +84,14 @@ class TestConstruction:
 
 class TestSign:
     def test_sign_of_sqrt2(self):
-        assert ralg_sign(SQRT2) == 1
+        assert scalar_sign(SQRT2) == 1
 
     def test_sign_of_negative_root(self):
         neg = real_algebraic([-2, 0, 1], -2, -1)
-        assert ralg_sign(neg) == -1
+        assert scalar_sign(neg) == -1
 
     def test_raw_linear_data_gives_zero(self):
-        assert ralg_sign(real_algebraic([0, 1], -1, 1)) == 0
+        assert scalar_sign(real_algebraic([0, 1], -1, 1)) == 0
 
     def test_500_random_signs_match_interval_refinement(self):
         import random
@@ -106,7 +106,55 @@ class TestSign:
                 continue
             lo, hi = a.refine(Fraction(1, 2**20))
             expected = 1 if lo > 0 else (-1 if hi < 0 else 0)
-            assert ralg_sign(a) == expected
+            assert scalar_sign(a) == expected
+
+
+class TestAffineMap:
+    """`_ralg_affine(a, s, q)` is s*a + q for a real algebraic a."""
+
+    ROOTS = [real_algebraic([-d, 0, 1], lo, hi)
+             for d in (2, 3, 5, 7) for lo, hi in ((1, 3), (-3, -1))] + \
+        [real_algebraic([-2, 0, 0, 1], 1, 2)]
+
+    @staticmethod
+    def _random_rationals(seed: int, n: int):
+        import random
+
+        rng = random.Random(seed)
+        for _ in range(n):
+            s = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9))
+            q = Fraction(rng.randint(-20, 20), rng.randint(1, 9))
+            yield s, q
+
+    def test_inverse_map_round_trips(self):
+        for a in self.ROOTS:
+            for s, q in self._random_rationals(11, 8):
+                b = _ralg_affine(a, s, q)
+                assert isinstance(b, RealAlgebraic)
+                assert _ralg_affine(b, 1 / s, -q / s) == a
+
+    def test_sign_agrees_with_refined_interval(self):
+        import random
+
+        rng = random.Random(13)
+        width = Fraction(1, 2**40)
+        for a in self.ROOTS:
+            lo, hi = RealAlgebraic(a.coeffs, a.index, *a.interval()) \
+                .refine(width)
+            for s, q in self._random_rationals(17, 8):
+                r = Fraction(rng.randint(-40, 40), rng.randint(1, 9))
+                ends = sorted((s * lo + q - r, s * hi + q - r))
+                assert ends[0] > 0 or ends[1] < 0  # r lies off the interval
+                expected = 1 if ends[0] > 0 else -1
+                assert compare(_ralg_affine(a, s, q), r) == expected
+
+    def test_zero_scale_gives_the_shift(self):
+        assert _ralg_affine(SQRT2, Fraction(0), Fraction(5, 2)) == \
+            Fraction(5, 2)
+
+    def test_negation_keeps_the_canonical_pair(self):
+        neg = _ralg_affine(SQRT2, Fraction(-1), Fraction(0))
+        assert (neg.coeffs, neg.index) == ((-2, 0, 1), 0)
 
 
 class TestArithmetic:

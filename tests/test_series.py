@@ -8,13 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_series
+from hahnsat import scalars
 from hahnsat.errors import (
     ClassMismatch,
+    ComparisonUndecidedAtPrecision,
     NegativeValuation,
     ParseError,
     TruncationInsufficient,
 )
 from hahnsat.scalars import (
+    oracle_bits,
     real_algebraic,
     scalar_add,
     scalar_is_zero,
@@ -203,6 +206,39 @@ class TestCompare:
         x = with_trunc(parse_series("1", DIM), make_exp([1], DIM))
         with pytest.raises(TruncationInsufficient):
             compare_series(x, from_scalar(F(1), DIM))
+
+    def test_coefficients_are_compared_not_combined(self, monkeypatch):
+        """Order is read from the differing coefficient pair: no algebraic
+        number is built or combined on the way."""
+        sqrt3 = real_algebraic([-3, 0, 1], 1, 2)
+        x = add(t_pow(1, SQRT2), t_pow(2))
+        cases = [(t_pow(1, sqrt3), -1, (1, 0)),
+                 (t_pow(1, SQRT2), 1, (2, 0)),
+                 (t_pow(1, F(3, 2)), -1, (1, 0)),
+                 (t_pow(3, sqrt3), 1, (1, 0))]
+
+        def refuse(*args):
+            raise AssertionError("scalar arithmetic in series order")
+
+        monkeypatch.setattr(scalars, "_make_algebraic", refuse)
+        monkeypatch.setattr(scalars, "_combine", refuse)
+        for y, sign, gamma in cases:
+            assert compare_series(x, y) == sign
+            assert compare_series(y, x) == -sign
+            assert diff_valuation(x, y) == gamma
+            assert diff_valuation(y, x) == gamma
+
+    def test_shared_oracle_coefficient_cancels(self):
+        o = oracle_bits(0, lambda i: i % 2)
+        x = add(t_pow(1, o), t_pow(2))
+        y = add(t_pow(1, o), t_pow(2, 2))
+        assert compare_series(x, y) == -1
+        assert compare_series(y, x) == 1
+        assert diff_valuation(x, y) == (2, 0)
+        # a different oracle of the same value is still undecidable
+        other = add(t_pow(1, oracle_bits(0, lambda i: i % 2)), t_pow(2))
+        with pytest.raises(ComparisonUndecidedAtPrecision):
+            compare_series(x, other)
 
     def test_order_compatibility_random(self):
         rng = random.Random(99)
