@@ -140,7 +140,8 @@ def load_type_file(path: str, dim: int):
                     raise ParseError(f"unknown construct {line.split()[0]!r}",
                                      1)
             except ParseError as e:
-                raise ParseError(f"{path}:{lineno}: {e}", lineno) from None
+                raise ParseError(f"{path}:{lineno}: {e.message}",
+                                 e.column) from None
     if not formulas and generator is None:
         raise ParseError(f"{path}: no formulas and no generator", 1)
 
@@ -200,18 +201,30 @@ def cmd_qe(args) -> int:
     return 0
 
 
+def _parse_series_list(text: str, dim: int) -> list:
+    """Series literals separated by commas outside () and []."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        if ch in "([":
+            depth += 1
+        elif ch in ")]":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            parts.append(text[start:i])
+            start = i + 1
+    parts.append(text[start:])
+    return [parse_series(part.strip(), dim) for part in parts]
+
+
 def cmd_basis(args) -> int:
-    gs = [parse_series(part.strip(), args.dim)
-          for part in args.series.split(",")]
-    basis = valuation_basis(gs)
+    basis = valuation_basis(_parse_series_list(args.series, args.dim))
     text = ", ".join(format_series(g) for g in basis.generators)
     _emit_output(text + "\n", args.out)
     return 0
 
 
 def cmd_pseudo_limit(args) -> int:
-    items = [parse_series(part.strip(), args.dim)
-             for part in args.series.split(",")]
+    items = _parse_series_list(args.series, args.dim)
     seq = PseudoSequence.explicit(items)
     if not check_pseudo_cauchy(seq, len(items)):
         print("error: prefix is not pseudo-Cauchy", file=sys.stderr)

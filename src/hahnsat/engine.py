@@ -258,6 +258,12 @@ def _first_floor(gamma: tuple) -> int:
     return math.floor(gamma[0])
 
 
+def _outweighing_step(x: Series) -> Series:
+    """t^e with e below v(x), so that x -/+ t^e passes x; 1 when x = 0."""
+    e = 0 if x.is_zero() else _first_floor(valuation(x)) - 1
+    return _exp_monomial((e,), x.dim)
+
+
 def gap_center(lower: Optional[Series], upper: Optional[Series],
                dim: int) -> Series:
     """Deterministic representative of the open interval (lower, upper)."""
@@ -266,13 +272,11 @@ def gap_center(lower: Optional[Series], upper: Optional[Series],
     if lower is None:
         if compare_series(upper, zero_series(dim)) > 0:
             return zero_series(dim)
-        vu = valuation(upper)
-        return subtract(upper, _exp_monomial((_first_floor(vu) - 1,), dim))
+        return subtract(upper, _outweighing_step(upper))
     if upper is None:
         if compare_series(lower, zero_series(dim)) < 0:
             return zero_series(dim)
-        vl = valuation(lower)
-        return add(lower, _exp_monomial((_first_floor(vl) - 1,), dim))
+        return add(lower, _outweighing_step(lower))
     sl = compare_series(lower, zero_series(dim))
     su = compare_series(upper, zero_series(dim))
     if sl < 0 < su:
@@ -295,28 +299,117 @@ def gap_center(lower: Optional[Series], upper: Optional[Series],
 # cut classification
 
 
-class _ResolveOutcome(Enum):
-    REALIZED = "realized"
-    DIGIT = "digit"
-    FILL_ZERO = "fill-zero"
-    UNBOUNDED = "unbounded"
-    RESIDUE = "residue"
-
-
 _ALG_HEIGHT_CAP = 20
 _SAME_LEVEL_DIGIT_CAP = 4
 
 
-def _algebraic_candidates(lo: Fraction, hi: Fraction, height_cap: int):
-    """Roots of integer polynomials (degree 2-3, coefficient height
-    ascending) inside the open interval, by (height, degree, coeff order)."""
+def _inside_after_refining(root, lo: Fraction, hi: Fraction) -> bool:
+    # Not an exact `compare`: the refinement narrows root's interval in
+    # place, and _resolve_level probes the oracle at that interval's
+    # endpoints (ra, rb), so the reports depend on where it stops.
+    ra, rb = root.interval()
+    for _ in range(12):
+        if lo < ra and rb < hi:
+            return True
+        if rb <= lo or ra >= hi:
+            return False
+        root.refine((rb - ra) / 4)
+        ra, rb = root.interval()
+    return False
+
+
+def _resolve_level(oracle: CutOracle, state: _ClassifyState, u: Series,
+                   gamma: tuple, budgets: Budgets):
+    """Place the hidden element against d0 + q*u for rational q at level
+    gamma, adopting each rational digit and resolving the level again.
+    Returns Realized or ResidueTranscendental when the level forces one,
+    else None after moving the state's window."""
+    pb = budgets.precision_budget
+    for _ in range(_SAME_LEVEL_DIGIT_CAP):
+        d0, direction = state.d0, state.direction
+
+        # this round's d0: a returned bisection oracle keeps probing with it
+        def probe(q: Fraction) -> Side:
+            return oracle.side(add(d0, scale(u, q)) if q else d0)
+
+        # exponential scan in the working direction until the side flips
+        hi_q = None
+        for j in range(pb + 1):
+            q = Fraction(direction * 2 ** j)
+            s = probe(q)
+            if s == Side.EQUAL:
+                return Realized(add(d0, scale(u, q)))
+            if s != _effective_side(direction):
+                hi_q = q
+                break
+        if hi_q is None:
+            state.cap_level(gamma)
+            return None
+        lo_q = Fraction(0) if abs(hi_q) == 1 else hi_q / 2
+        # orient as a real interval: below-side endpoint first
+        lo, hi = (lo_q, hi_q) if direction > 0 else (hi_q, lo_q)
+        # bisect to the precision budget
+        while hi - lo > Fraction(1, 2 ** pb):
+            mid = (lo + hi) / 2
+            s = probe(mid)
+            if s == Side.EQUAL:
+                return Realized(add(d0, scale(u, mid)))
+            if s == Side.BELOW:
+                lo = mid
+            else:
+                hi = mid
+        for _ in range(3):
+            q_star = _pick_candidate(lo, hi)
+            if isinstance(q_star, Fraction):
+                if q_star == 0:
+                    state.skip_zero_digit(gamma)
+                    return None
+                digit = add(d0, scale(u, q_star))
+                s = oracle.side(digit)
+                if s == Side.EQUAL:
+                    return Realized(digit)
+                state.adopt(digit, s, gamma)
+                break  # a rational digit: resolve the same level again
+            ra, rb = q_star.interval()
+            while rb - ra > (hi - lo) / 4:
+                q_star.refine((rb - ra) / 4)
+                ra, rb = q_star.interval()
+            s_lo, s_hi = probe(ra), probe(rb)
+            if s_lo == Side.EQUAL:
+                return Realized(add(d0, scale(u, ra)))
+            if s_hi == Side.EQUAL:
+                return Realized(add(d0, scale(u, rb)))
+            if s_lo == Side.BELOW and s_hi == Side.ABOVE:
+                return ResidueTranscendental(d0, u, q_star, gamma)
+            # flanks disagree with the candidate: narrow and retry
+            if s_lo == Side.ABOVE:
+                hi = ra
+            elif s_hi == Side.BELOW:
+                lo = rb
+        else:
+            # no algebraic candidate survived: an oracle real stands in
+            residual = _bisection_oracle(probe, lo, hi)
+            return ResidueTranscendental(d0, u, residual, gamma)
+    raise BudgetExhausted(
+        f"more than {_SAME_LEVEL_DIGIT_CAP} digits at level "
+        f"{_fmt_level(gamma)}", stage="resolve")
+
+
+def _pick_candidate(lo: Fraction, hi: Fraction):
+    """Minimal-height value in [lo, hi]: the first of lo, hi and the
+    simplest rational strictly inside that has the least height, unless an
+    irrational root of an integer polynomial of degree 2-3 has lower height
+    still (scanned by height, degree, then coefficient order)."""
+    best = min((lo, hi, simplest_between(lo, hi)), key=rational_height)
+
     # p(a/b) has the sign of b^d * p(a/b) = sum c_i * a^i * b^(d-i) (b > 0),
     # so the sign-change filter runs on integer dot products
     def weights(x: Fraction, degree: int):
         a, b = x.numerator, x.denominator
         return [a ** i * b ** (degree - i) for i in range(degree + 1)]
 
-    for height in range(1, height_cap + 1):
+    cap = min(_ALG_HEIGHT_CAP, rational_height(best) - 1)
+    for height in range(1, cap + 1):
         for degree in (2, 3):
             w_lo, w_hi = weights(lo, degree), weights(hi, degree)
             span = range(-height, height + 1)
@@ -334,100 +427,7 @@ def _algebraic_candidates(lo: Fraction, hi: Fraction, height_cap: int):
                     if isinstance(root, Fraction):
                         continue  # rational roots belong to the rational lane
                     if _inside_after_refining(root, lo, hi):
-                        yield height, root
-                        break
-
-
-def _inside_after_refining(root, lo: Fraction, hi: Fraction,
-                           rounds: int = 12) -> bool:
-    # Not an exact `compare`: the refinement narrows root's interval in
-    # place, and _resolve_level probes the oracle at that interval's
-    # endpoints (ra, rb), so the reports depend on where it stops.
-    ra, rb = root.interval()
-    for _ in range(rounds):
-        if lo < ra and rb < hi:
-            return True
-        if rb <= lo or ra >= hi:
-            return False
-        root.refine((rb - ra) / 4)
-        ra, rb = root.interval()
-    return False
-
-
-def _resolve_level(oracle: CutOracle, d0: Series, u: Series, direction: int,
-                   budgets: Budgets):
-    """Place the hidden element against d0 + q*u for rational q, at one
-    valuation level.  Returns (outcome, payload)."""
-    pb = budgets.precision_budget
-
-    def probe(q: Fraction) -> Side:
-        return oracle.side(add(d0, scale(u, q)) if q else d0)
-
-    # exponential scan in the working direction until the side flips
-    hi_q = None
-    for j in range(pb + 1):
-        q = Fraction(direction * 2 ** j)
-        s = probe(q)
-        if s == Side.EQUAL:
-            return _ResolveOutcome.REALIZED, add(d0, scale(u, q))
-        expected = Side.BELOW if direction > 0 else Side.ABOVE
-        if s != expected:
-            hi_q = q
-            break
-    if hi_q is None:
-        return _ResolveOutcome.UNBOUNDED, None
-    lo_q = Fraction(0) if abs(hi_q) == 1 else hi_q / 2
-    # orient as a real interval: below-side endpoint first
-    lo, hi = (lo_q, hi_q) if direction > 0 else (hi_q, lo_q)
-    # bisect to the precision budget
-    while hi - lo > Fraction(1, 2 ** pb):
-        mid = (lo + hi) / 2
-        s = probe(mid)
-        if s == Side.EQUAL:
-            return _ResolveOutcome.REALIZED, add(d0, scale(u, mid))
-        if s == Side.BELOW:
-            lo = mid
-        else:
-            hi = mid
-    for _ in range(3):
-        q_star = _pick_candidate(lo, hi)
-        if isinstance(q_star, Fraction):
-            if q_star == 0:
-                return _ResolveOutcome.FILL_ZERO, None
-            s = probe(q_star)
-            if s == Side.EQUAL:
-                return _ResolveOutcome.REALIZED, add(d0, scale(u, q_star))
-            return _ResolveOutcome.DIGIT, q_star
-        rho = q_star
-        ra, rb = rho.interval()
-        while rb - ra > (hi - lo) / 4:
-            rho.refine((rb - ra) / 4)
-            ra, rb = rho.interval()
-        s_lo, s_hi = probe(ra), probe(rb)
-        if s_lo == Side.EQUAL:
-            return _ResolveOutcome.REALIZED, add(d0, scale(u, ra))
-        if s_hi == Side.EQUAL:
-            return _ResolveOutcome.REALIZED, add(d0, scale(u, rb))
-        if s_lo == Side.BELOW and s_hi == Side.ABOVE:
-            return _ResolveOutcome.RESIDUE, rho
-        # flanks disagree with the candidate: narrow and retry
-        if s_lo == Side.ABOVE:
-            hi = ra
-        elif s_hi == Side.BELOW:
-            lo = rb
-    # no algebraic candidate survived: present the residue as an oracle real
-    residual = _bisection_oracle(probe, lo, hi)
-    return _ResolveOutcome.RESIDUE, residual
-
-
-def _pick_candidate(lo: Fraction, hi: Fraction):
-    """Minimal-height value in [lo, hi]: the first of lo, hi and the
-    simplest rational strictly inside that has the least height, unless a
-    small algebraic irrational has lower height still."""
-    best = min((lo, hi, simplest_between(lo, hi)), key=rational_height)
-    cap = min(_ALG_HEIGHT_CAP, rational_height(best) - 1)
-    for _, root in _algebraic_candidates(lo, hi, cap):
-        return root
+                        return root
     return best
 
 
@@ -458,7 +458,8 @@ class _ClassifyState:
     `achieved_strict` (that level's digit resolved to zero), and strictly
     below `window_hi` (an unbounded digit scan there).  The level scan also
     caps the level at the least v(e - d0) over logged same-side elements e
-    beyond d0, inclusively.  Only `start` and `adopt` move d0.
+    beyond d0, inclusively.  Only `start`, `adopt`, `cap_level` and
+    `skip_zero_digit` assign d0, direction and the window.
     """
 
     d0: Series
@@ -483,6 +484,20 @@ class _ClassifyState:
         self.window_hi = None
         self.chain.append(d0)
         self.improved = True
+
+    def cap_level(self, gamma: tuple):
+        """Unbounded digit scan at gamma: the level lies strictly below."""
+        if self.window_hi is None or gamma < self.window_hi:
+            self.window_hi = gamma
+            self.improved = True
+
+    def skip_zero_digit(self, gamma: tuple):
+        """The digit at gamma is zero: the level lies strictly above it."""
+        if self.achieved is None or self.achieved < gamma or \
+                not self.achieved_strict:
+            self.achieved = gamma
+            self.achieved_strict = True
+            self.improved = True
 
     def above_achieved(self, gamma: tuple) -> bool:
         if self.achieved is None:
@@ -634,44 +649,9 @@ def _scan_levels(oracle: CutOracle, state: _ClassifyState, basis: SpanBasis,
              else _exp_monomial(chosen, state.d0.dim))
         if u is None:
             return None
-        outcome = _resolve_with_digits(oracle, state, u, chosen, budgets)
+        outcome = _resolve_level(oracle, state, u, chosen, budgets)
         if outcome is not None:
             return outcome
-
-
-def _resolve_with_digits(oracle: CutOracle, state: _ClassifyState,
-                         u: Series, gamma: tuple, budgets: Budgets):
-    """Drive one valuation level to a conclusion, installing rational digits
-    as they appear.  Returns a classification to surface, or None to let the
-    level scan continue."""
-    for _ in range(_SAME_LEVEL_DIGIT_CAP):
-        outcome, payload = _resolve_level(oracle, state.d0, u,
-                                          state.direction, budgets)
-        if outcome == _ResolveOutcome.REALIZED:
-            return Realized(payload)
-        if outcome == _ResolveOutcome.UNBOUNDED:
-            if state.window_hi is None or gamma < state.window_hi:
-                state.window_hi = gamma
-                state.improved = True
-            return None
-        if outcome == _ResolveOutcome.FILL_ZERO:
-            if state.achieved is None or state.achieved < gamma or \
-                    not state.achieved_strict:
-                state.achieved = gamma
-                state.achieved_strict = True
-                state.improved = True
-            return None
-        if outcome == _ResolveOutcome.RESIDUE:
-            return ResidueTranscendental(state.d0, u, payload, gamma)
-        # a rational digit: adopt and re-resolve the same level
-        d0 = add(state.d0, scale(u, payload))
-        side = oracle.side(d0)
-        if side == Side.EQUAL:
-            return Realized(d0)
-        state.adopt(d0, side, gamma)
-    raise BudgetExhausted(
-        f"more than {_SAME_LEVEL_DIGIT_CAP} digits at level "
-        f"{_fmt_level(gamma)}", stage="resolve")
 
 
 def _stable_conclusion(state: _ClassifyState, grid: list, oracle: CutOracle):

@@ -39,10 +39,12 @@ class ClassMismatch(ValueError):
 
 
 class ParseError(SyntaxError):
-    """Malformed literal or formula text; `column` is 1-based."""
+    """Malformed literal or formula text; `message` is the text without
+    its position and `column` is 1-based."""
 
     def __init__(self, message: str, column: int):
         super().__init__(f"{message} (column {column})")
+        self.message = message
         self.column = column
 
 

@@ -180,18 +180,18 @@ def find_path_bounded(tree: TreeOracle, depth: int) -> Optional[str]:
     return None
 
 
-def _expansion_bits(r, k: int, precision_budget: int = 96) -> int:
+def _expansion_bits(r, k: int) -> int:
     """First k binary digits of r in [0,1), as an integer in [0, 2^k)."""
     if k == 0:
         return 0
-    for n in range(k, precision_budget + 1):
+    for n in range(k, 97):
         a, b = approx_interval(r, n)
         ia = (a.numerator * 2 ** k) // a.denominator
         ib = (b.numerator * 2 ** k) // b.denominator
         if ia == ib:
             return ia
     raise BoundaryUndecided(
-        f"cannot extract {k} expansion bits within {precision_budget} bits")
+        f"cannot extract {k} expansion bits within 96 bits")
 
 
 def join(r1, r2):

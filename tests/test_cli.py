@@ -51,6 +51,15 @@ class TestTypeFiles:
         with pytest.raises(ParseError, match="bad.type:2"):
             load_type_file(str(p), 2)
 
+    def test_parse_error_keeps_inner_column(self, tmp_path):
+        p = tmp_path / "bad.type"
+        p.write_text("formula x < 1\nformula g1 < < x\n")
+        with pytest.raises(ParseError) as ei:
+            load_type_file(str(p), 2)
+        assert str(ei.value).endswith(
+            "bad.type:2: unexpected '<' in term (column 6)")
+        assert ei.value.column == 6
+
     def test_unknown_generator(self, tmp_path):
         p = tmp_path / "bad.type"
         p.write_text("generator zeta\n")
@@ -115,6 +124,17 @@ class TestPinnedOutputs:
                          "1, 1 + t^(1/2), 1 + t^(1/2) + t^(2/3)")
         assert rc == 0 and out == "1 + t^(1/2) + t^(2/3)\n"
 
+    @pytest.mark.parametrize("argv, expected", [
+        (("basis", "t^(0,1), t"), "t^(1), t^(0,1)\n"),
+        (("basis", "alg[-2,0,1;1,2]*t, t"),
+         "t^(1), alg[-2,0,1;1,2]*t^(1)\n"),
+        (("pseudo-limit", "1, 1 + t^(1,1), 1 + t^(1,1) + t^(2)"),
+         "1 + t^(1,1) + t^(2)\n"),
+    ], ids=["basis-coordinates", "basis-algebraic", "pseudo-limit"])
+    def test_lists_split_at_top_level_commas(self, capsys, argv, expected):
+        rc, out, _ = run(capsys, *argv)
+        assert rc == 0 and out == expected
+
     def test_tree_path(self, capsys):
         rc, out, _ = run(capsys, "tree", "path", "full", "1/3", "4")
         assert rc == 0 and out == "0\n01\n010\n0101\n"
@@ -129,6 +149,17 @@ class TestPinnedOutputs:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("formula, mode", [
+        ("x < 0", "group"), ("x < 0", "field"), ("0 < x", "group")],
+        ids=["below-group", "below-field", "above-group"])
+    def test_store_bound_at_zero(self, capsys, tmp_path, formula, mode):
+        p = tmp_path / "zero.type"
+        p.write_text(f"formula {formula}\n")
+        rc, out, _ = run(capsys, "realize", str(p), "--mode", mode)
+        assert rc == 0
+        verification = out.split("== VERIFICATION ==\n")[1]
+        assert verification.splitlines()[0] == f"PASS  {formula}"
+
     def test_realized_type_exits_zero(self, capsys):
         rc, out, _ = run(capsys, "realize",
                          str(FIXTURES / "residue_sqrt2.type"))

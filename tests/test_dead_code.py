@@ -97,3 +97,67 @@ def unused_imports(src: Path) -> list:
 
 def test_no_unused_imports():
     assert unused_imports(SRC) == []
+
+
+def _defaulted_parameters(node) -> list:
+    """(position or None, name) of each parameter of `node` that has a
+    default; keyword-only parameters have no position."""
+    args = node.args
+    positional = [*args.posonlyargs, *args.args]
+    first = len(positional) - len(args.defaults)
+    out = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+    out.extend((None, a.arg) for a, d in zip(args.kwonlyargs,
+                                              args.kw_defaults)
+               if d is not None)
+    return out
+
+
+def _is_method(node, parents: dict) -> bool:
+    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                 for d in node.decorator_list)
+    return isinstance(parents.get(node), ast.ClassDef) and not static
+
+
+def unoverridden_private_defaults(src: Path) -> list:
+    """`module.function(param)` for each defaulted parameter of a private,
+    non-dunder function in `src` that no call in `src` passes: a default
+    that no caller changes is a constant."""
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
+    passed: dict = {}  # function name -> (most positionals, keywords)
+    for tree in trees.values():
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else \
+                func.attr if isinstance(func, ast.Attribute) else None
+            if name is None:
+                continue
+            n_pos, keywords = passed.get(name, (0, set()))
+            if any(isinstance(a, ast.Starred) for a in call.args):
+                n_pos = float("inf")
+            n_pos = max(n_pos, len(call.args))
+            keywords = keywords | {k.arg for k in call.keywords}
+            passed[name] = (n_pos, keywords)
+    out = []
+    for mod, tree in trees.items():
+        parents = {child: node for node in ast.walk(tree)
+                   for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    or not node.name.startswith("_") \
+                    or node.name.startswith("__"):
+                continue
+            n_pos, keywords = passed.get(node.name, (0, set()))
+            if None in keywords:  # a **mapping may pass any of them
+                continue
+            offset = 1 if _is_method(node, parents) else 0
+            out.extend(f"{mod}.{node.name}({p})"
+                       for i, p in _defaulted_parameters(node)
+                       if p not in keywords
+                       and (i is None or i - offset >= n_pos))
+    return out
+
+
+def test_no_unoverridden_private_defaults():
+    assert unoverridden_private_defaults(SRC) == []

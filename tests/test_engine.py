@@ -25,7 +25,11 @@ from hahnsat.engine import (
     sequence_is_computable_in,
     standard_height_enum,
 )
-from hahnsat.engine import _ClassifyState, _field_rank_guard
+from hahnsat.engine import (
+    _ClassifyState,
+    _field_rank_guard,
+    _verify_against_log,
+)
 from hahnsat.errors import (
     BudgetExhausted,
     NotFinitelySatisfiable,
@@ -118,6 +122,33 @@ class TestCutOracle:
         lying.side(t_pow(2))
         assert lying.check_monotone() is False
 
+    def test_check_monotone_flags_lower_above(self):
+        # the smaller element is answered ABOVE, a later larger one BELOW
+        lying = CutOracle(
+            lambda e: Side.ABOVE if compare_series(e, T) < 0 else Side.BELOW,
+            standard_height_enum([T]))
+        lying.side(t_pow(2))
+        lying.side(t_pow(1, 2))
+        assert lying.check_monotone() is False
+
+    def test_non_side_answer_rejected(self):
+        oracle = CutOracle(lambda e: -1, standard_height_enum([T]))
+        with pytest.raises(OracleFailure, match="not a Side"):
+            oracle.side(T)
+
+
+class TestVerifyAgainstLog:
+    @pytest.mark.parametrize("query, witness, side", [
+        (zero_series(DIM), negate(ONE), "BELOW"),
+        (t_pow(1, 2), t_pow(1, 3), "ABOVE"),
+        (T, t_pow(1, 2), "EQUAL"),
+    ])
+    def test_contradicted_query_raises(self, query, witness, side):
+        oracle = oracle_from_value(T, standard_height_enum([T]))
+        assert oracle.side(query).name == side
+        with pytest.raises(OracleFailure, match=f"contradicts {side} query"):
+            _verify_against_log(witness, oracle)
+
 
 class TestHeightEnum:
     def test_first_generation(self):
@@ -173,6 +204,12 @@ class TestGapCenter:
     def test_zero_lower(self):
         c = gap_center(zero_series(DIM), T, DIM)
         assert format_series(c) == "t^(2)"
+
+    def test_only_zero_upper(self):
+        assert format_series(gap_center(None, zero_series(DIM), DIM)) == "-1"
+
+    def test_only_zero_lower(self):
+        assert format_series(gap_center(zero_series(DIM), None, DIM)) == "1"
 
 
 class TestClassifyGroup:
@@ -243,6 +280,45 @@ class TestClassifyGroup:
             with pytest.raises(BudgetExhausted) as ei:
                 realize(cls, oracle, valuation_basis([T]), Budgets())
             assert ei.value.stage == "realize"
+
+    @pytest.mark.parametrize("int_part", [0, 2])
+    def test_bisection_residue_tracks_hidden_digits(self, int_part):
+        # no candidate matches a random bit string, so the residue is the
+        # bisection oracle, probing against the d0 of its own round
+        rng = random.Random(1)
+        bits = [rng.randint(0, 1) for _ in range(400)]
+        r = oracle_bits(int_part, lambda i: bits[i])
+        hidden = Series({exp_of(1): r}, DIM)
+        oracle = oracle_from_value(hidden, standard_height_enum([T]))
+        cls = classify_cut(oracle, valuation_basis([T]),
+                           Budgets(precision_budget=4), mode="group")
+        assert isinstance(cls, ResidueTranscendental)
+        assert isinstance(cls.residue, OracleReal)
+        assert format_series(cls.scale) == "t^(1)"
+        offset = cls.d0.terms.get(exp_of(1), 0)
+        for n in range(1, 31):
+            lo, hi = cls.residue.interval(n)
+            r_lo, r_hi = r.interval(n)
+            assert lo + offset <= r_hi and r_lo <= hi + offset
+
+
+class TestClassifyStateMoves:
+    def test_cap_level_only_lowers_the_window(self):
+        state = _ClassifyState.start(zero_series(DIM), Side.BELOW)
+        state.cap_level(exp_of(2))
+        assert state.window_hi == exp_of(2) and state.improved
+        state.improved = False
+        state.cap_level(exp_of(3))
+        assert state.window_hi == exp_of(2) and not state.improved
+
+    def test_skip_zero_digit_makes_achieved_strict_once(self):
+        state = _ClassifyState.start(zero_series(DIM), Side.BELOW, exp_of(1))
+        state.skip_zero_digit(exp_of(1))
+        assert state.achieved_strict and state.improved
+        assert not state.above_achieved(exp_of(1))
+        state.improved = False
+        state.skip_zero_digit(exp_of(1))
+        assert not state.improved
 
 
 class TestClassifyField:
