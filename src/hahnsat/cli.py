@@ -18,7 +18,9 @@ emitted before generator output, in file order.
 
 import argparse
 import math
+import re
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .engine import (
@@ -87,28 +89,45 @@ def _immediate_tail_generator():
     return emit
 
 
-def _build_generator(name: str, args: list, params: dict):
+def _build_generator(fields: list, params: dict):
+    """The generator named by a `generator` line's (token, column) fields
+    after the keyword; errors point at the offending token."""
+    (name, name_col), args = fields[0], fields[1:]
     if name == "beta":
         if len(args) != 2:
-            raise ParseError("generator beta needs: <upper> <lower>", 1)
-        for p in args:
+            raise ParseError("generator beta needs: <upper> <lower>",
+                             name_col)
+        for p, col in args:
             if p not in params:
                 raise ParseError(f"generator references unknown param {p!r}",
-                                 1)
-        return _beta_generator(args[0], args[1])
+                                 col)
+        return _beta_generator(args[0][0], args[1][0])
     if name == "scalar_cut":
         if len(args) != 2:
             raise ParseError("generator scalar_cut needs: <scalar> <param>",
-                             1)
-        if args[1] not in params:
+                             name_col)
+        (literal, literal_col), (p, col) = args
+        if p not in params:
             raise ParseError(
-                f"generator references unknown param {args[1]!r}", 1)
-        return _scalar_cut_generator(args[0], args[1])
+                f"generator references unknown param {p!r}", col)
+        with _columns_from(literal_col - 1):
+            return _scalar_cut_generator(literal, p)
     if name == "immediate-tail":
         if args:
-            raise ParseError("generator immediate-tail takes no arguments", 1)
+            raise ParseError("generator immediate-tail takes no arguments",
+                             args[0][1])
         return _immediate_tail_generator()
-    raise ParseError(f"unknown generator {name!r}", 1)
+    raise ParseError(f"unknown generator {name!r}", name_col)
+
+
+@contextmanager
+def _columns_from(offset: int):
+    """Shift a ParseError raised inside by `offset` columns: the text it
+    parsed starts that far into the line."""
+    try:
+        yield
+    except ParseError as e:
+        raise ParseError(e.message, e.column + offset) from None
 
 
 def load_type_file(path: str, dim: int):
@@ -121,24 +140,31 @@ def load_type_file(path: str, dim: int):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
+            # columns count in the raw line, its indentation included
+            indent = len(raw) - len(raw.lstrip())
             try:
                 if line.startswith("param "):
                     body = line[len("param "):]
                     if "=" not in body:
-                        raise ParseError("param line needs '='", 1)
+                        raise ParseError("param line needs '='",
+                                         indent + len("param ") + 1)
                     name, text = body.split("=", 1)
-                    params[name.strip()] = parse_series(text.strip(), dim)
+                    text = text.strip()  # a suffix of line
+                    with _columns_from(indent + len(line) - len(text)):
+                        params[name.strip()] = parse_series(text, dim)
                 elif line.startswith("formula "):
-                    formulas.append(parse_formula(line[len("formula "):]))
+                    with _columns_from(indent + len("formula ")):
+                        formulas.append(parse_formula(line[len("formula "):]))
                 elif line.startswith("generator "):
                     if generator is not None:
-                        raise ParseError("only one generator line allowed", 1)
-                    fields = line.split()
-                    generator = _build_generator(fields[1], fields[2:],
-                                                 params)
+                        raise ParseError("only one generator line allowed",
+                                         indent + 1)
+                    fields = [(m.group(), indent + m.start() + 1)
+                              for m in re.finditer(r"\S+", line)]
+                    generator = _build_generator(fields[1:], params)
                 else:
                     raise ParseError(f"unknown construct {line.split()[0]!r}",
-                                     1)
+                                     indent + 1)
             except ParseError as e:
                 raise ParseError(f"{path}:{lineno}: {e.message}",
                                  e.column) from None

@@ -408,20 +408,40 @@ def _pick_candidate(lo: Fraction, hi: Fraction):
         a, b = x.numerator, x.denominator
         return [a ** i * b ** (degree - i) for i in range(degree + 1)]
 
+    def sign_changes(height: int, degree: int) -> list:
+        """The tuples (c0, ..., cd) of height exactly `height` with cd != 0
+        and at_lo * at_hi <= 0, in `product` order.  at(c0) = c0 * w[0] + r
+        rises with c0 (w[0] = b^d > 0), so the product is <= 0 exactly for
+        c0 between the zeros -r_lo / w_lo[0] and -r_hi / w_hi[0]."""
+        w_lo, w_hi = weights(lo, degree), weights(hi, degree)
+        span = range(-height, height + 1)
+        linear = [(c1, c1 * w_lo[1], c1 * w_hi[1]) for c1 in span]
+        found = []
+        for tail in product(span, repeat=degree - 1):  # (c2, ..., cd)
+            if tail[-1] == 0:
+                continue
+            tail_lo = sum(c * w for c, w in zip(tail, w_lo[2:]))
+            tail_hi = sum(c * w for c, w in zip(tail, w_hi[2:]))
+            tail_height = max(abs(c) for c in tail)
+            for c1, one_lo, one_hi in linear:
+                r_lo, r_hi = tail_lo + one_lo, tail_hi + one_hi
+                first = max(-height,
+                            min(-(r_lo // w_lo[0]), -(r_hi // w_hi[0])))
+                last = min(height, max(-r_lo // w_lo[0], -r_hi // w_hi[0]))
+                if first > last:
+                    continue
+                if abs(c1) == height or tail_height == height:
+                    found.extend((c0, c1) + tail
+                                 for c0 in range(first, last + 1))
+                else:  # (c1, ..., cd) inside the shell: only c0 = ±height
+                    found.extend((c0, c1) + tail for c0 in (-height, height)
+                                 if first <= c0 <= last)
+        return sorted(found)
+
     cap = min(_ALG_HEIGHT_CAP, rational_height(best) - 1)
     for height in range(1, cap + 1):
         for degree in (2, 3):
-            w_lo, w_hi = weights(lo, degree), weights(hi, degree)
-            span = range(-height, height + 1)
-            for coeffs in product(span, repeat=degree + 1):
-                if coeffs[-1] == 0:
-                    continue
-                if max(abs(c) for c in coeffs) != height:
-                    continue
-                at_lo = sum(c * w for c, w in zip(coeffs, w_lo))
-                at_hi = sum(c * w for c, w in zip(coeffs, w_hi))
-                if at_lo * at_hi > 0:
-                    continue  # no sign change: no root inside
+            for coeffs in sign_changes(height, degree):
                 for cell_lo, cell_hi in isolate_real_roots(list(coeffs)):
                     root = real_algebraic(list(coeffs), cell_lo, cell_hi)
                     if isinstance(root, Fraction):

@@ -55,7 +55,13 @@ class TreeOracle:
 
     def member(self, sigma: str) -> bool:
         _check_bits(sigma)
-        return all(self._raw_member(sigma[:i]) for i in range(len(sigma) + 1))
+        # A node is raw-tested only after all its prefixes passed, so a
+        # cached True marks a member: resume the walk below the deepest one.
+        known = len(sigma)
+        while known >= 0 and not self._cache.get(sigma[:known]):
+            known -= 1
+        return all(self._raw_member(sigma[:i])
+                   for i in range(known + 1, len(sigma) + 1))
 
     def __contains__(self, sigma: str) -> bool:
         return self.member(sigma)
@@ -120,7 +126,11 @@ def node_interval(sigma: str) -> DyadicInterval:
 def path_from_real(tree: TreeOracle, r, depth: int,
                    precision_budget: int = 64) -> list:
     """The chain of tree nodes whose intervals contain r, down to the given
-    depth (depth+1 nodes, starting at the root)."""
+    depth (depth+1 nodes, starting at the root).  Node intervals cover
+    [0, 1), so a real outside it is a ValueError."""
+    if (not _side_of(r, Fraction(0), precision_budget)
+            or _side_of(r, Fraction(1), precision_budget)):
+        raise ValueError("tree path needs a real in [0, 1)")
     if "" not in tree:
         raise NodeNotInTree("the empty node is not in the tree")
     path = [""]

@@ -52,13 +52,32 @@ class TestTypeFiles:
             load_type_file(str(p), 2)
 
     def test_parse_error_keeps_inner_column(self, tmp_path):
+        # the body's column 6, shifted past "formula ": column 14 of the line
         p = tmp_path / "bad.type"
         p.write_text("formula x < 1\nformula g1 < < x\n")
         with pytest.raises(ParseError) as ei:
             load_type_file(str(p), 2)
         assert str(ei.value).endswith(
-            "bad.type:2: unexpected '<' in term (column 6)")
-        assert ei.value.column == 6
+            "bad.type:2: unexpected '<' in term (column 14)")
+        assert ei.value.column == 14
+
+    @pytest.mark.parametrize("text, column", [
+        ("param g1 = t\n  formula g1 < < x\n", 16),  # indentation counts
+        ("param g1 = t\nparam g2 =  t^(\n", 15),     # inside a param body
+        ("param g1 = t\nparam g2 t\n", 7),           # the param lacking '='
+        ("param g1 = t\ngenerator zeta\n", 11),      # the generator's name
+        ("param g1 = t\ngenerator beta g1\n", 11),
+        ("param g1 = t\ngenerator beta g1 g2\n", 19),  # the unknown param
+        ("param g1 = t\ngenerator scalar_cut 1/0 g1\n", 22),  # the literal
+        ("param g1 = t\ngenerator immediate-tail g1\n", 26),  # the extra arg
+        ("generator immediate-tail\n generator immediate-tail\n", 2),
+    ])
+    def test_error_column_points_into_the_line(self, tmp_path, text, column):
+        p = tmp_path / "bad.type"
+        p.write_text(text)
+        with pytest.raises(ParseError, match="bad.type:2") as ei:
+            load_type_file(str(p), 2)
+        assert ei.value.column == column
 
     def test_unknown_generator(self, tmp_path):
         p = tmp_path / "bad.type"
@@ -262,6 +281,12 @@ class TestExitCodes:
     def test_tree_path_off_tree_exits_one(self, capsys):
         rc, _, err = run(capsys, "tree", "path", "single:000", "3/4", "2")
         assert rc == 1 and "error:" in err
+
+    @pytest.mark.parametrize("real", ["1", "2", "5/4"])
+    def test_tree_path_outside_unit_interval_exits_one(self, capsys, real):
+        rc, out, err = run(capsys, "tree", "path", "full", real, "4")
+        assert rc == 1 and out == ""
+        assert "error: tree path needs a real in [0, 1)" in err
 
 
 class TestGoldens:

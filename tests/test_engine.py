@@ -321,6 +321,121 @@ class TestClassifyStateMoves:
         assert not state.improved
 
 
+def _reference_pick_candidate(lo, hi):
+    """The box scan that _pick_candidate must match: every coefficient
+    tuple of each height, one at a time, in `product` order."""
+    from itertools import product
+
+    from hahnsat.engine import _ALG_HEIGHT_CAP, _inside_after_refining
+    from hahnsat.scalars import (isolate_real_roots, rational_height,
+                                 simplest_between)
+
+    best = min((lo, hi, simplest_between(lo, hi)), key=rational_height)
+
+    def weights(x, degree):
+        a, b = x.numerator, x.denominator
+        return [a ** i * b ** (degree - i) for i in range(degree + 1)]
+
+    cap = min(_ALG_HEIGHT_CAP, rational_height(best) - 1)
+    for height in range(1, cap + 1):
+        for degree in (2, 3):
+            w_lo, w_hi = weights(lo, degree), weights(hi, degree)
+            span = range(-height, height + 1)
+            for coeffs in product(span, repeat=degree + 1):
+                if coeffs[-1] == 0:
+                    continue
+                if max(abs(c) for c in coeffs) != height:
+                    continue
+                at_lo = sum(c * w for c, w in zip(coeffs, w_lo))
+                at_hi = sum(c * w for c, w in zip(coeffs, w_hi))
+                if at_lo * at_hi > 0:
+                    continue
+                for cell_lo, cell_hi in isolate_real_roots(list(coeffs)):
+                    root = real_algebraic(list(coeffs), cell_lo, cell_hi)
+                    if isinstance(root, F):
+                        continue
+                    if _inside_after_refining(root, lo, hi):
+                        return root
+    return best
+
+
+def _candidate_outcome(pick, lo, hi):
+    """What a report can see of a candidate pick: the rational, or the
+    root's polynomial, index and refined interval, or the error raised."""
+    from hahnsat.errors import MalformedAlgebraic
+
+    try:
+        q = pick(lo, hi)
+    except MalformedAlgebraic as e:
+        return ("raised", str(e))
+    if isinstance(q, F):
+        return ("rational", q)
+    return ("root", tuple(q.coeffs), q.index, q.interval())
+
+
+def _random_intervals(n, seed):
+    from hahnsat.scalars import isolate_real_roots
+
+    def at(cs, x):
+        return sum(c * x ** i for i, c in enumerate(cs))
+
+    rng = random.Random(seed)
+    out = []
+    while len(out) < n:
+        k = rng.randint(3, 16)
+        kind = len(out) % 3
+        if kind == 0:  # a bisection cell: dyadic endpoints one step apart
+            m = rng.randint(-3 * 2 ** k, 3 * 2 ** k)
+            out.append((F(m, 2 ** k), F(m + 1, 2 ** k)))
+        elif kind == 1:  # any rational endpoints at most 2^-k apart
+            lo = F(rng.randint(-3000, 3000), rng.randint(1, 1000))
+            out.append((lo, lo + F(rng.randint(1, 2 ** 10), 2 ** (k + 10))))
+        else:  # a cell bisected down around a root of height <= 6
+            cs = [rng.randint(-6, 6) for _ in range(rng.choice((3, 4)))]
+            if cs[-1] == 0 or not any(cs[:-1]):
+                continue
+            cells = isolate_real_roots(cs)
+            if not cells:
+                continue
+            lo, hi = rng.choice(cells)
+            while hi - lo > F(1, 2 ** k):
+                mid = (lo + hi) / 2
+                if at(cs, lo) * at(cs, mid) <= 0:
+                    hi = mid
+                else:
+                    lo = mid
+            out.append((lo, hi))
+    return out
+
+
+class TestPickCandidate:
+    """_pick_candidate solves for c0 instead of scanning it; it must find
+    the same first root as the box scan, refined to the same interval."""
+
+    @pytest.mark.parametrize("lo, hi, literal", [
+        (F(27145, 65536), F(13573, 32768), "alg[-1,2,1;0,1]"),
+        (F(-5623, 65536), F(-2811, 32768), "alg[1,12,4;-1,0]"),
+    ])
+    def test_c8_intervals_match_the_box_scan(self, lo, hi, literal):
+        from hahnsat.engine import _pick_candidate
+
+        got = _candidate_outcome(_pick_candidate, lo, hi)
+        assert got == _candidate_outcome(_reference_pick_candidate, lo, hi)
+        assert format_scalar(_pick_candidate(lo, hi)) == literal
+
+    def test_random_intervals_match_the_box_scan(self, monkeypatch):
+        from hahnsat import engine
+
+        monkeypatch.setattr(engine, "_ALG_HEIGHT_CAP", 8)
+        kinds = set()
+        for lo, hi in _random_intervals(40, seed=11):
+            got = _candidate_outcome(engine._pick_candidate, lo, hi)
+            want = _candidate_outcome(_reference_pick_candidate, lo, hi)
+            assert got == want, (lo, hi)
+            kinds.add(got[0])
+        assert {"rational", "root"} <= kinds
+
+
 class TestClassifyField:
     def test_exact_algebraic_constant_shift(self):
         hidden = add(from_scalar(SQRT3, DIM), T)
@@ -725,3 +840,23 @@ class TestReportDigest:
                                budgets=Budgets(formula_prefix_budget=100))
             h.update(res.report.encode())
         assert h.hexdigest() == self.FIELD_DIGEST
+
+    # the types whose residue search scans past height 2: 1002 and 1008 in
+    # group mode, 1008, 1017 and 1036 in field mode
+    CANDIDATE_RUNS = (("group", 1002), ("group", 1008), ("field", 1008),
+                      ("field", 1017), ("field", 1036))
+    CANDIDATE_DIGEST = \
+        "779deedda11258b247336f25cf815a6b81c18fb062adac25226f0d94e615ec3d"
+
+    def test_candidate_search_reports_are_byte_identical(self):
+        import hashlib
+
+        from test_acceptance import _generated_type
+
+        h = hashlib.sha256()
+        for mode, seed in self.CANDIDATE_RUNS:
+            tau, env = _generated_type(seed)
+            res = realize_type(tau, env, mode=mode,
+                               budgets=Budgets(formula_prefix_budget=100))
+            h.update(res.report.encode())
+        assert h.hexdigest() == self.CANDIDATE_DIGEST

@@ -9,6 +9,7 @@ from hahnsat.errors import BoundaryUndecided, NodeNotInTree, NotAChain
 from hahnsat.scalars import OracleReal, oracle_rational
 from hahnsat.trees import (
     DyadicInterval,
+    TreeOracle,
     deinterleave,
     explicit_tree,
     find_path_bounded,
@@ -63,6 +64,50 @@ class TestNodeInterval:
             node_interval("012")
 
 
+class TestMember:
+    @staticmethod
+    def _logged(tree_maker, arg):
+        """A logging copy of the tree's raw membership test, and its log."""
+        calls = []
+        inner = tree_maker(arg)._raw
+
+        def raw(sigma):
+            calls.append(sigma)
+            return inner(sigma)
+
+        return raw, calls
+
+    @pytest.mark.parametrize("tree_maker, arg", [
+        (seeded_tree, 3),
+        (seeded_tree, 17),
+        (explicit_tree, ["0", "01", "010", "0101", "1", "11", "110"]),
+    ])
+    def test_raw_calls_match_the_plain_prefix_walk(self, tree_maker, arg):
+        raw, calls = self._logged(tree_maker, arg)
+        tree = TreeOracle(raw)
+        ref_raw, ref_calls = self._logged(tree_maker, arg)
+        answers: dict = {}
+
+        def plain_member(sigma):
+            # every prefix, shortest first, each raw-tested at most once
+            for i in range(len(sigma) + 1):
+                node = sigma[:i]
+                if node not in answers:
+                    answers[node] = bool(ref_raw(node))
+                if not answers[node]:
+                    return False
+            return True
+
+        rng = random.Random(9)
+        queries = ["", "0101", "010", "01011", "1", "110", "111", "1101"]
+        queries += ["".join(rng.choice("01") for _ in range(rng.randint(0, 9)))
+                    for _ in range(300)]
+        got = [tree.member(q) for q in queries]
+        assert got == [plain_member(q) for q in queries]
+        assert True in got and False in got
+        assert calls == ref_calls
+
+
 class TestPathFromReal:
     def test_one_third(self):
         path = path_from_real(full_tree(), oracle_rational(Fraction(1, 3)), 3)
@@ -109,6 +154,13 @@ class TestPathFromReal:
     def test_node_not_in_tree(self):
         with pytest.raises(NodeNotInTree):
             path_from_real(single_chain("1"), oracle_rational(Fraction(1, 3)), 2)
+
+    @pytest.mark.parametrize("r", [Fraction(-1, 3), Fraction(1), Fraction(2),
+                                   oracle_rational(Fraction(5, 4))])
+    def test_real_outside_unit_interval_rejected(self, r):
+        # no node interval contains r, so there is no chain to print
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            path_from_real(full_tree(), r, 3)
 
 
 class TestRealFromPath:
