@@ -34,7 +34,7 @@ from .errors import (
     ParseError,
 )
 from .formulas import PartialType, doag_qe, eval_formula, format_formula, \
-    parse_formula
+    free_symbols, parse_formula
 from .scalars import approx_interval, parse_scalar
 from .series import format_series, parse_series
 from .trees import find_path_bounded, node_interval, path_from_real, \
@@ -153,8 +153,10 @@ def load_type_file(path: str, dim: int):
                     with _columns_from(indent + len(line) - len(text)):
                         params[name.strip()] = parse_series(text, dim)
                 elif line.startswith("formula "):
-                    with _columns_from(indent + len("formula ")):
-                        formulas.append(parse_formula(line[len("formula "):]))
+                    start = indent + len("formula ")
+                    with _columns_from(start):
+                        f = parse_formula(line[len("formula "):])
+                    formulas.append((f, lineno, raw, start))
                 elif line.startswith("generator "):
                     if generator is not None:
                         raise ParseError("only one generator line allowed",
@@ -170,8 +172,17 @@ def load_type_file(path: str, dim: int):
                                  e.column) from None
     if not formulas and generator is None:
         raise ParseError(f"{path}: no formulas and no generator", 1)
+    # a param line may follow the formula that names it
+    known = set(params) | {TYPE_VAR}
+    for f, lineno, raw, start in formulas:
+        unknown = free_symbols(f) - known
+        for m in re.finditer(r"\w+", raw[start:]):
+            if m.group() in unknown:
+                raise ParseError(
+                    f"{path}:{lineno}: unknown symbol {m.group()!r}",
+                    start + m.start() + 1)
 
-    head = list(formulas)
+    head = [f for f, *_ in formulas]
 
     def emit(i):
         if i < len(head):

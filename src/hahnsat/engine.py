@@ -25,6 +25,7 @@ from .errors import (
     NotFinitelySatisfiable,
     OracleFailure,
     PseudoLimitUnverified,
+    Unsatisfiable,
 )
 from .formulas import (
     And,
@@ -34,9 +35,8 @@ from .formulas import (
     _enumeration,
     _has_quantifier,
     _infer_dim,
-    _solve_for,
-    _term_series,
     conjoin,
+    cut_bounds,
     doag_qe,
     enumerate_formulas,
     eval_formula,
@@ -59,9 +59,12 @@ from .series import (
     INFINITY,
     Series,
     _first_difference,
+    _format_exp,
     add,
     compare_series,
     diff_valuation,
+    exp_add,
+    exp_scale,
     format_series,
     make_exp,
     monomial,
@@ -69,6 +72,7 @@ from .series import (
     scale,
     subtract,
     valuation,
+    zero_exp,
     zero_series,
 )
 from .trees import TreeOracle, find_path_bounded
@@ -213,11 +217,7 @@ class ImmediateTranscendental:
 
 
 # ---------------------------------------------------------------------------
-# grids and exponent arithmetic
-
-
-def _exp_mid(a: tuple, b: tuple) -> tuple:
-    return tuple((x + y) / 2 for x, y in zip(a, b))
+# grids
 
 
 def _group_grid(basis: SpanBasis) -> list:
@@ -227,20 +227,14 @@ def _group_grid(basis: SpanBasis) -> list:
 def _field_grid(basis: SpanBasis, denom_budget: int, dim: int) -> list:
     """Rational multiples p/q of the parameter valuations, q and |p| up to
     the denominator budget, combined additively across classes."""
-    base = sorted({valuation(rep) for rep in basis.class_reps})
-    grid = {tuple([Fraction(0)] * dim)}
-    for gamma in base:
+    grid = {zero_exp(dim)}
+    for gamma in _group_grid(basis):
         extended = set()
         for r in _rationals_of_height(denom_budget):
-            scaled_g = tuple(c * r for c in gamma)
-            for g0 in grid:
-                extended.add(tuple(a + b for a, b in zip(g0, scaled_g)))
+            scaled_g = exp_scale(gamma, r)
+            extended.update(exp_add(g0, scaled_g) for g0 in grid)
         grid |= extended
     return sorted(grid)
-
-
-def _exp_monomial(gamma: tuple, dim: int) -> Series:
-    return monomial(make_exp(gamma, dim), Fraction(1), dim)
 
 
 def _class_rep_for(basis: SpanBasis, gamma: tuple) -> Optional[Series]:
@@ -261,7 +255,7 @@ def _first_floor(gamma: tuple) -> int:
 def _outweighing_step(x: Series) -> Series:
     """t^e with e below v(x), so that x -/+ t^e passes x; 1 when x = 0."""
     e = 0 if x.is_zero() else _first_floor(valuation(x)) - 1
-    return _exp_monomial((e,), x.dim)
+    return monomial((e,), 1, x.dim)
 
 
 def gap_center(lower: Optional[Series], upper: Optional[Series],
@@ -283,15 +277,14 @@ def gap_center(lower: Optional[Series], upper: Optional[Series],
         return zero_series(dim)
     if sl == 0:
         vu = valuation(upper)
-        return _exp_monomial((_first_floor(vu) + 1,), dim)
+        return monomial((_first_floor(vu) + 1,), 1, dim)
     if su == 0:
         vl = valuation(lower)
-        return negate(_exp_monomial((_first_floor(vl) + 1,), dim))
+        return negate(monomial((_first_floor(vl) + 1,), 1, dim))
     vl, vu = valuation(lower), valuation(upper)
     if vl == vu:
         return scale(add(lower, upper), Fraction(1, 2))
-    gamma = _exp_mid(vl, vu)
-    mono = _exp_monomial(gamma, dim)
+    mono = monomial(exp_scale(exp_add(vl, vu), Fraction(1, 2)), 1, dim)
     return mono if su > 0 else negate(mono)
 
 
@@ -329,8 +322,11 @@ def _resolve_level(oracle: CutOracle, state: _ClassifyState, u: Series,
         d0, direction = state.d0, state.direction
 
         # this round's d0: a returned bisection oracle keeps probing with it
+        def at(q: Fraction) -> Series:
+            return add(d0, scale(u, q)) if q else d0
+
         def probe(q: Fraction) -> Side:
-            return oracle.side(add(d0, scale(u, q)) if q else d0)
+            return oracle.side(at(q))
 
         # exponential scan in the working direction until the side flips
         hi_q = None
@@ -338,7 +334,7 @@ def _resolve_level(oracle: CutOracle, state: _ClassifyState, u: Series,
             q = Fraction(direction * 2 ** j)
             s = probe(q)
             if s == Side.EQUAL:
-                return Realized(add(d0, scale(u, q)))
+                return Realized(at(q))
             if s != _effective_side(direction):
                 hi_q = q
                 break
@@ -346,25 +342,19 @@ def _resolve_level(oracle: CutOracle, state: _ClassifyState, u: Series,
             state.cap_level(gamma)
             return None
         lo_q = Fraction(0) if abs(hi_q) == 1 else hi_q / 2
-        # orient as a real interval: below-side endpoint first
+        # orient as a real interval: below-side endpoint first, then bisect
+        # to the precision budget; a probe testing EQUAL closes the interval
         lo, hi = (lo_q, hi_q) if direction > 0 else (hi_q, lo_q)
-        # bisect to the precision budget
-        while hi - lo > Fraction(1, 2 ** pb):
-            mid = (lo + hi) / 2
-            s = probe(mid)
-            if s == Side.EQUAL:
-                return Realized(add(d0, scale(u, mid)))
-            if s == Side.BELOW:
-                lo = mid
-            else:
-                hi = mid
+        lo, hi = _bisection_oracle(probe, lo, hi).interval(pb)
+        if lo == hi:
+            return Realized(at(lo))
         for _ in range(3):
             q_star = _pick_candidate(lo, hi)
             if isinstance(q_star, Fraction):
                 if q_star == 0:
                     state.skip_zero_digit(gamma)
                     return None
-                digit = add(d0, scale(u, q_star))
+                digit = at(q_star)
                 s = oracle.side(digit)
                 if s == Side.EQUAL:
                     return Realized(digit)
@@ -376,9 +366,9 @@ def _resolve_level(oracle: CutOracle, state: _ClassifyState, u: Series,
                 ra, rb = q_star.interval()
             s_lo, s_hi = probe(ra), probe(rb)
             if s_lo == Side.EQUAL:
-                return Realized(add(d0, scale(u, ra)))
+                return Realized(at(ra))
             if s_hi == Side.EQUAL:
-                return Realized(add(d0, scale(u, rb)))
+                return Realized(at(rb))
             if s_lo == Side.BELOW and s_hi == Side.ABOVE:
                 return ResidueTranscendental(d0, u, q_star, gamma)
             # flanks disagree with the candidate: narrow and retry
@@ -392,7 +382,7 @@ def _resolve_level(oracle: CutOracle, state: _ClassifyState, u: Series,
             return ResidueTranscendental(d0, u, residual, gamma)
     raise BudgetExhausted(
         f"more than {_SAME_LEVEL_DIGIT_CAP} digits at level "
-        f"{_fmt_level(gamma)}", stage="resolve")
+        f"{_format_exp(gamma)}", stage="resolve")
 
 
 def _pick_candidate(lo: Fraction, hi: Fraction):
@@ -605,7 +595,7 @@ def _adopt_from_enum(oracle: CutOracle, state: _ClassifyState, known: list,
         candidates.sort(key=lambda c: (c[0], c[1]))
         adopted = False
         for gamma, _, e in candidates:
-            probe_unit = _exp_monomial(gamma, e.dim)
+            probe_unit = monomial(gamma, 1, e.dim)
             lo = oracle.side(subtract(e, scale(probe_unit, big)))
             if lo == Side.EQUAL:
                 return
@@ -648,10 +638,15 @@ def _observed_bounds(oracle: CutOracle, state: _ClassifyState):
 def _scan_levels(oracle: CutOracle, state: _ClassifyState, basis: SpanBasis,
                  grid: list, mode: str, budgets: Budgets):
     """Resolve digits at candidate valuation levels, ascending.  Returns a
-    final classification when one is forced, else None."""
-    while True:
+    final classification when one is forced, else None.
+
+    The query log is walked once per approximation: a level that resolves
+    without adopting a digit logs only probes at its own level, below every
+    later one, so the observed bounds hold until d0 moves."""
+    walked = None
+    while walked is not state.d0:
+        walked = state.d0
         gamma_lo, gamma_hi, levels = _observed_bounds(oracle, state)
-        chosen = None
         for gamma in sorted(levels.union(grid)):
             if not state.above_achieved(gamma):
                 continue
@@ -661,17 +656,16 @@ def _scan_levels(oracle: CutOracle, state: _ClassifyState, basis: SpanBasis,
                 continue
             if state.window_hi is not None and not gamma < state.window_hi:
                 continue
-            chosen = gamma
-            break
-        if chosen is None:
-            return None
-        u = (_class_rep_for(basis, chosen) if mode == "group"
-             else _exp_monomial(chosen, state.d0.dim))
-        if u is None:
-            return None
-        outcome = _resolve_level(oracle, state, u, chosen, budgets)
-        if outcome is not None:
-            return outcome
+            u = (_class_rep_for(basis, gamma) if mode == "group"
+                 else monomial(gamma, 1, state.d0.dim))
+            if u is None:
+                return None
+            outcome = _resolve_level(oracle, state, u, gamma, budgets)
+            if outcome is not None:
+                return outcome
+            if state.d0 is not walked:
+                break  # an adopted digit: walk the log for the new d0
+    return None
 
 
 def _stable_conclusion(state: _ClassifyState, grid: list, oracle: CutOracle):
@@ -689,7 +683,7 @@ def _stable_conclusion(state: _ClassifyState, grid: list, oracle: CutOracle):
     for gamma in grid:
         if state.above_achieved(gamma) and (upper is None or gamma < upper):
             raise BudgetExhausted(
-                f"stable cut with unresolved grid level {_fmt_level(gamma)}",
+                f"stable cut with unresolved grid level {_format_exp(gamma)}",
                 stage="classify")
     return GroupTranscendental(state.d0, lower, upper, state.direction)
 
@@ -717,21 +711,14 @@ def _verify_against_log(witness: Series, oracle: CutOracle):
     """Every logged query must sit on the same side of the witness that the
     oracle reported for the hidden element."""
     for d, s in oracle.log:
-        c = compare_series(d, witness)
-        if s == Side.BELOW and c >= 0:
+        if Side(compare_series(d, witness)) != s:
             raise OracleFailure(
-                f"witness contradicts BELOW query {format_series(d)}")
-        if s == Side.ABOVE and c <= 0:
-            raise OracleFailure(
-                f"witness contradicts ABOVE query {format_series(d)}")
-        if s == Side.EQUAL and c != 0:
-            raise OracleFailure(
-                f"witness contradicts EQUAL query {format_series(d)}")
+                f"witness contradicts {s.name} query {format_series(d)}")
 
 
 def _gap_exponent(lower: Optional[tuple], upper: Optional[tuple]) -> tuple:
     if lower is not None and upper is not None:
-        return _exp_mid(lower, upper)
+        return exp_scale(exp_add(lower, upper), Fraction(1, 2))
     if upper is None and lower is None:
         return (Fraction(0),)
     if upper is None:
@@ -746,8 +733,8 @@ def realize_cut_group(cls: object, oracle: CutOracle,
     if isinstance(cls, ResidueTranscendental):
         witness = _install_residue(cls)
     elif isinstance(cls, GroupTranscendental):
-        mono = _exp_monomial(_gap_exponent(cls.lower, cls.upper),
-                             basis.generators[0].dim)
+        mono = monomial(_gap_exponent(cls.lower, cls.upper), 1,
+                        basis.generators[0].dim)
         witness = add(cls.d0, mono if cls.direction > 0 else negate(mono))
     else:
         raise ValueError(
@@ -839,21 +826,18 @@ def _realize_immediate(cls: ImmediateTranscendental, oracle: CutOracle,
         raise PseudoLimitUnverified(
             "record subsequence is not pseudo-Cauchy",
             query=format_series(marks[-1]))
-    limit = pseudo_limit(seq, len(marks))
     gammas = [diff_valuation(b, a) for a, b in zip(marks, marks[1:])]
-    for a_i, gamma_i in zip(marks, gammas):
-        got = diff_valuation(limit, a_i)
-        if got != gamma_i:
-            raise PseudoLimitUnverified(
-                "pseudo-limit misses a difference valuation",
-                query=format_series(a_i))
+
+    def check_valuations(x: Series, name: str):
+        for a_i, gamma_i in zip(marks, gammas):
+            if diff_valuation(x, a_i) != gamma_i:
+                raise PseudoLimitUnverified(
+                    f"{name} misses a difference valuation",
+                    query=format_series(a_i))
+
+    check_valuations(pseudo_limit(seq, len(marks)), "pseudo-limit")
     witness = _witness_past_records(oracle, marks, gammas, dim)
-    for a_i, gamma_i in zip(marks, gammas):
-        got = diff_valuation(witness, a_i)
-        if got != gamma_i:
-            raise PseudoLimitUnverified(
-                "witness misses a difference valuation",
-                query=format_series(a_i))
+    check_valuations(witness, "witness")
     _verify_against_log(witness, oracle)
     return witness
 
@@ -923,7 +907,7 @@ def _witness_past_records(oracle: CutOracle, marks: list, gammas: list,
     gamma_last = gammas[-1]
     if not gamma_last < make_exp((exp0,), dim):
         exp0 = Fraction(_first_floor(gamma_last) + 1)
-    step = _exp_monomial((exp0,), dim)
+    step = monomial((exp0,), 1, dim)
     return add(base, step if want == Side.BELOW else negate(step))
 
 
@@ -1062,13 +1046,12 @@ def _theta_bound_elements(thetas: list, env: dict, var: str,
             batches.append([])
         for a in iter_atoms(f):
             try:
-                solved = _solve_for(a, var)
-            except NonlinearUnsupported:
+                store = cut_bounds([a], env, var, dim)
+            except (NonlinearUnsupported, Unsatisfiable):
                 continue
-            if solved is None:
-                continue
-            bound = _term_series(solved[1], env, dim)
-            if bound not in seen:
+            # a one-atom store holds that atom's bound, if it names one
+            bound = next((b for b in store if b is not None), None)
+            if bound is not None and bound not in seen:
                 seen.add(bound)
                 batches[-1].append(bound)
     return batches
@@ -1080,7 +1063,7 @@ def derived_oracle(completion: Completion, basis: SpanBasis,
     """Answer side queries from the completion: the store bounds decide
     outright, anything strictly between them is settled against the
     canonical gap center (a counted free decision)."""
-    center_box: dict = {}
+    center = gap_center(completion.lower, completion.upper, dim)
 
     def side(e: Series) -> Side:
         if completion.point is not None:
@@ -1091,11 +1074,8 @@ def derived_oracle(completion: Completion, basis: SpanBasis,
         if completion.upper is not None and \
                 compare_series(e, completion.upper) >= 0:
             return Side.ABOVE
-        if "center" not in center_box:
-            center_box["center"] = gap_center(completion.lower,
-                                              completion.upper, dim)
         counters["free_decisions"] += 1
-        return Side(compare_series(e, center_box["center"]))
+        return Side(compare_series(e, center))
 
     enum = standard_height_enum(basis.generators, paced=paced)
     return CutOracle(side, enum)
@@ -1118,7 +1098,7 @@ def realize_type(tau: PartialType, env: dict, mode: str = "group",
     dim = _infer_dim(None, env, dim)
     completion = complete_type(tau, env, mode, budgets, dim)
     generators = [env[p] for p in tau.params] if tau.params \
-        else [monomial(make_exp((0,), dim), Fraction(1), dim)]
+        else [monomial((0,), 1, dim)]
     basis = valuation_basis(generators)
     paced = _theta_bound_elements(list(completion.thetas), env, tau.var, dim)
     counters = {"free_decisions": 0}
@@ -1161,13 +1141,6 @@ def _clamp_to_store(witness: Series, completion: Completion,
 # report rendering
 
 
-def _fmt_level(gamma) -> str:
-    vals = list(gamma)
-    while len(vals) > 1 and vals[-1] == 0:
-        vals.pop()
-    return "(" + ",".join(str(v) for v in vals) + ")"
-
-
 def _classification_lines(cls: object) -> list:
     if isinstance(cls, Realized):
         return ["realized", f"element: {format_series(cls.element)}"]
@@ -1175,11 +1148,11 @@ def _classification_lines(cls: object) -> list:
         return ["residue-transcendental",
                 f"d0: {format_series(cls.d0)}",
                 f"scale: {format_series(cls.scale)}",
-                f"level: {_fmt_level(cls.level)}",
+                f"level: {_format_exp(cls.level)}",
                 f"residue: {format_scalar(cls.residue)}"]
     if isinstance(cls, GroupTranscendental):
-        lo = _fmt_level(cls.lower) if cls.lower is not None else "none"
-        hi = _fmt_level(cls.upper) if cls.upper is not None else "none"
+        lo = _format_exp(cls.lower) if cls.lower is not None else "none"
+        hi = _format_exp(cls.upper) if cls.upper is not None else "none"
         return ["value-transcendental",
                 f"d0: {format_series(cls.d0)}",
                 f"window: {lo} .. {hi}",

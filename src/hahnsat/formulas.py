@@ -33,6 +33,7 @@ from .errors import (
 )
 from .series import (
     Series,
+    _format_exp,
     add as series_add,
     compare_series,
     make_exp,
@@ -258,14 +259,6 @@ def _format_mono(m: Monomial) -> str:
     return "*".join(parts)
 
 
-def _format_lit_exp(e: tuple) -> str:
-    from .scalars import format_rational
-
-    if not e:
-        return "t^(0)"
-    return "t^(" + ",".join(format_rational(q) for q in e) + ")"
-
-
 def _side_text(t: Term) -> str:
     from .scalars import format_rational
 
@@ -274,7 +267,7 @@ def _side_text(t: Term) -> str:
         body = _format_mono(m)
         chunks.append(body if q == 1 else f"{format_rational(q)}*{body}")
     for e, q in t.lits:
-        body = _format_lit_exp(e)
+        body = "t^" + _format_exp(e)
         chunks.append(body if q == 1 else f"{format_rational(q)}*{body}")
     const = dict(t.syms).get(CONST)
     if const:

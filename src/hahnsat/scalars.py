@@ -309,18 +309,21 @@ def _resultant_poly(a: RealAlgebraic, b: RealAlgebraic, op: str) -> list[tuple[i
     return _sympy_factors(tuple(cs))
 
 
+def _interval_op(op: str, a: tuple, b: tuple) -> tuple:
+    """Interval hull of a + b ("add") or a * b (any other op)."""
+    (alo, ahi), (blo, bhi) = a, b
+    if op == "add":
+        return alo + blo, ahi + bhi
+    prods = [alo * blo, alo * bhi, ahi * blo, ahi * bhi]
+    return min(prods), max(prods)
+
+
 def _combine(a: RealAlgebraic, b: RealAlgebraic, op: str):
     factors = _resultant_poly(a, b, op)
     chains = {fc: _sturm_chain(fc) for fc in factors}
     width = Fraction(1, 16)
     for _ in range(80):
-        alo, ahi = a.refine(width)
-        blo, bhi = b.refine(width)
-        if op == "add":
-            lo, hi = alo + blo, ahi + bhi
-        else:
-            prods = [alo * blo, alo * bhi, ahi * blo, ahi * bhi]
-            lo, hi = min(prods), max(prods)
+        lo, hi = _interval_op(op, a.refine(width), b.refine(width))
         hits = []
         for fc in factors:
             if len(fc) == 2:
@@ -499,13 +502,8 @@ def _oracle_arith(a, b, op: str) -> OracleReal:
     def approx(n: int):
         m = n + 2
         while True:
-            alo, ahi = approx_interval(a, m)
-            blo, bhi = approx_interval(b, m)
-            if op == "add":
-                lo, hi = alo + blo, ahi + bhi
-            else:
-                prods = [alo * blo, alo * bhi, ahi * blo, ahi * bhi]
-                lo, hi = min(prods), max(prods)
+            lo, hi = _interval_op(op, approx_interval(a, m),
+                                  approx_interval(b, m))
             if hi - lo <= Fraction(1, 2**n):
                 return lo, hi
             m += 4

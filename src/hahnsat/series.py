@@ -477,12 +477,13 @@ def arch_ratio(y: Series, x: Series):
 
 
 def _format_exp(exp) -> str:
+    """`(q1,...,qk)` without trailing zero coordinates; `(0)` for zero."""
     from .scalars import format_rational
 
     coords = list(exp)
     while coords and coords[-1] == 0:
         coords.pop()
-    return "(" + ",".join(format_rational(q) for q in coords) + ")"
+    return "(" + (",".join(format_rational(q) for q in coords) or "0") + ")"
 
 
 def format_series(x: Series) -> str:
@@ -499,13 +500,12 @@ def format_series(x: Series) -> str:
         else:
             sign = scalar_sign(c)
             mag = format_scalar(c if sign > 0 else scalar_neg(c))
-        stripped = _format_exp(exp)
-        if stripped == "()":
+        if not any(exp):
             body = mag
         elif mag == "1":
-            body = f"t^{stripped}"
+            body = f"t^{_format_exp(exp)}"
         else:
-            body = f"{mag}*t^{stripped}"
+            body = f"{mag}*t^{_format_exp(exp)}"
         if i == 0:
             parts.append(("-" if sign < 0 else "") + body)
         else:

@@ -127,7 +127,9 @@ def path_from_real(tree: TreeOracle, r, depth: int,
                    precision_budget: int = 64) -> list:
     """The chain of tree nodes whose intervals contain r, down to the given
     depth (depth+1 nodes, starting at the root).  Node intervals cover
-    [0, 1), so a real outside it is a ValueError."""
+    [0, 1), so a real outside it is a ValueError, as is a negative depth."""
+    if depth < 0:
+        raise ValueError(f"depth must be at least 0, got {depth}")
     if (not _side_of(r, Fraction(0), precision_budget)
             or _side_of(r, Fraction(1), precision_budget)):
         raise ValueError("tree path needs a real in [0, 1)")
@@ -176,7 +178,9 @@ def find_path_bounded(tree: TreeOracle, depth: int) -> Optional[str]:
     """Leftmost node of exactly the given length whose prefixes all lie in
     the tree; None when the tree dies out earlier.  A node's membership is
     tested when it is popped, so a right child is tested only after the
-    subtree to its left has died."""
+    subtree to its left has died.  A negative depth is a ValueError."""
+    if depth < 0:
+        raise ValueError(f"depth must be at least 0, got {depth}")
     stack = [""]
     while stack:
         node = stack.pop()

@@ -71,6 +71,7 @@ class TestTypeFiles:
         ("param g1 = t\ngenerator scalar_cut 1/0 g1\n", 22),  # the literal
         ("param g1 = t\ngenerator immediate-tail g1\n", 26),  # the extra arg
         ("generator immediate-tail\n generator immediate-tail\n", 2),
+        ("param g1 = t\n  formula g1 < x + g2\n", 20),  # undeclared symbol
     ])
     def test_error_column_points_into_the_line(self, tmp_path, text, column):
         p = tmp_path / "bad.type"
@@ -78,6 +79,12 @@ class TestTypeFiles:
         with pytest.raises(ParseError, match="bad.type:2") as ei:
             load_type_file(str(p), 2)
         assert ei.value.column == column
+
+    def test_param_may_follow_its_formula(self, tmp_path):
+        p = tmp_path / "late.type"
+        p.write_text("formula exists y (y < x and g1 < y)\nparam g1 = t\n")
+        tau, params = load_type_file(str(p), 2)
+        assert set(params) == {"g1"}
 
     def test_unknown_generator(self, tmp_path):
         p = tmp_path / "bad.type"
@@ -277,6 +284,23 @@ class TestExitCodes:
     def test_pseudo_limit_rejects_non_pseudo_cauchy(self, capsys):
         rc, _, err = run(capsys, "pseudo-limit", "1, 2, 3")
         assert rc == 1 and "pseudo-Cauchy" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("realize",), ("eval", "--at", "t")])
+    def test_undeclared_symbol_exits_one(self, capsys, tmp_path, argv):
+        p = tmp_path / "bad.type"
+        p.write_text("param g1 = t\nformula g2 < x\n")
+        rc, out, err = run(capsys, argv[0], str(p), *argv[1:])
+        assert rc == 1 and out == ""
+        assert "bad.type:2: unknown symbol 'g2' (column 9)" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("path", "full", "1/3", "-2"), ("search", "full", "-1"),
+        ("search", "single:1011", "-1"), ("search", "seeded:3", "-1")])
+    def test_negative_tree_depth_exits_one(self, capsys, argv):
+        rc, out, err = run(capsys, "tree", *argv)
+        assert rc == 1 and out == ""
+        assert "error: depth must be at least 0" in err
 
     def test_tree_path_off_tree_exits_one(self, capsys):
         rc, _, err = run(capsys, "tree", "path", "single:000", "3/4", "2")

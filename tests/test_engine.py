@@ -34,6 +34,7 @@ from hahnsat.errors import (
     BudgetExhausted,
     NotFinitelySatisfiable,
     OracleFailure,
+    PseudoLimitUnverified,
 )
 from hahnsat.formulas import PartialType, format_formula, parse_formula
 from hahnsat.scalars import (
@@ -53,6 +54,7 @@ from hahnsat.series import (
     negate,
     parse_series,
     scale,
+    subtract,
     zero_series,
 )
 from hahnsat.valbasis import valuation_basis
@@ -514,6 +516,38 @@ class TestClassifyField:
                          mode="group")
 
 
+class TestRealizeImmediateRefusals:
+    """The pseudo-limit realization refuses a record chain it cannot
+    certify, naming the record at fault."""
+
+    def test_records_not_pseudo_cauchy(self):
+        # every difference has valuation 0: the records do not contract
+        chain = tuple(from_scalar(F(10 ** k - 1, 10 ** k), DIM)
+                      for k in range(1, 5))
+        oracle = oracle_from_value(ONE, standard_height_enum([ONE]))
+        with pytest.raises(PseudoLimitUnverified,
+                           match="record subsequence is not pseudo-Cauchy") \
+                as ei:
+            realize_cut_field(ImmediateTranscendental(chain, chain), oracle,
+                              valuation_basis([ONE]), Budgets())
+        assert ei.value.query == "9999/10000"
+
+    def test_witness_misses_a_record_valuation(self):
+        # records 1, 2 - t, 2 - t^2 below the hidden 10; a logged 5 lies past
+        # them, so the witness built on it is far from 2 - t
+        two = from_scalar(2, DIM)
+        chain = (ONE, subtract(two, T), subtract(two, t_pow(2)))
+        oracle = oracle_from_value(from_scalar(10, DIM),
+                                   standard_height_enum([ONE]))
+        oracle.side(from_scalar(5, DIM))
+        with pytest.raises(PseudoLimitUnverified,
+                           match="witness misses a difference valuation") \
+                as ei:
+            realize_cut_field(ImmediateTranscendental(chain, chain), oracle,
+                              valuation_basis([ONE]), Budgets())
+        assert ei.value.query == "2 - t^(1)"
+
+
 class TestFieldRankGuard:
     """The chain's difference valuations may span at most as many
     dimensions as there are generators."""
@@ -860,3 +894,22 @@ class TestReportDigest:
                                budgets=Budgets(formula_prefix_budget=100))
             h.update(res.report.encode())
         assert h.hexdigest() == self.CANDIDATE_DIGEST
+
+    # the field types whose level scans resolve the most levels per
+    # approximation: each resolved level leaves the observed bounds in force
+    LEVEL_SCAN_SEEDS = (1018, 1045)
+    LEVEL_SCAN_DIGEST = \
+        "658cfa5c32540fee5e56ab921db903961e0c843a4b3b3c0e54239c437024fbf4"
+
+    def test_level_scan_reports_are_byte_identical(self):
+        import hashlib
+
+        from test_acceptance import _generated_type
+
+        h = hashlib.sha256()
+        for seed in self.LEVEL_SCAN_SEEDS:
+            tau, env = _generated_type(seed)
+            res = realize_type(tau, env, mode="field",
+                               budgets=Budgets(formula_prefix_budget=100))
+            h.update(res.report.encode())
+        assert h.hexdigest() == self.LEVEL_SCAN_DIGEST

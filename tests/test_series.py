@@ -77,6 +77,15 @@ class TestValuation:
         with pytest.raises(TruncationInsufficient):
             valuation(hollow)
 
+    def test_zero_bound_prints_as_zero_exponent(self):
+        # messages and repr share the report's exponent text: (0), not ()
+        hollow = Series({}, DIM, trunc=(0, 0))
+        with pytest.raises(TruncationInsufficient) as ei:
+            valuation(hollow)
+        assert str(ei.value) == \
+            "no terms below the bound (0); valuation unknown"
+        assert repr(hollow) == "<0 (below (0))>"
+
     def test_infinity_ordering(self):
         e = make_exp([100], DIM)
         assert e < INFINITY

@@ -162,6 +162,10 @@ class TestPathFromReal:
         with pytest.raises(ValueError, match=r"\[0, 1\)"):
             path_from_real(full_tree(), r, 3)
 
+    def test_negative_depth_rejected(self):
+        with pytest.raises(ValueError, match="depth must be at least 0"):
+            path_from_real(full_tree(), Fraction(1, 3), -2)
+
 
 class TestRealFromPath:
     def test_example(self):
@@ -198,6 +202,13 @@ class TestFindPathBounded:
 
     def test_chain_padding(self):
         assert find_path_bounded(single_chain("101"), 6) == "101000"
+
+    @pytest.mark.parametrize("tree", [full_tree(), single_chain("1011"),
+                                      seeded_tree(3)])
+    def test_negative_depth_rejected(self, tree):
+        # no node has a negative length: the search would never end
+        with pytest.raises(ValueError, match="depth must be at least 0"):
+            find_path_bounded(tree, -1)
 
     def test_matches_exhaustive_enumeration(self):
         rng = random.Random(13)
