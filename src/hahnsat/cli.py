@@ -21,7 +21,6 @@ import math
 import re
 import sys
 from contextlib import contextmanager
-from fractions import Fraction
 
 from .engine import (
     Budgets,
@@ -33,10 +32,10 @@ from .errors import (
     NotFinitelySatisfiable,
     ParseError,
 )
-from .formulas import PartialType, doag_qe, eval_formula, format_formula, \
-    free_symbols, parse_formula
-from .scalars import approx_interval, parse_scalar
-from .series import format_series, parse_series
+from .formulas import PartialType, _first_free, doag_qe, eval_formula, \
+    format_formula, free_symbols, parse_formula
+from .scalars import approx_interval, parse_rational, parse_scalar
+from .series import _top_level, format_series, parse_series
 from .trees import find_path_bounded, node_interval, path_from_real, \
     tree_from_notation
 from .valbasis import PseudoSequence, check_pseudo_cauchy, pseudo_limit, \
@@ -176,11 +175,10 @@ def load_type_file(path: str, dim: int):
     known = set(params) | {TYPE_VAR}
     for f, lineno, raw, start in formulas:
         unknown = free_symbols(f) - known
-        for m in re.finditer(r"\w+", raw[start:]):
-            if m.group() in unknown:
-                raise ParseError(
-                    f"{path}:{lineno}: unknown symbol {m.group()!r}",
-                    start + m.start() + 1)
+        if unknown:
+            name, col = _first_free(raw[start:], unknown)
+            raise ParseError(f"{path}:{lineno}: unknown symbol {name!r}",
+                             start + col)
 
     head = [f for f, *_ in formulas]
 
@@ -240,17 +238,9 @@ def cmd_qe(args) -> int:
 
 def _parse_series_list(text: str, dim: int) -> list:
     """Series literals separated by commas outside () and []."""
-    parts, depth, start = [], 0, 0
-    for i, ch in enumerate(text):
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append(text[start:i])
-            start = i + 1
-    parts.append(text[start:])
-    return [parse_series(part.strip(), dim) for part in parts]
+    cuts = [i for i, ch in _top_level(text) if ch == ","]
+    return [parse_series(text[a + 1:b].strip(), dim)
+            for a, b in zip([-1] + cuts, cuts + [len(text)])]
 
 
 def cmd_basis(args) -> int:
@@ -277,7 +267,7 @@ def cmd_tree(args) -> int:
         return 0
     tree = tree_from_notation(args.tree)
     if args.tree_command == "path":
-        path = path_from_real(tree, Fraction(args.real), args.depth)
+        path = path_from_real(tree, parse_rational(args.real), args.depth)
         _emit_output("\n".join(path[1:]) + "\n", args.out)
         return 0
     found = find_path_bounded(tree, args.depth)

@@ -22,8 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from typing import Callable, Iterable, Optional, Sequence
+from functools import cache, reduce
+from typing import Callable, Iterable, Optional
 
 from .errors import (
     BudgetExhausted,
@@ -31,9 +31,11 @@ from .errors import (
     ParseError,
     Unsatisfiable,
 )
+from .scalars import format_rational
 from .series import (
     Series,
     _format_exp,
+    _strip_exp,
     add as series_add,
     compare_series,
     make_exp,
@@ -119,13 +121,6 @@ class Term:
             for s, _p in m:
                 out.add(s)
         return out
-
-
-def _strip_exp(exp: Sequence[Fraction]) -> tuple:
-    coords = list(exp)
-    while coords and coords[-1] == 0:
-        coords.pop()
-    return tuple(coords)
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +255,6 @@ def _format_mono(m: Monomial) -> str:
 
 
 def _side_text(t: Term) -> str:
-    from .scalars import format_rational
-
     chunks = []
     for m, q in sorted((m, q) for m, q in t.syms if m != CONST):
         body = _format_mono(m)
@@ -357,6 +350,26 @@ def parse_formula(text: str) -> Formula:
     return f
 
 
+def _first_free(text: str, names: set) -> tuple:
+    """(name, column) of the first symbol of the formula `text` that is in
+    `names` and lies outside every exists/forall binding it; a binder's
+    scope is the parenthesis after its variable, as `_parse_not` reads it."""
+    toks = _Tokens(text).toks
+    scopes = []  # (bound name, depth of the parenthesis its binder opens)
+    depth = 0
+    for i, (_kind, val, col) in enumerate(toks):
+        if val == "(":
+            depth += 1
+        elif val == ")":
+            depth -= 1
+            while scopes and scopes[-1][1] > depth:
+                scopes.pop()
+        elif val in ("exists", "forall"):
+            scopes.append((toks[i + 1][1], depth + 1))
+        elif val in names and all(val != bound for bound, _ in scopes):
+            return val, col
+
+
 def _parse_or(toks) -> Formula:
     left = _parse_and(toks)
     while toks.peek()[1] == "or":
@@ -414,18 +427,14 @@ def _parse_atom(toks) -> Formula:
 
 
 def _parse_term(toks) -> Term:
-    sign = Fraction(1)
-    while toks.peek()[1] in ("+", "-"):
-        if toks.next()[1] == "-":
-            sign = -sign
-    acc = _parse_product(toks).scaled(sign)
-    while toks.peek()[1] in ("+", "-"):
+    products = []
+    while not products or toks.peek()[1] in ("+", "-"):
         sign = Fraction(1)
         while toks.peek()[1] in ("+", "-"):
             if toks.next()[1] == "-":
                 sign = -sign
-        acc = acc.plus(_parse_product(toks).scaled(sign))
-    return acc
+        products.append(_parse_product(toks).scaled(sign))
+    return reduce(Term.plus, products)
 
 
 def _parse_product(toks) -> Term:
@@ -525,28 +534,27 @@ def _infer_dim(f: Formula, env: dict, dim: Optional[int]) -> int:
     return best
 
 
+def _parts(f: Formula) -> tuple:
+    """The immediate subformulas of f."""
+    if isinstance(f, (Not, Exists)):
+        return (f.body,)
+    if isinstance(f, (And, Or)):
+        return (f.left, f.right)
+    return ()
+
+
 def iter_atoms(f: Formula) -> Iterable[Atom]:
     if isinstance(f, Atom):
         yield f
-    elif isinstance(f, Not):
-        yield from iter_atoms(f.body)
-    elif isinstance(f, (And, Or)):
-        yield from iter_atoms(f.left)
-        yield from iter_atoms(f.right)
-    elif isinstance(f, Exists):
-        yield from iter_atoms(f.body)
+    for g in _parts(f):
+        yield from iter_atoms(g)
 
 
 def free_symbols(f: Formula) -> set:
     if isinstance(f, Atom):
         return f.pos.free_symbols() | f.neg.free_symbols()
-    if isinstance(f, Not):
-        return free_symbols(f.body)
-    if isinstance(f, (And, Or)):
-        return free_symbols(f.left) | free_symbols(f.right)
-    if isinstance(f, Exists):
-        return free_symbols(f.body) - {f.var}
-    return set()
+    out = set().union(*map(free_symbols, _parts(f)))
+    return out - {f.var} if isinstance(f, Exists) else out
 
 
 def eval_formula(f: Formula, env: dict, dim: Optional[int] = None) -> bool:
@@ -559,13 +567,7 @@ def eval_formula(f: Formula, env: dict, dim: Optional[int] = None) -> bool:
 
 
 def _has_quantifier(f: Formula) -> bool:
-    if isinstance(f, Exists):
-        return True
-    if isinstance(f, Not):
-        return _has_quantifier(f.body)
-    if isinstance(f, (And, Or)):
-        return _has_quantifier(f.left) or _has_quantifier(f.right)
-    return False
+    return isinstance(f, Exists) or any(map(_has_quantifier, _parts(f)))
 
 
 def _eval_qf(f: Formula, env: dict, dim: int) -> bool:
@@ -930,12 +932,10 @@ class _Enumeration:
         return max(5, 2 * side + 3)
 
 
+@cache
 def _sides_of_length(sig: Signature, L: int):
     """All canonical side prints of exact length L as
     (print, support frozenset, coefficient items)."""
-    cache = _side_cache.setdefault(sig, {})
-    if L in cache:
-        return cache[L]
     out = []
     if L == 1:
         out.append(("0", frozenset(), ()))
@@ -976,19 +976,16 @@ def _sides_of_length(sig: Signature, L: int):
                       acc_coeffs + [(((sym, 1),), Fraction(coeff))])
 
     build(0, L, "", set(), [])
-    result = sorted(set(out))
-    cache[L] = result
-    return result
+    return sorted(set(out))
 
 
-_side_cache: dict = {}
-_enum_cache: dict = {}
+_enumeration_of = cache(_Enumeration)  # one enumeration per signature
 
 
 def _enumeration(sig: Signature, n: int) -> _Enumeration:
     """The cached enumeration of sig, extended to at least n formulas, or to
     the whole fragment when it has fewer."""
-    enum = _enum_cache.setdefault(sig, _Enumeration(sig))
+    enum = _enumeration_of(sig)
     while len(enum.by_index) < n and \
             enum.complete_len < enum.max_possible_len:
         enum.extend_to_length(enum.complete_len + 1)
@@ -1035,7 +1032,7 @@ def formula_index(f: Formula, sig: Signature) -> int:
     text = str(f)
     if not _in_fragment(f, sig):
         raise ValueError(f"not in the enumerable fragment: {text}")
-    enum = _enum_cache.setdefault(sig, _Enumeration(sig))
+    enum = _enumeration(sig, 0)
     enum.extend_to_length(min(len(text), enum.max_possible_len))
     idx = enum.index_of.get(text)
     if idx is None:

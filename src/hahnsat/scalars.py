@@ -209,15 +209,12 @@ class RealAlgebraic:
         return format_scalar(self)
 
 
-def _index_of_root(coeffs: tuple[int, ...], lo: Fraction) -> int:
-    chain = _sturm_chain(coeffs)
-    bound = Fraction(_root_bound(coeffs))
-    return _count_roots(chain, -bound, lo)
-
-
 def _make_algebraic(coeffs: tuple[int, ...], lo: Fraction, hi: Fraction):
-    """Trusted constructor: coeffs irreducible deg >= 2, (lo, hi) isolating."""
-    return RealAlgebraic(coeffs, _index_of_root(coeffs, lo), lo, hi)
+    """Trusted constructor: coeffs irreducible deg >= 2, (lo, hi) isolating;
+    the index counts the roots at or below lo."""
+    index = _count_roots(_sturm_chain(coeffs), -Fraction(_root_bound(coeffs)),
+                         lo)
+    return RealAlgebraic(coeffs, index, lo, hi)
 
 
 def _sympy_factors(coeffs: Sequence[int]) -> list[tuple[int, ...]]:
@@ -348,7 +345,8 @@ def scalar_neg(a):
         return -a
     if isinstance(a, RealAlgebraic):
         return _ralg_affine(a, Fraction(-1), Fraction(0))
-    return oracle_map1(a, lambda lo, hi: (-hi, -lo), f"-({a.name})")
+    return _oracle_from((a,), lambda iv: (-iv[1], -iv[0]), f"-({a.name})",
+                        0, 0)
 
 
 def scalar_add(a, b):
@@ -393,24 +391,17 @@ def scalar_inv(a):
     for n in range(1, _DEFAULT_PRECISION + 1):
         lo, hi = a.interval(n)
         if lo > 0 or hi < 0:
-            return _oracle_inv(a, n)
+            return _oracle_from((a,), _inverse_interval, f"1/({a.name})",
+                                n, 0)
     raise OracleFailure(
         f"{a.name}: not separated from zero within precision {_DEFAULT_PRECISION}"
     )
 
 
-def _oracle_inv(a: OracleReal, n_sep: int) -> OracleReal:
-    def approx(n: int):
-        m = max(n_sep, n)
-        while True:
-            lo, hi = a.interval(m)
-            if lo > 0 or hi < 0:
-                ilo, ihi = 1 / hi, 1 / lo
-                if ihi - ilo <= Fraction(1, 2**n):
-                    return ilo, ihi
-            m += 4
-
-    return OracleReal(approx, name=f"1/({a.name})")
+def _inverse_interval(iv):
+    """The interval of 1/x for x in iv; None (undecided) while iv holds 0."""
+    lo, hi = iv
+    return None if lo <= 0 <= hi else (1 / hi, 1 / lo)
 
 
 def scalar_is_zero(a) -> bool:
@@ -490,25 +481,24 @@ def oracle_bits(int_part: int, bit: Callable[[int], int], name: str = "bits") ->
     return OracleReal(approx, name=name)
 
 
-def oracle_map1(o, f, name: str) -> OracleReal:
+def _oracle_from(parts, combine, name: str, floor: int, lead: int) -> OracleReal:
+    """The oracle whose interval at n is `combine` of the parts' intervals
+    at precision m, from m = max(floor, n + lead) up in steps of 4 until
+    `combine` decides (returns an interval, not None) within 2^-n."""
     def approx(n: int):
-        lo, hi = approx_interval(o, n)
-        return f(lo, hi)
+        m = max(floor, n + lead)
+        while True:
+            iv = combine(*(approx_interval(p, m) for p in parts))
+            if iv is not None and iv[1] - iv[0] <= Fraction(1, 2**n):
+                return iv
+            m += 4
 
     return OracleReal(approx, name=name)
 
 
 def _oracle_arith(a, b, op: str) -> OracleReal:
-    def approx(n: int):
-        m = n + 2
-        while True:
-            lo, hi = _interval_op(op, approx_interval(a, m),
-                                  approx_interval(b, m))
-            if hi - lo <= Fraction(1, 2**n):
-                return lo, hi
-            m += 4
-
-    return OracleReal(approx, name=f"({a!r} {op} {b!r})")
+    return _oracle_from((a, b), lambda x, y: _interval_op(op, x, y),
+                        f"({a!r} {op} {b!r})", 0, 2)
 
 
 def approx_interval(x, n: int) -> tuple[Fraction, Fraction]:
@@ -554,8 +544,6 @@ def compare(a, b, precision_budget: int | None = None) -> int:
 
 
 def _compare_exact(a, b) -> int:
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return (a > b) - (a < b)
     if isinstance(a, Fraction):
         return -_ralg_vs_rational(b, a)
     if isinstance(b, Fraction):

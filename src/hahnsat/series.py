@@ -38,6 +38,7 @@ from .errors import (
 from .scalars import (
     OracleReal,
     compare,
+    format_rational,
     format_scalar,
     parse_scalar,
     scalar_add,
@@ -100,6 +101,14 @@ def exp_neg(a: Exponent) -> Exponent:
 
 def exp_scale(a: Exponent, q: Fraction) -> Exponent:
     return tuple(x * q for x in a)
+
+
+def _strip_exp(exp) -> tuple:
+    """The coordinates of `exp` without its trailing zeros."""
+    coords = list(exp)
+    while coords and coords[-1] == 0:
+        coords.pop()
+    return tuple(coords)
 
 
 def make_exp(values, dim: int) -> Exponent:
@@ -207,9 +216,7 @@ def monomial(exponent, coeff, dim: Optional[int] = None) -> Series:
 
 
 def from_scalar(c, dim: int) -> Series:
-    if isinstance(c, int):
-        c = Fraction(c)
-    return Series._raw({} if scalar_is_zero(c) else {zero_exp(dim): c}, dim)
+    return monomial((), c, dim)
 
 
 _ZERO = Fraction(0)  # the coefficient of a missing term
@@ -478,12 +485,7 @@ def arch_ratio(y: Series, x: Series):
 
 def _format_exp(exp) -> str:
     """`(q1,...,qk)` without trailing zero coordinates; `(0)` for zero."""
-    from .scalars import format_rational
-
-    coords = list(exp)
-    while coords and coords[-1] == 0:
-        coords.pop()
-    return "(" + (",".join(format_rational(q) for q in coords) or "0") + ")"
+    return "(" + (",".join(map(format_rational, _strip_exp(exp))) or "0") + ")"
 
 
 def format_series(x: Series) -> str:
@@ -513,38 +515,42 @@ def format_series(x: Series) -> str:
     return "".join(parts)
 
 
-def _split_top_level(text: str):
-    """Split a series literal into signed term chunks at depth-0 +/-."""
-    chunks = []
+def _top_level(text: str):
+    """(i, ch) for each character of `text` outside () and [], the
+    outermost brackets themselves included; ParseError on unbalanced
+    brackets, at a stray closer or at the end for an unclosed one."""
     depth = 0
-    start = 0
-    sign = 1
-    i = 0
-    prev_hat = False
-    first = True
-    while i < len(text):
-        ch = text[i]
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
+    for i, ch in enumerate(text):
+        if ch in ")]":
             depth -= 1
             if depth < 0:
                 raise ParseError("unbalanced brackets", i + 1)
-        elif ch in "+-" and depth == 0 and not prev_hat:
+        if depth == 0:
+            yield i, ch
+        if ch in "([":
+            depth += 1
+    if depth:
+        raise ParseError("unbalanced brackets", len(text))
+
+
+def _split_top_level(text: str):
+    """Split a series literal into signed term chunks at top-level +/-."""
+    chunks = []
+    start = 0
+    sign = 1
+    prev_hat = False
+    for i, ch in _top_level(text):
+        if ch in "+-" and not prev_hat:
             if text[start:i].strip():
                 chunks.append((sign, text[start:i], start))
                 sign = 1
-            elif not first and not text[start:i].strip():
+            elif start:
                 raise ParseError("empty term", i + 1)
             if ch == "-":
                 sign = -sign
             start = i + 1
-            first = False
         if not ch.isspace():
             prev_hat = ch == "^"
-        i += 1
-    if depth != 0:
-        raise ParseError("unbalanced brackets", len(text))
     if not text[start:].strip():
         raise ParseError("trailing operator", len(text))
     chunks.append((sign, text[start:], start))
@@ -575,22 +581,10 @@ def _parse_exponent(text: str, col: int, dim: int) -> Exponent:
 
 
 def _parse_term(sign: int, chunk: str, col: int, dim: int):
-    body = chunk.strip()
-    if not body:
-        raise ParseError("empty term", col + 1)
-    coeff_text = None
-    t_part = None
-    depth = 0
-    for i, ch in enumerate(chunk):
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        elif ch == "*" and depth == 0:
-            coeff_text = chunk[:i]
-            t_part = chunk[i + 1:]
-            break
-    if t_part is None:
+    star = next((i for i, ch in _top_level(chunk) if ch == "*"), None)
+    if star is not None:
+        coeff_text, t_part = chunk[:star], chunk[star + 1:]
+    else:
         stripped = chunk.strip()
         if stripped == "t" or stripped.startswith("t^"):
             coeff_text, t_part = None, chunk

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import BoundaryUndecided, NodeNotInTree, NotAChain
-from .scalars import approx_interval
+from .scalars import OracleReal, approx_interval
 
 BinString = str
 
@@ -211,8 +211,6 @@ def _expansion_bits(r, k: int) -> int:
 def join(r1, r2):
     """OracleReal interleaving the binary expansions of two reals in [0,1):
     r1 on even positions, r2 on odd."""
-    from .scalars import OracleReal
-
     def approx(n: int):
         m = n // 2 + 1
         b1 = _expansion_bits(r1, m)
@@ -230,8 +228,6 @@ def join(r1, r2):
 
 def deinterleave(r):
     """Recover the two interleaved components of a joined real."""
-    from .scalars import OracleReal
-
     def component(offset: int, name: str):
         def approx(n: int):
             k = n + 1

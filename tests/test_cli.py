@@ -376,3 +376,29 @@ class TestEval:
                          "--at", "2*t^(1)", "--prefix", "10")
         assert rc == 0
         assert out == "PASS  g1 < x\nFAIL  x < g1\n"
+
+
+class TestInputErrors:
+    def test_tree_path_bad_rational_exits_one(self, capsys):
+        rc, out, err = run(capsys, "tree", "path", "full", "1/0", "3")
+        assert rc == 1 and out == ""
+        assert "error: bad rational '1/0' (column 1)" in err
+
+    def test_unbalanced_list_reports_its_column_in_the_argument(self, capsys):
+        rc, out, err = run(capsys, "basis", "t, t^(1")
+        assert rc == 1 and out == ""
+        assert "error: unbalanced brackets (column 7)" in err
+
+    @pytest.mark.parametrize("text, column", [
+        ("formula exists y (y < x) and y < 1\n", 30),
+        ("formula forall y (y < x or 0 < y) and y < 1\n", 39),
+        ("formula exists y (exists z (y < z and z < x)) and 0 < z\n", 55),
+        ("param g1 = t\n  formula g1 < x + g2\n", 20),
+    ])
+    def test_unknown_symbol_column_skips_bound_occurrences(
+            self, tmp_path, text, column):
+        p = tmp_path / "bad.type"
+        p.write_text(text)
+        with pytest.raises(ParseError, match="unknown symbol") as ei:
+            load_type_file(str(p), 2)
+        assert ei.value.column == column

@@ -534,3 +534,27 @@ class TestEnumeration:
                "g2": parse_series("-3 + t")}
         for i in range(200):
             assert eval_formula(enumerate_formulas(i, self.sig), env) in (True, False)
+
+
+class TestWalks:
+    """iter_atoms, free_symbols and the quantifier test descend through
+    every connective."""
+
+    f = parse_formula("not (a < x) and (b = x or exists y (y < x and c < y))")
+
+    def test_iter_atoms(self):
+        from hahnsat.formulas import iter_atoms
+
+        assert [str(a) for a in iter_atoms(self.f)] == \
+            ["a < x", "b = x", "y < x", "c < y"]
+
+    def test_free_symbols(self):
+        from hahnsat.formulas import free_symbols
+
+        assert free_symbols(self.f) == {"a", "b", "c", "x"}
+
+    def test_has_quantifier(self):
+        from hahnsat.formulas import _has_quantifier
+
+        assert _has_quantifier(self.f)
+        assert not _has_quantifier(parse_formula("not (a < x) or b = x"))

@@ -405,3 +405,39 @@ class TestSimplestBetween:
         assert simplest_between(Fraction(-1, 2), Fraction(1, 3)) == Fraction(0)
         assert simplest_between(Fraction(5, 2), Fraction(7, 2)) == Fraction(3)
         assert simplest_between(Fraction(-22, 7), Fraction(-3)) == Fraction(-25, 8)
+
+
+class TestOracleConstructors:
+    """Names and intervals of the oracles built by negation, inversion and
+    arithmetic, including the precision retries."""
+
+    @staticmethod
+    def third():
+        return oracle_bits(0, lambda i: i % 2, name="third")
+
+    @staticmethod
+    def big():
+        return oracle_bits(5, lambda i: i % 3 == 0, name="big")
+
+    def test_negation(self):
+        n = scalar_neg(self.third())
+        assert n.name == "-(third)"
+        assert n.interval(3) == (Fraction(-3, 8), Fraction(-1, 4))
+
+    def test_inverse_retries_precision(self):
+        i = scalar_inv(self.third())
+        assert i.name == "1/(third)"
+        assert i.interval(9) == (Fraction(8192, 2731), Fraction(4096, 1365))
+
+    def test_product_retries_precision(self):
+        big = self.big()
+        p = scalar_mul(big, big)
+        assert p.name == "(<big> mul <big>)"
+        assert p.interval(3) == (Fraction(508369, 16384),
+                                 Fraction(8139609, 262144))
+
+    def test_sum_with_a_rational(self):
+        s = scalar_add(self.third(), Fraction(1, 2))
+        assert s.name == "(<third> add Fraction(1, 2))"
+        assert s.interval(2) == (Fraction(13, 16), Fraction(7, 8))
+        assert s.interval(5) == (Fraction(53, 64), Fraction(107, 128))

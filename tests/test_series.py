@@ -552,3 +552,25 @@ class TestTrustedPath:
                 diff_valuation(x, cut)
         finally:
             _UnhashableFraction.armed = False
+
+
+class TestSplitter:
+    """Top-level splitting of series literals: bracket depth, signs and
+    their error columns."""
+
+    @pytest.mark.parametrize("text, message, column", [
+        ("t)", "unbalanced brackets", 2),
+        ("t^(1))", "unbalanced brackets", 6),
+        ("t^(1", "unbalanced brackets", 4),
+        ("1 + + t", "empty term", 5),
+    ])
+    def test_errors(self, text, message, column):
+        with pytest.raises(ParseError) as ei:
+            parse_series(text, DIM)
+        assert (ei.value.message, ei.value.column) == (message, column)
+
+    def test_signed_exponent_is_not_a_split(self):
+        assert format_series(parse_series("t^-1", DIM)) == "t^(-1)"
+
+    def test_sign_after_bracket_splits(self):
+        assert format_series(parse_series("t^(1)-2", DIM)) == "-2 + t^(1)"
