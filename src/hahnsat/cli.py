@@ -32,8 +32,8 @@ from .errors import (
     NotFinitelySatisfiable,
     ParseError,
 )
-from .formulas import PartialType, _first_free, doag_qe, eval_formula, \
-    format_formula, free_symbols, parse_formula
+from .formulas import PartialType, _Tokens, _first_free, doag_qe, \
+    eval_formula, format_formula, free_symbols, parse_formula
 from .scalars import approx_interval, parse_rational, parse_scalar
 from .series import _top_level, format_series, parse_series
 from .trees import find_path_bounded, node_interval, path_from_real, \
@@ -119,6 +119,23 @@ def _build_generator(fields: list, params: dict):
     raise ParseError(f"unknown generator {name!r}", name_col)
 
 
+def _param_name(name: str, params: dict) -> str:
+    """`name` if a param line may declare it: one identifier token, neither a
+    keyword nor t nor the type variable, and not declared yet; otherwise a
+    ParseError at column 1."""
+    try:
+        kinds = [kind for kind, _, _ in _Tokens(name).toks]
+    except ParseError:
+        kinds = []
+    if kinds not in (["ident"], ["kw"], ["t"]):
+        raise ParseError(f"bad param name {name!r}", 1)
+    if kinds != ["ident"] or name == TYPE_VAR:
+        raise ParseError(f"param name {name!r} is reserved", 1)
+    if name in params:
+        raise ParseError(f"param {name!r} is declared twice", 1)
+    return name
+
+
 @contextmanager
 def _columns_from(offset: int):
     """Shift a ParseError raised inside by `offset` columns: the text it
@@ -148,9 +165,12 @@ def load_type_file(path: str, dim: int):
                         raise ParseError("param line needs '='",
                                          indent + len("param ") + 1)
                     name, text = body.split("=", 1)
+                    with _columns_from(indent + len("param ") + len(name)
+                                       - len(name.lstrip())):
+                        name = _param_name(name.strip(), params)
                     text = text.strip()  # a suffix of line
                     with _columns_from(indent + len(line) - len(text)):
-                        params[name.strip()] = parse_series(text, dim)
+                        params[name] = parse_series(text, dim)
                 elif line.startswith("formula "):
                     start = indent + len("formula ")
                     with _columns_from(start):
@@ -276,12 +296,13 @@ def cmd_tree(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    prefix = Budgets(formula_prefix_budget=args.prefix).formula_prefix_budget
     tau, params = load_type_file(args.file, args.dim)
     witness = parse_series(args.at, args.dim)
     env = dict(params)
     env[tau.var] = witness
     lines = []
-    for i in range(args.prefix):
+    for i in range(prefix):
         f = tau.emit(i)
         if f is None:
             continue

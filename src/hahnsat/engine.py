@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
@@ -32,13 +32,12 @@ from .formulas import (
     Not,
     PartialType,
     Signature,
-    _enumeration,
+    _fragment,
     _has_quantifier,
     _infer_dim,
     conjoin,
     cut_bounds,
     doag_qe,
-    enumerate_formulas,
     eval_formula,
     format_formula,
     free_symbols,
@@ -921,7 +920,6 @@ class Completion:
     its leftmost surviving interval state."""
 
     var: str
-    signature: Signature
     thetas: tuple  # (emission index, formula) pairs from the input type
     bits: str
     decided: tuple  # the enumerated prefix with polarities applied
@@ -988,34 +986,26 @@ def complete_type(tau: PartialType, env: dict, mode: str = "group",
     `dim`."""
     dim = _infer_dim(None, env, dim)
     thetas = _materialize(tau, env, dim, budgets)
-    root_states = _check_prefix_satisfiable(thetas, env, tau.var, dim)
+    states = _check_prefix_satisfiable(thetas, env, tau.var, dim)
     sig = Signature(mode, (tau.var,) + tuple(tau.params))
-    k = budgets.formula_prefix_budget
-    k = min(k, len(_enumeration(sig, k).by_index))
-    states_memo: dict = {"": root_states}
-
-    def states_for(sigma: str) -> list:
-        if sigma not in states_memo:
-            parent = states_for(sigma[:-1])
-            f = enumerate_formulas(len(sigma) - 1, sig)
-            constraint = f if sigma[-1] == "1" else Not(f)
-            states_memo[sigma] = conjoin(parent, constraint, env, tau.var,
-                                         dim)
-        return states_memo[sigma]
-
-    path = find_path_bounded(TreeOracle(lambda s: bool(states_for(s))), k)
-    if path is None:
-        raise BudgetExhausted(
-            "no consistent completion of the enumerated prefix",
-            stage="complete")
-    decided = tuple(
-        enumerate_formulas(i, sig) if bit == "1"
-        else Not(enumerate_formulas(i, sig))
-        for i, bit in enumerate(path))
-    final_states = states_for(path)
-    lower, upper, point = final_states[0]
-    return Completion(tau.var, sig, tuple(thetas), path, decided,
-                      lower, upper, point, len(final_states))
+    bits, decided = "", []
+    # each value of a (nonempty) store satisfies f or not f, so one branch
+    # keeps a store: the leftmost consistent branch never backtracks
+    for f in islice(_fragment(sig), budgets.formula_prefix_budget):
+        for bit, constraint in (("0", Not(f)), ("1", f)):
+            extended = conjoin(states, constraint, env, tau.var, dim)
+            if extended:
+                break
+        else:
+            raise BudgetExhausted(
+                "no consistent completion of the enumerated prefix",
+                stage="complete")
+        states = extended
+        bits += bit
+        decided.append(constraint)
+    lower, upper, point = states[0]
+    return Completion(tau.var, tuple(thetas), bits, tuple(decided),
+                      lower, upper, point, len(states))
 
 
 def completed_partial_type(completion: Completion,

@@ -20,9 +20,12 @@ solved for the variable by `_solve_for` only.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
+from itertools import islice
+from operator import itemgetter
 from typing import Callable, Iterable, Optional
 
 from .errors import (
@@ -31,7 +34,7 @@ from .errors import (
     ParseError,
     Unsatisfiable,
 )
-from .scalars import format_rational
+from .scalars import format_rational, parse_rational
 from .series import (
     Series,
     _format_exp,
@@ -448,7 +451,7 @@ def _parse_product(toks) -> Term:
 def _parse_factor(toks) -> Term:
     kind, val, col = toks.next()
     if kind == "num":
-        return Term.build({CONST: Fraction(val)}, {})
+        return Term.build({CONST: parse_rational(val, col - 1)}, {})
     if kind == "t":
         exp = (Fraction(1),)
         if toks.peek()[1] == "^":
@@ -492,7 +495,7 @@ def _parse_signed_rational(toks, message: str) -> Fraction:
         kind, val, col = toks.next()
     if kind != "num":
         raise ParseError(message, col)
-    q = Fraction(val)
+    q = parse_rational(val, col - 1)
     return -q if negate else q
 
 
@@ -872,64 +875,40 @@ def conjoin(states: list, f: Formula, env: dict, var: str = "x",
 _ENUM_COEFF_CAP = 99  # keeps the enumerated fragment finite
 
 
-class _Enumeration:
-    """Length-lex enumeration of the atomic fragment: true, false, and
-    canonical linear atoms whose sides are disjoint-support symbol sums with
-    positive integer coefficients (and, for fields, one integer constant),
-    all coefficients at most _ENUM_COEFF_CAP, joint gcd 1."""
+@cache
+def _atoms_of_length(sig: Signature, L: int) -> tuple:
+    """The (print, formula) pairs of the atomic fragment with prints of length
+    L, sorted by print: true, false, and canonical linear atoms whose sides
+    are disjoint-support symbol sums with positive integer coefficients (and,
+    for fields, one integer constant), all coefficients at most
+    _ENUM_COEFF_CAP, joint gcd 1."""
+    batch = [(text, f) for text, f in (("true", TrueF()), ("false", FalseF()))
+             if len(text) == L]
+    for left_len in range(1, L - 3):
+        for lp, ls, lc in _sides_of_length(sig, left_len):
+            for rp, rs, rc in _sides_of_length(sig, L - 3 - left_len):
+                if ls & rs or not (ls or rs):
+                    continue  # shared symbols; constant-only is true/false
+                lcd, rcd = dict(lc), dict(rc)
+                if CONST in lcd and CONST in rcd:
+                    continue
+                coeffs = (*lcd.values(), *rcd.values())
+                if math.gcd(*(q.numerator for q in coeffs)) != 1:
+                    continue
+                pos, neg = Term.build(lcd, {}), Term.build(rcd, {})
+                batch.append((f"{lp} < {rp}", Atom("<", pos, neg)))
+                if lp <= rp:
+                    batch.append((f"{lp} = {rp}", Atom("=", pos, neg)))
+    return tuple(sorted(batch, key=itemgetter(0)))
 
-    def __init__(self, sig: Signature):
-        self.sig = sig
-        self.by_index: list = []
-        self.index_of: dict = {}
-        self.complete_len = 0
 
-    def extend_to_length(self, target: int):
-        while self.complete_len < target:
-            self.complete_len += 1
-            self._emit_length(self.complete_len)
-
-    def _emit_length(self, L: int):
-        batch = []
-        for text, f in (("true", TrueF()), ("false", FalseF())):
-            if len(text) == L:
-                batch.append((text, f))
-        for left_len in range(1, L - 3):
-            right_len = L - 3 - left_len
-            if right_len < 1:
-                continue
-            for lp, ls, lc in _sides_of_length(self.sig, left_len):
-                for rp, rs, rc in _sides_of_length(self.sig, right_len):
-                    if ls & rs:
-                        continue
-                    if not ls and not rs:
-                        continue  # constant-only atoms collapse to true/false
-                    lcd, rcd = dict(lc), dict(rc)
-                    if CONST in lcd and CONST in rcd:
-                        continue
-                    g = 0
-                    for q in list(lcd.values()) + list(rcd.values()):
-                        g = math.gcd(g, q.numerator)
-                    if g != 1:
-                        continue
-                    pos = Term.build(lcd, {})
-                    neg = Term.build(rcd, {})
-                    batch.append((f"{lp} < {rp}", Atom("<", pos, neg)))
-                    if lp <= rp:
-                        batch.append((f"{lp} = {rp}", Atom("=", pos, neg)))
-        batch.sort(key=lambda kv: kv[0])
-        for text, f in batch:
-            if text not in self.index_of:
-                self.index_of[text] = len(self.by_index)
-                self.by_index.append(f)
-
-    @property
-    def max_possible_len(self) -> int:
-        per_sym = max((len(s) for s in self.sig.symbols), default=1) + 3
-        side = len(self.sig.symbols) * (per_sym + 3)
-        if self.sig.kind == "field":
-            side += 5
-        return max(5, 2 * side + 3)
+def _max_possible_len(sig: Signature) -> int:
+    """A bound on the print length of the formulas of sig's fragment."""
+    per_sym = max((len(s) for s in sig.symbols), default=1) + 3
+    side = len(sig.symbols) * (per_sym + 3)
+    if sig.kind == "field":
+        side += 5
+    return max(5, 2 * side + 3)
 
 
 @cache
@@ -979,17 +958,12 @@ def _sides_of_length(sig: Signature, L: int):
     return sorted(set(out))
 
 
-_enumeration_of = cache(_Enumeration)  # one enumeration per signature
-
-
-def _enumeration(sig: Signature, n: int) -> _Enumeration:
-    """The cached enumeration of sig, extended to at least n formulas, or to
-    the whole fragment when it has fewer."""
-    enum = _enumeration_of(sig)
-    while len(enum.by_index) < n and \
-            enum.complete_len < enum.max_possible_len:
-        enum.extend_to_length(enum.complete_len + 1)
-    return enum
+def _fragment(sig: Signature):
+    """Lazily yield the atomic fragment of sig in length-lex order of
+    canonical prints."""
+    for L in range(1, _max_possible_len(sig) + 1):
+        for _, f in _atoms_of_length(sig, L):
+            yield f
 
 
 def enumerate_formulas(i: int, sig: Signature) -> Formula:
@@ -997,10 +971,10 @@ def enumerate_formulas(i: int, sig: Signature) -> Formula:
     canonical prints; stable across calls and injective."""
     if i < 0:
         raise ValueError("index must be nonnegative")
-    by_index = _enumeration(sig, i + 1).by_index
-    if len(by_index) <= i:
+    f = next(islice(_fragment(sig), i, None), None)
+    if f is None:
         raise ValueError(f"enumeration exhausted below index {i}")
-    return by_index[i]
+    return f
 
 
 def _in_fragment(f: Formula, sig: Signature) -> bool:
@@ -1030,11 +1004,10 @@ def formula_index(f: Formula, sig: Signature) -> int:
     """Inverse of enumerate_formulas on formulas of the atomic fragment."""
     f = parse_formula(str(f))  # normalize to the canonical form
     text = str(f)
-    if not _in_fragment(f, sig):
-        raise ValueError(f"not in the enumerable fragment: {text}")
-    enum = _enumeration(sig, 0)
-    enum.extend_to_length(min(len(text), enum.max_possible_len))
-    idx = enum.index_of.get(text)
-    if idx is None:
-        raise ValueError(f"not in the enumerable fragment: {text}")
-    return idx
+    L = len(text)
+    if _in_fragment(f, sig) and L <= _max_possible_len(sig):
+        batch = _atoms_of_length(sig, L)
+        pos = bisect_left(batch, text, key=itemgetter(0))
+        if pos < len(batch) and batch[pos][0] == text:
+            return pos + sum(len(_atoms_of_length(sig, n)) for n in range(1, L))
+    raise ValueError(f"not in the enumerable fragment: {text}")

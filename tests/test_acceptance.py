@@ -2,6 +2,7 @@
 valuation bases, term signs, quantifier elimination, pseudo-limits, the three
 cut fixtures, randomized end-to-end realization, and CLI determinism."""
 
+import hashlib
 import math
 import random
 import subprocess
@@ -357,10 +358,17 @@ def _generated_type(seed):
     return PartialType(emit, "x", names), env
 
 
+# sha256 of the 50 group-mode reports of gate c8, concatenated in seed order
+C8_GROUP_DIGEST = \
+    "1322602294cbf1afb007d5d9f558cee2f5cf4df33c9fc6ffed8162523ec44184"
+
+
 def test_c8_randomized_realization():
     """50 generated finitely satisfiable computable types: the realized
-    witness satisfies the first 100 emitted formulas of each."""
+    witness satisfies the first 100 emitted formulas of each, and the
+    reports are byte-identical to the frozen digest."""
     rng_budget = Budgets(formula_prefix_budget=100)
+    reports = hashlib.sha256()
     total0 = time.perf_counter()
     for seed in range(50):
         t0 = time.perf_counter()
@@ -373,6 +381,8 @@ def test_c8_randomized_realization():
             assert eval_formula(f, wenv, DIM), \
                 f"seed {seed}: emission {i} fails at the witness"
         _elapsed(t0, 10.0, f"realization seed {seed}")
+        reports.update(res.report.encode())
+    assert reports.hexdigest() == C8_GROUP_DIGEST
     dt = time.perf_counter() - total0
     print(f"[PASS] randomized realization: 50 types x 100 formulas, "
           f"{dt:.2f}s total")

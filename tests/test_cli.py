@@ -80,6 +80,26 @@ class TestTypeFiles:
             load_type_file(str(p), 2)
         assert ei.value.column == column
 
+    @pytest.mark.parametrize("line, message, column", [
+        ("param x = t", "param name 'x' is reserved", 7),
+        ("param t = t", "param name 't' is reserved", 7),
+        ("param and = t", "param name 'and' is reserved", 7),
+        ("param  = t", "bad param name ''", 8),
+        ("param g-1 = t", "bad param name 'g-1'", 7),
+        ("param 2g = t", "bad param name '2g'", 7),
+        ("  param   g 1 = t", "bad param name 'g 1'", 11),
+        ("param g1 = t^2", "param 'g1' is declared twice", 7),
+    ])
+    def test_bad_param_name_points_at_it(self, tmp_path, line, message,
+                                         column):
+        p = tmp_path / "bad.type"
+        p.write_text(f"param g1 = t\n{line}\nformula g1 < x\n")
+        with pytest.raises(ParseError) as ei:
+            load_type_file(str(p), 2)
+        assert str(ei.value).endswith(
+            f"bad.type:2: {message} (column {column})")
+        assert ei.value.column == column
+
     def test_param_may_follow_its_formula(self, tmp_path):
         p = tmp_path / "late.type"
         p.write_text("formula exists y (y < x and g1 < y)\nparam g1 = t\n")
@@ -302,6 +322,24 @@ class TestExitCodes:
         assert rc == 1 and out == ""
         assert "error: depth must be at least 0" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("realize",), ("eval", "--at", "t")])
+    def test_reserved_param_name_exits_one_with_its_place(self, capsys,
+                                                          tmp_path, argv):
+        p = tmp_path / "bad.type"
+        p.write_text("param t = t\nformula t < x\n")
+        rc, out, err = run(capsys, argv[0], str(p), *argv[1:])
+        assert rc == 1 and out == ""
+        assert "bad.type:1: param name 't' is reserved (column 7)" in err
+
+    @pytest.mark.parametrize("prefix", ["0", "-2"])
+    def test_eval_rejects_a_prefix_below_one(self, capsys, prefix):
+        rc, out, err = run(capsys, "eval",
+                           str(FIXTURES / "residue_sqrt2.type"),
+                           "--at", "t", "--prefix", prefix)
+        assert rc == 1 and out == ""
+        assert "error: formula_prefix_budget must be positive" in err
+
     def test_tree_path_off_tree_exits_one(self, capsys):
         rc, _, err = run(capsys, "tree", "path", "single:000", "3/4", "2")
         assert rc == 1 and "error:" in err
@@ -383,6 +421,23 @@ class TestInputErrors:
         rc, out, err = run(capsys, "tree", "path", "full", "1/0", "3")
         assert rc == 1 and out == ""
         assert "error: bad rational '1/0' (column 1)" in err
+
+    @pytest.mark.parametrize("formula, column", [
+        ("1/0 < x", 1), ("x < t^(1/0)", 8)])
+    def test_qe_zero_denominator_exits_one(self, capsys, formula, column):
+        rc, out, err = run(capsys, "qe", formula)
+        assert rc == 1 and out == ""
+        assert f"error: bad rational '1/0' (column {column})" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("realize",), ("eval", "--at", "t")])
+    def test_type_file_zero_denominator_exits_one(self, capsys, tmp_path,
+                                                  argv):
+        p = tmp_path / "bad.type"
+        p.write_text("param g1 = t\nformula g1 < 1/0*x\n")
+        rc, out, err = run(capsys, argv[0], str(p), *argv[1:])
+        assert rc == 1 and out == ""
+        assert "bad.type:2: bad rational '1/0' (column 14)" in err
 
     def test_unbalanced_list_reports_its_column_in_the_argument(self, capsys):
         rc, out, err = run(capsys, "basis", "t, t^(1")

@@ -26,8 +26,10 @@ from hahnsat.engine import (
     standard_height_enum,
 )
 from hahnsat.engine import (
+    _check_prefix_satisfiable,
     _ClassifyState,
     _field_rank_guard,
+    _materialize,
     _verify_against_log,
 )
 from hahnsat.errors import (
@@ -36,7 +38,15 @@ from hahnsat.errors import (
     OracleFailure,
     PseudoLimitUnverified,
 )
-from hahnsat.formulas import PartialType, format_formula, parse_formula
+from hahnsat.formulas import (
+    Not,
+    PartialType,
+    Signature,
+    conjoin,
+    enumerate_formulas,
+    format_formula,
+    parse_formula,
+)
 from hahnsat.scalars import (
     OracleReal,
     format_scalar,
@@ -57,6 +67,7 @@ from hahnsat.series import (
     subtract,
     zero_series,
 )
+from hahnsat.trees import TreeOracle, find_path_bounded
 from hahnsat.valbasis import valuation_basis
 
 DIM = 2
@@ -673,6 +684,67 @@ class TestCompleteType:
         tau = PartialType(lambda i: parse_formula("x = g1"), "x", ("g1",))
         comp = complete_type(tau, {"g1": T})
         assert format_series(comp.point) == "t^(1)"
+
+
+def _leftmost_tree_path(tau, env, mode, prefix):
+    """Completion as a tree search: the leftmost node at depth min(prefix,
+    fragment size) of the tree whose node sigma lives while conjoining its
+    decisions (bit 1: the i-th enumerated formula, bit 0: its negation)
+    onto the emissions' stores keeps a store; with that node's stores."""
+    thetas = _materialize(tau, env, DIM, Budgets(formula_prefix_budget=prefix))
+    memo = {"": _check_prefix_satisfiable(thetas, env, tau.var, DIM)}
+    sig = Signature(mode, (tau.var,) + tuple(tau.params))
+    formulas = []
+    while len(formulas) < prefix:
+        try:
+            formulas.append(enumerate_formulas(len(formulas), sig))
+        except ValueError:  # a finite fragment, decided whole
+            break
+
+    def states_for(sigma):
+        if sigma not in memo:
+            f = formulas[len(sigma) - 1]
+            memo[sigma] = conjoin(states_for(sigma[:-1]),
+                                  f if sigma[-1] == "1" else Not(f), env,
+                                  tau.var, DIM)
+        return memo[sigma]
+
+    path = find_path_bounded(TreeOracle(lambda s: bool(states_for(s))),
+                             len(formulas))
+    return path, states_for(path)
+
+
+class TestCompletionMatchesTreeSearch:
+    """The negation-first descent finds the leftmost path of the tree of
+    consistent extensions, with the same final stores."""
+
+    @staticmethod
+    def _assert_same(tau, env, mode, prefix):
+        comp = complete_type(tau, env, mode,
+                             Budgets(formula_prefix_budget=prefix))
+        path, states = _leftmost_tree_path(tau, env, mode, prefix)
+        assert comp.bits == path
+        assert (comp.lower, comp.upper, comp.point) == states[0]
+        assert comp.interval_states == len(states)
+
+    @pytest.mark.parametrize("mode", ["group", "field"])
+    @pytest.mark.parametrize("name", ["residue_sqrt2", "beta",
+                                      "immediate_tail"])
+    def test_fixtures(self, name, mode):
+        from hahnsat.cli import load_type_file
+
+        from test_acceptance import FIXTURES
+
+        tau, env = load_type_file(str(FIXTURES / f"{name}.type"), DIM)
+        self._assert_same(tau, env, mode, Budgets().formula_prefix_budget)
+
+    @pytest.mark.parametrize("mode", ["group", "field"])
+    @pytest.mark.parametrize("seed", range(1000, 1010))
+    def test_c8_types(self, seed, mode):
+        from test_acceptance import _generated_type
+
+        tau, env = _generated_type(seed)
+        self._assert_same(tau, env, mode, 100)
 
 
 class TestRealizeType:

@@ -33,6 +33,7 @@ from hahnsat.formulas import (
     parse_formula,
     satisfiable,
 )
+from hahnsat.formulas import _consistent
 from hahnsat.series import (
     compare_series,
     format_series,
@@ -143,6 +144,15 @@ class TestParsePrint:
             parse_formula("x^0 < a")
         with pytest.raises(ParseError):
             parse_formula("(a < b")
+
+    @pytest.mark.parametrize("text, column", [
+        ("1/0 < x", 1), ("x < t^(1/0)", 8), ("x < t^(1/2, -1/0)", 14),
+        ("x < 3*1/0*g1", 7)])
+    def test_zero_denominator_is_a_bad_rational(self, text, column):
+        with pytest.raises(ParseError,
+                           match=r"bad rational '1/0' \(column") as ei:
+            parse_formula(text)
+        assert ei.value.column == column
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -459,6 +469,34 @@ class TestSatisfiable:
                     bool(conjoin([(None, None, None)], f, env, "x"))
 
 
+# bounds and points of random stores, and values of the parameters
+_STORE_POINTS = [parse_series(text) for text in (
+    "-1", "0", "t^2", "1/2*t", "t", "2*t", "1", "1 + t^2", "3")]
+
+
+@st.composite
+def _store_lists(draw):
+    """A nonempty list of consistent (lower, upper, point) stores."""
+    bound = st.none() | st.sampled_from(_STORE_POINTS)
+    store = st.tuples(bound, bound, bound).filter(lambda s: _consistent(*s))
+    return draw(st.lists(store, min_size=1, max_size=3))
+
+
+class TestCovering:
+    """The lemma behind completion's descent: a store holds a value, and that
+    value satisfies f or not f, so one of the two conjunctions keeps a
+    store."""
+
+    @given(_store_lists(), st.sampled_from(["group", "field"]),
+           st.integers(min_value=0, max_value=299),
+           st.sampled_from(_STORE_POINTS), st.sampled_from(_STORE_POINTS))
+    @settings(max_examples=300, deadline=None)
+    def test_negation_or_formula_keeps_a_store(self, states, kind, i, g1, g2):
+        f = enumerate_formulas(i, Signature(kind, ("x", "g1", "g2")))
+        env = {"g1": g1, "g2": g2}
+        assert conjoin(states, Not(f), env) or conjoin(states, f, env)
+
+
 class TestEnumeration:
     def setup_method(self):
         self.sig = Signature("group", ("x", "g1", "g2"))
@@ -522,6 +560,13 @@ class TestEnumeration:
             formula_index(parse_formula("100*x < g1"), self.sig)
         with pytest.raises(ValueError):
             formula_index(parse_formula("(x < g1 and x < g2)"), self.sig)
+
+    def test_whole_small_fragment_then_exhausted(self):
+        sig = Signature("group", ("x",))
+        prints = [format_formula(enumerate_formulas(i, sig)) for i in range(5)]
+        assert prints == ["true", "0 < x", "0 = x", "false", "x < 0"]
+        with pytest.raises(ValueError, match="exhausted below index 5"):
+            enumerate_formulas(5, sig)
 
     def test_reserved_symbol_rejected(self):
         with pytest.raises(ValueError):
