@@ -257,10 +257,14 @@ def cmd_qe(args) -> int:
 
 
 def _parse_series_list(text: str, dim: int) -> list:
-    """Series literals separated by commas outside () and []."""
+    """Series literals separated by commas outside () and []; error
+    columns count from the start of the argument."""
     cuts = [i for i, ch in _top_level(text) if ch == ","]
-    return [parse_series(text[a + 1:b].strip(), dim)
-            for a, b in zip([-1] + cuts, cuts + [len(text)])]
+    items = []
+    for a, b in zip([-1] + cuts, cuts + [len(text)]):
+        with _columns_from(a + 1):
+            items.append(parse_series(text[a + 1:b], dim))
+    return items
 
 
 def cmd_basis(args) -> int:

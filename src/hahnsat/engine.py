@@ -74,7 +74,6 @@ from .series import (
     zero_exp,
     zero_series,
 )
-from .trees import TreeOracle, find_path_bounded
 from .valbasis import (
     PseudoSequence,
     SpanBasis,
@@ -107,8 +106,10 @@ class Budgets:
 
 class CutOracle:
     """side: element -> Side, queried against a hidden cut; height_enum:
-    generation -> new comparison elements.  The wrapper memoizes, logs every
-    query in order, and enforces that at most one element tests EQUAL."""
+    generation -> new comparison elements.  Answers must be monotone in the
+    queried element: a larger element never gets a lower side.  The wrapper
+    memoizes, logs every query in order, and enforces that at most one
+    element tests EQUAL."""
 
     def __init__(self, side: Callable[[Series], Side],
                  height_enum: Callable[[int], Iterable[Series]]):
@@ -796,26 +797,16 @@ def _realize_residue_field(cls: ResidueTranscendental, oracle: CutOracle,
 
 def _realize_immediate(cls: ImmediateTranscendental, oracle: CutOracle,
                        basis: SpanBasis) -> Series:
-    """Pseudo-limit realization: extract the record subsequence through the
-    consistency tree, take its pseudo-limit machinery as certificate, and
-    place the witness just past the deepest record inside the logged gap."""
+    """Pseudo-limit realization: extract the record subsequence, take its
+    pseudo-limit machinery as certificate, and place the witness just past
+    the deepest record inside the logged gap."""
     dim = basis.generators[0].dim
-    elements = list(cls.enum_prefix)
-    n = len(elements)
-    sides = {e: oracle.side(e) for e in elements}
     want = oracle.side(cls.chain[-1])
     if want == Side.EQUAL:
         return cls.chain[-1]
-    base = zero_series(dim)
-
-    def raw(sigma: str) -> bool:
-        return _case1_node_ok(sigma, elements, sides, want, base)
-
-    tree = TreeOracle(raw)
-    path = find_path_bounded(tree, n)
-    if path is None:
+    marks = _records(list(cls.enum_prefix), oracle, want, zero_series(dim))
+    if marks is None:
         raise BudgetExhausted("no admissible record path", stage="realize")
-    marks = [elements[i] for i, bit in enumerate(path) if bit == "1"]
     if len(marks) < 3:
         raise BudgetExhausted(
             f"pseudo-sequence too short ({len(marks)} record(s))",
@@ -835,46 +826,40 @@ def _realize_immediate(cls: ImmediateTranscendental, oracle: CutOracle,
                     query=format_series(a_i))
 
     check_valuations(pseudo_limit(seq, len(marks)), "pseudo-limit")
-    witness = _witness_past_records(oracle, marks, gammas, dim)
+    witness = _witness_past_records(oracle, marks, gammas, want, dim)
     check_valuations(witness, "witness")
     _verify_against_log(witness, oracle)
     return witness
 
 
-def _case1_node_ok(sigma: str, elements: list, sides: dict, want: Side,
-                   base: Series) -> bool:
-    """Marked elements must be records among the approximation-side elements
-    seen so far; an unmarked element past the last mark (the zero element
-    before any mark) forces a mark, an opposite-side element behind it kills
-    the node, and marked triples must contract with an n-fold margin."""
-    marked = []
-    last = base  # stands in for the zero element until the first mark
-    best = None  # approximation-side record so far
-    for i, bit in enumerate(sigma):
-        e = elements[i]
-        if bit == "1":
-            if sides[e] != want:
-                return False
-            if best is not None and _cmp_toward(e, best, want) < 0:
-                return False  # marking a non-record
-            last = e
-            marked.append(e)
-        elif sides[e] == want and _cmp_toward(e, last, want) > 0:
-            return False  # an unmarked record invalidates the path
-        if sides[e] not in (want, Side.EQUAL):
-            if _cmp_toward(e, last, want) < 0:
-                return False  # last mark overshot the opposite side
-        if sides[e] == want:
-            if best is None or _cmp_toward(e, best, want) > 0:
+def _records(elements: list, oracle: CutOracle, want: Side,
+             start: Series) -> Optional[list]:
+    """Records among the approximation-side elements, in one pass: one past
+    the last mark (past `start` before any) is marked; an opposite-side
+    element behind `start` marks the best one so far.  None when one is
+    behind that, or marked triples do not contract len(elements)-fold."""
+    marks: list = []
+    last, best = start, None  # best: a record before the first mark
+    for e in elements:
+        s = oracle.side(e)
+        if s == want:
+            if _cmp_toward(e, last, want) > 0:
+                marks.append(e)
+                last = e
+            elif not marks and (best is None
+                                or _cmp_toward(e, best, want) > 0):
                 best = e
-    n = len(sigma)
-    for i in range(len(marked) - 2):
-        a, b, c = marked[i], marked[i + 1], marked[i + 2]
-        d_later = _abs_series(subtract(c, b))
-        d_earlier = _abs_series(subtract(b, a))
-        if compare_series(scale(d_later, Fraction(n)), d_earlier) >= 0:
-            return False
-    return True
+        elif s != Side.EQUAL and _cmp_toward(e, last, want) < 0:
+            if marks or best is None or _cmp_toward(e, best, want) < 0:
+                return None
+            marks.append(best)
+            last = best
+    n = Fraction(len(elements))
+    for a, b, c in zip(marks, marks[1:], marks[2:]):
+        if compare_series(scale(_abs_series(subtract(c, b)), n),
+                          _abs_series(subtract(b, a))) >= 0:
+            return None
+    return marks
 
 
 def _cmp_toward(e: Series, last: Series, want: Side) -> int:
@@ -888,8 +873,7 @@ def _abs_series(x: Series) -> Series:
 
 
 def _witness_past_records(oracle: CutOracle, marks: list, gammas: list,
-                          dim: int) -> Series:
-    want = oracle.side(marks[-1])
+                          want: Side, dim: int) -> Series:
     base = marks[-1]
     opposite = None
     for e, s in oracle.log:

@@ -697,13 +697,15 @@ def parse_rational(text: str, offset: int = 0) -> Fraction:
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad rational {text!r}", offset + 1) from None
+        raise ParseError(f"bad rational {text.strip()!r}",
+                         offset + len(text) - len(text.lstrip()) + 1) from None
 
 
 def parse_scalar(text: str, offset: int = 0):
     """Parse a scalar literal; `offset` is the 0-based column of `text` in the
     enclosing source, used for error columns."""
     t = text.strip()
+    offset += len(text) - len(text.lstrip())
     if t.startswith("alg[") and t.endswith("]"):
         body = t[4:-1]
         if ";" not in body:
@@ -717,8 +719,9 @@ def parse_scalar(text: str, offset: int = 0):
         iv = iv_part.split(",")
         if len(iv) != 2:
             raise ParseError("alg interval needs two endpoints", offset + 5 + len(cs_part))
-        lo = parse_rational(iv[0], offset)
-        hi = parse_rational(iv[1], offset)
+        lo_col = offset + 5 + len(cs_part)
+        lo = parse_rational(iv[0], lo_col)
+        hi = parse_rational(iv[1], lo_col + len(iv[0]) + 1)
         try:
             return real_algebraic(coeffs, lo, hi)
         except MalformedAlgebraic as e:

@@ -558,24 +558,30 @@ def _split_top_level(text: str):
 
 
 def _parse_exponent(text: str, col: int, dim: int) -> Exponent:
+    """`col` is the 0-based column of `text` in the literal."""
     t = text.strip()
+    col += len(text) - len(text.lstrip())
     if t.startswith("(") and t.endswith(")"):
-        inner = t[1:-1].strip()
-        if not inner:
+        if not t[1:-1].strip():
             return zero_exp(dim)
-        coords = inner.split(",")
+        coords = t[1:-1].split(",")
+        col += 1
     else:
         coords = [t]
+    cols = []  # 1-based column of each coordinate's first character
+    for c in coords:
+        cols.append(col + len(c) - len(c.lstrip()) + 1)
+        col += len(c) + 1
     if len(coords) > dim:
         raise ParseError(f"exponent has {len(coords)} coordinates, dimension is {dim}",
-                         col + 1)
+                         cols[dim])
     vals = []
-    for c in coords:
+    for c, c_col in zip(coords, cols):
         c = c.strip()
         try:
             vals.append(Fraction(c))
         except (ValueError, ZeroDivisionError):
-            raise ParseError(f"bad exponent coordinate {c!r}", col + 1) from None
+            raise ParseError(f"bad exponent coordinate {c!r}", c_col) from None
     vals.extend([Fraction(0)] * (dim - len(vals)))
     return tuple(vals)
 
@@ -602,7 +608,7 @@ def _parse_term(sign: int, chunk: str, col: int, dim: int):
     if tp == "t":
         exp = make_exp([Fraction(1)], dim)
     elif tp.startswith("t^"):
-        exp = _parse_exponent(tp[2:], col, dim)
+        exp = _parse_exponent(tp[2:], t_col + 2, dim)
     else:
         raise ParseError(f"expected t-power, got {tp!r}", t_col + 1)
     return exp, coeff

@@ -64,6 +64,8 @@ class TestTypeFiles:
     @pytest.mark.parametrize("text, column", [
         ("param g1 = t\n  formula g1 < < x\n", 16),  # indentation counts
         ("param g1 = t\nparam g2 =  t^(\n", 15),     # inside a param body
+        ("param g1 = t\nparam g2 = 2*t^(1) + t^(x)\n", 25),  # the bad token
+        ("param g1 = t\nparam g2 = alg[-2,0,1;x,2]*t^(1)\n", 23),
         ("param g1 = t\nparam g2 t\n", 7),           # the param lacking '='
         ("param g1 = t\ngenerator zeta\n", 11),      # the generator's name
         ("param g1 = t\ngenerator beta g1\n", 11),
@@ -443,6 +445,23 @@ class TestInputErrors:
         rc, out, err = run(capsys, "basis", "t, t^(1")
         assert rc == 1 and out == ""
         assert "error: unbalanced brackets (column 7)" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        # columns count from the start of the argument, not of the element
+        (("basis", "t^(1), 2*t^(1) + q*t"), "bad rational 'q' (column 18)"),
+        (("pseudo-limit", "t^(1), 2*t^(1) + q*t"),
+         "bad rational 'q' (column 18)"),
+        (("basis", "t, t^(1, x)"), "bad exponent coordinate 'x' (column 10)"),
+        (("pseudo-limit", "t,  , t"), "empty series literal (column 3)"),
+        # exponent and alg[...] errors point at the bad token
+        (("basis", "t^(x)"), "bad exponent coordinate 'x' (column 4)"),
+        (("basis", "alg[-2,0,1;x,2]*t^(1)"), "bad rational 'x' (column 12)"),
+        (("basis", "alg[-2,0,1;1, y]*t^(1)"), "bad rational 'y' (column 15)"),
+    ])
+    def test_series_argument_error_columns(self, capsys, argv, message):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 1 and out == ""
+        assert f"error: {message}" in err
 
     @pytest.mark.parametrize("text, column", [
         ("formula exists y (y < x) and y < 1\n", 30),

@@ -30,6 +30,7 @@ from hahnsat.engine import (
     _ClassifyState,
     _field_rank_guard,
     _materialize,
+    _records,
     _verify_against_log,
 )
 from hahnsat.errors import (
@@ -557,6 +558,152 @@ class TestRealizeImmediateRefusals:
             realize_cut_field(ImmediateTranscendental(chain, chain), oracle,
                               valuation_basis([ONE]), Budgets())
         assert ei.value.query == "2 - t^(1)"
+
+    @pytest.mark.parametrize("hidden, chain, prefix", [
+        # an opposite-side -1/2 lies behind zero before any record
+        (-1, (-3, -2), (F(-1, 2), -2, F(-3, 2))),
+        # records 1, 2, 3 below 10 do not contract
+        (10, (1, 2, 3), (1, 2, 3)),
+    ])
+    def test_no_admissible_record_path(self, hidden, chain, prefix):
+        oracle = oracle_from_value(from_scalar(hidden, DIM),
+                                   standard_height_enum([ONE]))
+        cls = ImmediateTranscendental(
+            tuple(from_scalar(q, DIM) for q in chain),
+            tuple(from_scalar(q, DIM) for q in prefix))
+        with pytest.raises(BudgetExhausted,
+                           match="no admissible record path") as ei:
+            realize_cut_field(cls, oracle, valuation_basis([ONE]), Budgets())
+        assert ei.value.stage == "realize"
+
+
+def _reference_records(elements, oracle, want, start):
+    """Records as a tree search: the marks of the leftmost depth-n path of
+    the tree whose node sigma marks the elements at its 1 bits, every node
+    re-walking its whole prefix."""
+    sides = {e: oracle.side(e) for e in elements}
+    direction = 1 if want == Side.BELOW else -1
+
+    def toward(e, last):
+        return compare_series(e, last) * direction
+
+    def size(x):
+        return x if compare_series(x, zero_series(DIM)) >= 0 else negate(x)
+
+    def node_ok(sigma):
+        marked, last, best = [], start, None
+        for e, bit in zip(elements, sigma):
+            if bit == "1":
+                if sides[e] != want:
+                    return False
+                if best is not None and toward(e, best) < 0:
+                    return False  # marking a non-record
+                last = e
+                marked.append(e)
+            elif sides[e] == want and toward(e, last) > 0:
+                return False  # an unmarked record
+            if sides[e] not in (want, Side.EQUAL) and toward(e, last) < 0:
+                return False  # the last mark overshot the opposite side
+            if sides[e] == want and (best is None or toward(e, best) > 0):
+                best = e
+        return all(compare_series(scale(size(subtract(c, b)), F(len(sigma))),
+                                  size(subtract(b, a))) < 0
+                   for a, b, c in zip(marked, marked[1:], marked[2:]))
+
+    path = find_path_bounded(TreeOracle(node_ok), len(elements))
+    if path is None:
+        return None
+    return [e for e, bit in zip(elements, path) if bit == "1"]
+
+
+def _random_record_cut(rng):
+    """A hidden element of either sign, near approximations in roughly
+    ascending precision with a random sign each, and a few constants."""
+    hidden = t_pow(0, rng.choice([-2, -1, 1, 2]))
+    for k in range(1, 6):
+        hidden = add(hidden, t_pow(k, rng.choice([-1, 1])))
+    elements = [add(hidden, t_pow(k, rng.choice([-3, -1, 1, 3])))
+                for k in sorted(rng.sample(range(6), rng.randint(2, 6)))]
+    for _ in range(rng.randint(0, 3)):
+        elements.insert(rng.randint(0, len(elements)),
+                        from_scalar(F(rng.randint(-6, 6), rng.randint(1, 3)),
+                                    DIM))
+    if rng.random() < 0.3:
+        i = rng.randrange(len(elements) - 1)
+        elements[i:i + 2] = elements[i + 1], elements[i]
+    return hidden, list(dict.fromkeys(e for e in elements if e != hidden))
+
+
+class TestRecordsMatchTreeSearch:
+    """The one-pass record scan gives the marks of the leftmost record-tree
+    path, or None where that tree has no path."""
+
+    @staticmethod
+    def _assert_same(elements, oracle, want):
+        start = zero_series(DIM)
+        expected = _reference_records(elements, oracle, want, start)
+        assert _records(elements, oracle, want, start) == expected
+        return expected
+
+    def test_immediate_tail_fixture(self, monkeypatch):
+        from hahnsat import engine
+        from hahnsat.cli import load_type_file
+
+        from test_acceptance import FIXTURES
+
+        calls = []
+
+        def spy(elements, oracle, want, start):
+            calls.append(self._assert_same(elements, oracle, want))
+            return calls[-1]
+
+        monkeypatch.setattr(engine, "_records", spy)
+        tau, env = load_type_file(str(FIXTURES / "immediate_tail.type"), DIM)
+        realize_type(tau, env, mode="field")
+        assert len(calls) == 1 and len(calls[0]) >= 3
+
+    def test_chain_and_pseudo_limit_cut(self):
+        def enum3(h):
+            return [tail_series(h), from_scalar(h, DIM),
+                    from_scalar(-h, DIM), from_scalar(F(1, h), DIM),
+                    from_scalar(F(-1, h), DIM)]
+
+        oracle = oracle_from_value(tail_series(40), enum3)
+        cls = classify_cut(oracle, valuation_basis([ONE]),
+                           Budgets(height_budget=5,
+                                   exponent_denominator_budget=1),
+                           mode="field")
+        marks = self._assert_same(list(cls.enum_prefix), oracle,
+                                  oracle.side(cls.chain[-1]))
+        assert len(marks) >= 3
+
+    @pytest.mark.parametrize("third, contracts", [
+        (F(7, 3), False),  # the last step is exactly a third of the first
+        (F(9, 4), True),
+    ])
+    def test_contraction_margin_is_the_prefix_length(self, third, contracts):
+        elements = [from_scalar(q, DIM) for q in (1, 2, third)]
+        oracle = oracle_from_value(from_scalar(10, DIM), lambda h: [])
+        marks = self._assert_same(elements, oracle, Side.BELOW)
+        assert marks == (elements if contracts else None)
+
+    def test_random_cuts(self):
+        rng = random.Random(2024)
+        outcomes = set()
+        for _ in range(400):
+            hidden, elements = _random_record_cut(rng)
+            want = rng.choice([Side.BELOW, Side.ABOVE])
+            marks = self._assert_same(elements,
+                                      oracle_from_value(hidden, lambda h: []),
+                                      want)
+            if marks is None:
+                outcomes.add("none")
+            elif len(marks) >= 3:
+                behind = compare_series(marks[0], zero_series(DIM)) * (
+                    1 if want == Side.BELOW else -1) < 0
+                outcomes.add("first record behind zero" if behind
+                             else "records")
+        assert outcomes == {"none", "records", "first record behind zero"}
 
 
 class TestFieldRankGuard:

@@ -11,6 +11,7 @@ from hahnsat.errors import (
     ComparisonUndecidedAtPrecision,
     MalformedAlgebraic,
     OracleFailure,
+    ParseError,
 )
 from hahnsat.scalars import (
     OracleReal,
@@ -368,6 +369,15 @@ class TestLiterals:
 
     def test_parse_alg(self):
         assert parse_scalar("alg[-2,0,1;1,2]") == SQRT2
+
+    @pytest.mark.parametrize("text, column", [
+        ("q", 11), ("  q", 13),
+        ("alg[-2,0,1;x,2]", 22), ("  alg[-2,0,1;1,x]", 26),
+    ])
+    def test_error_column_is_the_bad_token(self, text, column):
+        with pytest.raises(ParseError, match="bad rational") as ei:
+            parse_scalar(text, 10)
+        assert ei.value.column == column
 
     def test_round_trip(self):
         for x in [Fraction(5), Fraction(-7, 4), SQRT2, scalar_add(SQRT2, SQRT3)]:

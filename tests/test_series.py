@@ -555,14 +555,19 @@ class TestTrustedPath:
 
 
 class TestSplitter:
-    """Top-level splitting of series literals: bracket depth, signs and
-    their error columns."""
+    """Top-level splitting of series literals: bracket depth, signs, and
+    the error columns of brackets, exponents and coefficients."""
 
     @pytest.mark.parametrize("text, message, column", [
         ("t)", "unbalanced brackets", 2),
         ("t^(1))", "unbalanced brackets", 6),
         ("t^(1", "unbalanced brackets", 4),
         ("1 + + t", "empty term", 5),
+        ("t^(x)", "bad exponent coordinate 'x'", 4),
+        ("1 + t^( 1, y)", "bad exponent coordinate 'y'", 12),
+        ("t^ 1/0", "bad exponent coordinate '1/0'", 4),
+        ("t^(1,2,3)", "exponent has 3 coordinates, dimension is 2", 8),
+        ("2 + q*t", "bad rational 'q'", 5),
     ])
     def test_errors(self, text, message, column):
         with pytest.raises(ParseError) as ei:
