@@ -25,7 +25,6 @@ from .errors import (
     NotFinitelySatisfiable,
     OracleFailure,
     PseudoLimitUnverified,
-    Unsatisfiable,
 )
 from .formulas import (
     And,
@@ -35,8 +34,8 @@ from .formulas import (
     _fragment,
     _has_quantifier,
     _infer_dim,
+    atom_store,
     conjoin,
-    cut_bounds,
     doag_qe,
     eval_formula,
     format_formula,
@@ -935,23 +934,25 @@ def _materialize(tau: PartialType, env: dict, dim: int,
     return thetas
 
 
-def _check_prefix_satisfiable(thetas: list, env: dict, var: str,
-                              dim: int) -> list:
+def _check_prefix_satisfiable(thetas: list, env: dict, var: str, dim: int,
+                              table: Optional[dict] = None) -> list:
     """Conjoin emissions in order; on collapse, name a minimal refuting
-    subset.  Returns the surviving interval states."""
+    subset.  Returns the surviving interval states.  `table` holds the
+    realization's atom stores (see `formulas.atom_store`)."""
     states = [(None, None, None)]
     for j, (i_bad, f_bad) in enumerate(thetas):
-        new = conjoin(states, f_bad, env, var, dim)
+        new = conjoin(states, f_bad, env, var, dim, table=table)
         if new:
             states = new
             continue
-        if not satisfiable(f_bad, env, var, dim=dim):
+        if not satisfiable(f_bad, env, var, dim=dim, table=table):
             raise NotFinitelySatisfiable(
                 f"emission {i_bad} alone is unsatisfiable: "
                 f"{format_formula(f_bad)}",
                 witness=(format_formula(f_bad),))
         for i_prev, f_prev in thetas[:j]:
-            if not satisfiable(And(f_prev, f_bad), env, var, dim=dim):
+            if not satisfiable(And(f_prev, f_bad), env, var, dim=dim,
+                               table=table):
                 raise NotFinitelySatisfiable(
                     f"emissions {i_prev} and {i_bad} conflict: "
                     f"{format_formula(f_prev)}  //  {format_formula(f_bad)}",
@@ -963,21 +964,25 @@ def _check_prefix_satisfiable(thetas: list, env: dict, var: str,
 
 
 def complete_type(tau: PartialType, env: dict, mode: str = "group",
-                  budgets: Budgets = Budgets(), dim: int = 2) -> Completion:
+                  budgets: Budgets = Budgets(), dim: int = 2,
+                  table: Optional[dict] = None) -> Completion:
     """Decide the first formula_prefix_budget enumerated formulas against the
     type's emissions, leftmost-consistent (negation preferred); a smaller
     finite fragment is decided whole.  The parameters' dimension overrides
-    `dim`."""
+    `dim`.  `table` holds the atom stores of the calling realization; alone,
+    the completion keeps its own."""
     dim = _infer_dim(None, env, dim)
+    table = {} if table is None else table
     thetas = _materialize(tau, env, dim, budgets)
-    states = _check_prefix_satisfiable(thetas, env, tau.var, dim)
+    states = _check_prefix_satisfiable(thetas, env, tau.var, dim, table)
     sig = Signature(mode, (tau.var,) + tuple(tau.params))
     bits, decided = "", []
     # each value of a (nonempty) store satisfies f or not f, so one branch
     # keeps a store: the leftmost consistent branch never backtracks
     for f in islice(_fragment(sig), budgets.formula_prefix_budget):
         for bit, constraint in (("0", Not(f)), ("1", f)):
-            extended = conjoin(states, constraint, env, tau.var, dim)
+            extended = conjoin(states, constraint, env, tau.var, dim,
+                               table=table)
             if extended:
                 break
         else:
@@ -1009,8 +1014,8 @@ def completed_partial_type(completion: Completion,
 _PACE_EMISSIONS = 2  # emitted formulas whose bounds pace in per generation
 
 
-def _theta_bound_elements(thetas: list, env: dict, var: str,
-                          dim: int) -> list:
+def _theta_bound_elements(thetas: list, env: dict, var: str, dim: int,
+                          table: dict) -> list:
     """Concrete bound series named by the type's own atoms, batched two
     emissions per generation; these seed the comparison enumeration."""
     batches: list = []
@@ -1019,9 +1024,9 @@ def _theta_bound_elements(thetas: list, env: dict, var: str,
         if pos % _PACE_EMISSIONS == 0:
             batches.append([])
         for a in iter_atoms(f):
-            try:
-                store = cut_bounds([a], env, var, dim)
-            except (NonlinearUnsupported, Unsatisfiable):
+            try:  # a false atom without var has no store
+                store = atom_store(a, env, var, dim, table) or ()
+            except NonlinearUnsupported:
                 continue
             # a one-atom store holds that atom's bound, if it names one
             bound = next((b for b in store if b is not None), None)
@@ -1070,11 +1075,15 @@ def realize_type(tau: PartialType, env: dict, mode: str = "group",
     oracle, realize it, and verify the witness against every emission.  The
     parameters' dimension overrides `dim`."""
     dim = _infer_dim(None, env, dim)
-    completion = complete_type(tau, env, mode, budgets, dim)
+    # each atom's store, solved once for the whole realization; the
+    # verification below re-evaluates the emissions without it
+    table: dict = {}
+    completion = complete_type(tau, env, mode, budgets, dim, table)
     generators = [env[p] for p in tau.params] if tau.params \
         else [monomial((0,), 1, dim)]
     basis = valuation_basis(generators)
-    paced = _theta_bound_elements(list(completion.thetas), env, tau.var, dim)
+    paced = _theta_bound_elements(list(completion.thetas), env, tau.var, dim,
+                                  table)
     counters = {"free_decisions": 0}
     oracle = derived_oracle(completion, basis, paced, dim, counters)
     classification = classify_cut(oracle, basis, budgets, mode)

@@ -10,11 +10,14 @@ reduce to cuts.
 A cut is held as a store `(lower, upper, point)` of series, each None when
 absent: the values of the variable strictly between lower and upper, or the
 one point when it is set.  A store is consistent when its point lies strictly
-inside its bounds or, without a point, when the open interval is nonempty;
-`cut_bounds` builds the store of one DNF world and rejects an inconsistent
-one, `satisfiable` scans the stores of a formula's worlds, and `conjoin`
-intersects a disjunction of stores with a further formula.  Each atom is
-solved for the variable by `_solve_for` only.
+inside its bounds or, without a point, when the open interval is nonempty.
+`atom_store` gives the store of one atom, and the store of a DNF world is
+the fold of `_merge_store`, the one intersection of stores, over its atoms'
+stores: `cut_bounds` builds it and rejects an inconsistent one,
+`satisfiable` scans the stores of a formula's worlds, and `conjoin`
+intersects a disjunction of stores with a further formula.  Atoms are solved
+for the variable by `_solve_for`; a realization hands these calls one table
+of atom stores, so that it solves each atom once.
 """
 
 from __future__ import annotations
@@ -373,6 +376,29 @@ def _first_free(text: str, names: set) -> tuple:
             return val, col
 
 
+def _first_nonlinear(f: Formula, text: str, var: str):
+    """(print, column) of the first monomial of f, the formula parsed from
+    `text`, that makes an atom nonlinear in `var`, or None when every atom
+    is linear in `var`; the column is that of the first product of `text`
+    holding the monomial."""
+    mono = next((m for a in iter_atoms(f) for m, _ in a.pos.syms + a.neg.syms
+                 if _nonlinear(m, var)), None)
+    if mono is None:
+        return None
+    toks = _Tokens(text)
+    for i, (kind, _val, col) in enumerate(toks.toks):
+        if kind == "op" or i and toks.toks[i - 1][1] in ("*", "^"):
+            continue  # not the first factor of a product
+        toks.pos = i
+        try:
+            product = _parse_product(toks)
+        except ParseError:
+            continue
+        if mono in product.sym_dict():
+            return _format_mono(mono), col
+    return _format_mono(mono), 1
+
+
 def _parse_or(toks) -> Formula:
     left = _parse_and(toks)
     while toks.peek()[1] == "or":
@@ -648,6 +674,11 @@ def iter_worlds(f: Formula):
     raise TypeError(f"cannot expand {type(f).__name__}")
 
 
+def _nonlinear(m: Monomial, var: str) -> bool:
+    """Whether the monomial m holds var but is not var itself."""
+    return m != ((var, 1),) and any(s == var for s, _ in m)
+
+
 def _solve_for(a: Atom, var: str):
     """(coeff, bound) reading `a` as coeff*var + rest REL 0 and solving it to
     var REL' bound, bound = -rest/coeff (REL' flips when coeff < 0); None
@@ -656,7 +687,7 @@ def _solve_for(a: Atom, var: str):
     syms = diff.sym_dict()
     coeff = syms.pop(((var, 1),), None)
     for m in syms:
-        if any(s == var for s, _ in m):
+        if _nonlinear(m, var):
             raise NonlinearUnsupported(
                 f"atom is not linear in {var}: {_format_mono(m)}")
     if coeff is None:
@@ -737,45 +768,64 @@ def doag_qe(f: Formula) -> Formula:
 # cut extraction
 
 
+_UNSOLVED = object()  # marks an atom missing from a table
+
+
+def atom_store(a: Atom, env: dict, var: str, dim: int, table: dict):
+    """The one-atom store of `a` in the model: the bound it puts on `var`,
+    (None, None, None) for a true atom without `var`, None for a false one.
+    Raises NonlinearUnsupported when `a` is not linear in `var`.  `table`
+    remembers each atom's store, so it must serve one env, var and dim."""
+    store = table.get(a, _UNSOLVED)
+    if store is not _UNSOLVED:
+        return store
+    solved = _solve_for(a, var)
+    if solved is None:
+        store = (None, None, None) if _eval_qf(a, env, dim) else None
+    else:
+        coeff, bound_term = solved
+        bound = _term_series(bound_term, env, dim)
+        if a.rel == "=":
+            store = (None, None, bound)
+        else:
+            store = (None, bound, None) if coeff > 0 else (bound, None, None)
+    table[a] = store
+    return store
+
+
+def _fold_atoms(atoms: Iterable[Atom], env: dict, var: str, dim: int,
+                table: dict):
+    """The store of a conjunction of atoms, their one-atom stores intersected
+    in order; None at the first atom that leaves no value, before any later
+    atom is read."""
+    store = (None, None, None)
+    for a in atoms:
+        one = atom_store(a, env, var, dim, table)
+        store = None if one is None else _merge_store(store, one)
+        if store is None:
+            return None
+    return store
+
+
 def cut_bounds(constraints, env: dict, var: str = "x", dim: int = 2):
     """Reduce a conjunction of one-variable atoms to its store
     (lower, upper, point) of series in the model.
 
     Atoms must be linear in `var`; symbols other than `var` are evaluated
-    through `env`.  One pass over the atoms in order: a false var-free atom
-    or a second, different point raises Unsatisfiable at once, before any
-    later atom is read.  The resulting store must be consistent (the point
-    strictly inside the bounds or, without a point, a nonempty open
-    interval); otherwise, an empty interval included, Unsatisfiable is
-    raised.  Literal terms are read in dimension `dim` unless env has
-    series, whose dimension wins.
+    through `env`.  The atoms' stores are intersected in order, and the first
+    atom that leaves no value (a false var-free atom, a second different
+    point, a bound that empties the store) raises Unsatisfiable before any
+    later atom is read.  Literal terms are read in dimension `dim` unless env
+    has series, whose dimension wins.
     """
-    dim = _infer_dim(None, env, dim)
     atoms: list[Atom] = []
     for f in constraints:
         atoms.extend(_conjunct_atoms(f))
-    lower = upper = point = None
-    for a in atoms:
-        solved = _solve_for(a, var)
-        if solved is None:
-            if not _eval_qf(a, env, dim):
-                raise Unsatisfiable(f"constraint fails outright: {a}")
-            continue
-        coeff, bound_term = solved
-        bound = _term_series(bound_term, env, dim)
-        if a.rel == "=":
-            if point is not None and compare_series(point, bound) != 0:
-                raise Unsatisfiable("conflicting point constraints")
-            point = bound
-        elif coeff > 0:
-            if upper is None or compare_series(bound, upper) < 0:
-                upper = bound
-        else:
-            if lower is None or compare_series(bound, lower) > 0:
-                lower = bound
-    if not _consistent(lower, upper, point):
-        raise Unsatisfiable("no value lies within the bounds")
-    return lower, upper, point
+    store = _fold_atoms(atoms, env, var, _infer_dim(None, env, dim), {})
+    if store is None:
+        raise Unsatisfiable(f"no value of {var} satisfies "
+                            + " and ".join(map(str, atoms)))
+    return store
 
 
 def _consistent(lower, upper, point) -> bool:
@@ -799,24 +849,23 @@ def _conjunct_atoms(f: Formula) -> list:
     raise ValueError("cut extraction expects a conjunction of atoms")
 
 
-def _world_stores(f: Formula, env: dict, var: str, dim: int):
+def _world_stores(f: Formula, env: dict, var: str, dim: int,
+                  table: Optional[dict]):
     """Lazily yield the store of each DNF world of f, None for a world with
-    no value."""
+    no value; without a `table`, atoms shared by worlds are solved once."""
+    dim = _infer_dim(None, env, dim)
+    table = {} if table is None else table
     for world in iter_worlds(_nnf(f)):
-        try:
-            store = cut_bounds(world, env, var, dim)
-        except Unsatisfiable:
-            store = None
-        yield store
+        yield _fold_atoms(world, env, var, dim, table)
 
 
 def satisfiable(f: Formula, env: dict, var: str = "x", world_cap: int = 64,
-                dim: int = 2) -> bool:
+                dim: int = 2, *, table: Optional[dict] = None) -> bool:
     """Whether some value of `var` satisfies f under env: lazily scan DNF
     worlds, short-circuiting on the first satisfiable one.  Raises
     BudgetExhausted if no world within the cap is satisfiable and some
-    remain unexamined."""
-    for checked, store in enumerate(_world_stores(f, env, var, dim)):
+    remain unexamined.  `table` is as for `atom_store`."""
+    for checked, store in enumerate(_world_stores(f, env, var, dim, table)):
         if checked >= world_cap:
             raise BudgetExhausted(
                 f"satisfiability scan exceeded {world_cap} worlds",
@@ -846,11 +895,12 @@ _STATE_CAP = 64
 
 
 def conjoin(states: list, f: Formula, env: dict, var: str = "x",
-            dim: int = 2) -> list:
+            dim: int = 2, *, table: Optional[dict] = None) -> list:
     """Conjoin f onto a disjunction of stores: the distinct consistent
     intersections of each store with each world of f, in order.  Raises
-    BudgetExhausted past _STATE_CAP stores."""
-    world_stores = [st for st in _world_stores(f, env, var, dim)
+    BudgetExhausted past _STATE_CAP stores.  `table` is as for
+    `atom_store`."""
+    world_stores = [st for st in _world_stores(f, env, var, dim, table)
                     if st is not None]
     out: list = []
     seen: set = set()

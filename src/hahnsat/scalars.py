@@ -712,10 +712,14 @@ def parse_scalar(text: str, offset: int = 0):
             raise ParseError("alg literal needs ';' between coefficients and interval",
                              offset + 1)
         cs_part, iv_part = body.split(";", 1)
-        try:
-            coeffs = [int(c.strip()) for c in cs_part.split(",")]
-        except ValueError:
-            raise ParseError("bad alg coefficients", offset + 5) from None
+        coeffs, col = [], offset + 5
+        for c in cs_part.split(","):
+            try:
+                coeffs.append(int(c))
+            except ValueError:
+                raise ParseError(f"bad alg coefficient {c.strip()!r}",
+                                 col + len(c) - len(c.lstrip())) from None
+            col += len(c) + 1
         iv = iv_part.split(",")
         if len(iv) != 2:
             raise ParseError("alg interval needs two endpoints", offset + 5 + len(cs_part))

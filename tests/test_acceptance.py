@@ -1,6 +1,7 @@
 """Nine acceptance gates, one test each: valuation laws, interval coding,
 valuation bases, term signs, quantifier elimination, pseudo-limits, the three
-cut fixtures, randomized end-to-end realization, and CLI determinism."""
+cut fixtures, randomized end-to-end realization, and CLI determinism; the
+randomized types' field-mode reports are pinned beside the gate."""
 
 import hashlib
 import math
@@ -361,6 +362,9 @@ def _generated_type(seed):
 # sha256 of the 50 group-mode reports of gate c8, concatenated in seed order
 C8_GROUP_DIGEST = \
     "1322602294cbf1afb007d5d9f558cee2f5cf4df33c9fc6ffed8162523ec44184"
+# the same for the field-mode reports of the same 50 types
+C8_FIELD_DIGEST = \
+    "d0223863cb90a5d049f9a82d06225749736b6b738d19ca50fe919368c64ba453"
 
 
 def test_c8_randomized_realization():
@@ -386,6 +390,19 @@ def test_c8_randomized_realization():
     dt = time.perf_counter() - total0
     print(f"[PASS] randomized realization: 50 types x 100 formulas, "
           f"{dt:.2f}s total")
+
+
+def test_c8_field_mode_digest():
+    """The field-mode reports of gate c8's 50 types are byte-identical to
+    the frozen digest.  No time bound: the pass takes seconds, and a loaded
+    host must not fail it."""
+    budgets = Budgets(formula_prefix_budget=100)
+    reports = hashlib.sha256()
+    for seed in range(50):
+        tau, env = _generated_type(1000 + seed)
+        res = realize_type(tau, env, mode="field", budgets=budgets)
+        reports.update(res.report.encode())
+    assert reports.hexdigest() == C8_FIELD_DIGEST
 
 
 CLI_SUITE = (

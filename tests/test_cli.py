@@ -316,6 +316,22 @@ class TestExitCodes:
         assert rc == 1 and out == ""
         assert "bad.type:2: unknown symbol 'g2' (column 9)" in err
 
+    @pytest.mark.parametrize("formula, message", [
+        ("x*x < g1", "atom is not linear in x: x^2 (column 9)"),
+        ("g1*x < 1", "atom is not linear in x: g1*x (column 9)"),
+        ("x < g1 and 1 < 2*x^2", "atom is not linear in x: x^2 (column 24)"),
+        ("0 < x + x*g1*3", "atom is not linear in x: g1*x (column 17)"),
+    ])
+    @pytest.mark.parametrize("argv", [
+        ("realize",), ("eval", "--at", "t")])
+    def test_nonlinear_formula_exits_one_with_its_place(
+            self, capsys, tmp_path, argv, formula, message):
+        p = tmp_path / "bad.type"
+        p.write_text(f"param g1 = t\nformula {formula}\n")
+        rc, out, err = run(capsys, argv[0], str(p), *argv[1:])
+        assert rc == 1 and out == ""
+        assert f"bad.type:2: {message}" in err
+
     @pytest.mark.parametrize("argv", [
         ("path", "full", "1/3", "-2"), ("search", "full", "-1"),
         ("search", "single:1011", "-1"), ("search", "seeded:3", "-1")])
@@ -457,6 +473,7 @@ class TestInputErrors:
         (("basis", "t^(x)"), "bad exponent coordinate 'x' (column 4)"),
         (("basis", "alg[-2,0,1;x,2]*t^(1)"), "bad rational 'x' (column 12)"),
         (("basis", "alg[-2,0,1;1, y]*t^(1)"), "bad rational 'y' (column 15)"),
+        (("basis", "alg[-2,x,1;1,2]*t"), "bad alg coefficient 'x' (column 8)"),
     ])
     def test_series_argument_error_columns(self, capsys, argv, message):
         rc, out, err = run(capsys, *argv)

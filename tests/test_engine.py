@@ -1,10 +1,12 @@
 """Cut classification, realization, type completion, and reports."""
 
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
+from hahnsat import formulas
 from hahnsat.engine import (
     Budgets,
     CutOracle,
@@ -70,6 +72,8 @@ from hahnsat.series import (
 )
 from hahnsat.trees import TreeOracle, find_path_bounded
 from hahnsat.valbasis import valuation_basis
+
+from test_acceptance import _generated_type
 
 DIM = 2
 SQRT2 = real_algebraic([-2, 0, 1], 1, 2)
@@ -930,6 +934,41 @@ class TestRealizeType:
         res = realize_type(tau, {"g1": T})
         assert format_series(res.witness) == "t^(1)"
         assert "exact element" in res.report
+
+
+class TestAtomTable:
+    """A realization solves each atom once, and its table of atom stores
+    does not outlive it: types of one signature share the enumerated atoms,
+    not their stores."""
+
+    # gate c8's types over g1 alone; 1031 broke a table that outlived its type
+    SEEDS = (1027, 1029, 1031, 1035, 1038)
+    BUDGETS = Budgets(formula_prefix_budget=100)
+
+    def _reports(self, seeds):
+        out = {}
+        for seed in seeds:
+            tau, env = _generated_type(seed)
+            out[seed] = realize_type(tau, env, mode="group",
+                                     budgets=self.BUDGETS).report
+        return out
+
+    def test_reports_do_not_depend_on_the_order(self):
+        assert self._reports(self.SEEDS) == self._reports(self.SEEDS[::-1])
+
+    @pytest.mark.parametrize("seed, mode", [(1031, "group"), (1000, "field")])
+    def test_each_atom_is_solved_once(self, monkeypatch, seed, mode):
+        solved = Counter()
+        solve = formulas._solve_for
+
+        def counting(a, var):
+            solved[a, var] += 1
+            return solve(a, var)
+
+        monkeypatch.setattr(formulas, "_solve_for", counting)
+        tau, env = _generated_type(seed)
+        realize_type(tau, env, mode=mode, budgets=self.BUDGETS)
+        assert solved and max(solved.values()) == 1
 
 
 def tail_type():

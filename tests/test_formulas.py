@@ -33,7 +33,8 @@ from hahnsat.formulas import (
     parse_formula,
     satisfiable,
 )
-from hahnsat.formulas import _consistent
+from hahnsat.formulas import (_conjunct_atoms, _consistent, _eval_qf,
+                              _infer_dim, _solve_for, _term_series)
 from hahnsat.series import (
     compare_series,
     format_series,
@@ -426,6 +427,101 @@ class TestCutBounds:
             witness = _pick_witness(lo, up, pt)
             for tx in texts:
                 assert eval_formula(parse_formula(tx), dict(env, x=witness))
+
+
+def _reference_cut_bounds(constraints, env, var="x", dim=2):
+    """cut_bounds as one loop of its own, before it became a fold of
+    _merge_store: a false var-free atom or a second, different point raises
+    at once; bounds are tightened in place and checked once, at the end."""
+    dim = _infer_dim(None, env, dim)
+    atoms = []
+    for f in constraints:
+        atoms.extend(_conjunct_atoms(f))
+    lower = upper = point = None
+    for a in atoms:
+        solved = _solve_for(a, var)
+        if solved is None:
+            if not _eval_qf(a, env, dim):
+                raise Unsatisfiable(f"constraint fails outright: {a}")
+            continue
+        coeff, bound_term = solved
+        bound = _term_series(bound_term, env, dim)
+        if a.rel == "=":
+            if point is not None and compare_series(point, bound) != 0:
+                raise Unsatisfiable("conflicting point constraints")
+            point = bound
+        elif coeff > 0:
+            if upper is None or compare_series(bound, upper) < 0:
+                upper = bound
+        else:
+            if lower is None or compare_series(bound, lower) > 0:
+                lower = bound
+    if not _consistent(lower, upper, point):
+        raise Unsatisfiable("no value lies within the bounds")
+    return lower, upper, point
+
+
+def _store_or_error(world, env):
+    try:
+        store = cut_bounds(world, env)
+    except (Unsatisfiable, NonlinearUnsupported) as e:
+        return type(e)
+    return tuple(None if b is None else format_series(b) for b in store)
+
+
+class TestCutBoundsFold:
+    """cut_bounds, a fold of _merge_store over one-atom stores, against the
+    reference loop above on seeded mixed worlds."""
+
+    # g3 ties g1, so bounds and points tie; g1 < g2
+    ENV = {"g1": parse_series("t^2"), "g2": parse_series("t"),
+           "g3": parse_series("t^2")}
+    LINEAR = ("g1 < x", "g3 < x", "x < g2", "x < g1", "2*x < g2",
+              "g2 < 3*x", "x = g1", "x = g3", "2*x = g2", "x = g2",
+              "g1 < g2", "g1 = g3", "g2 < g1", "g1 = g2")
+    NONLINEAR = ("x*x < g1", "g1*x < g2")
+
+    def _worlds(self, count):
+        rng = random.Random(16)
+        for _ in range(count):
+            texts = [rng.choice(self.LINEAR)
+                     for _ in range(rng.randint(1, 4))]
+            if rng.random() < 0.3:
+                texts[rng.randrange(len(texts))] = \
+                    rng.choice(self.NONLINEAR)
+            yield [parse_formula(tx) for tx in texts]
+
+    def test_fold_matches_the_reference_loop(self):
+        reordered = 0
+        for world in self._worlds(600):
+            got = _store_or_error(world, self.ENV)
+            try:
+                want = _reference_cut_bounds(world, self.ENV)
+            except (Unsatisfiable, NonlinearUnsupported) as e:
+                want = type(e)
+            else:
+                want = tuple(None if b is None else format_series(b)
+                             for b in want)
+            if (got, want) == (Unsatisfiable, NonlinearUnsupported):
+                # the one order the fold changes: it stops at the atom that
+                # empties the store, so a nonlinear atom after an
+                # inconsistent prefix is never read
+                first = next(i for i, f in enumerate(world)
+                             if _store_or_error([f], self.ENV)
+                             is NonlinearUnsupported)
+                assert _store_or_error(world[:first], self.ENV) \
+                    is Unsatisfiable
+                reordered += 1
+                continue
+            assert got == want, [str(f) for f in world]
+        assert reordered > 0  # the sampler reaches the reordered case
+
+    def test_nonlinear_atom_after_an_empty_interval_is_not_read(self):
+        world = [parse_formula(tx) for tx in ("x < g1", "g2 < x", "x*x < g1")]
+        with pytest.raises(Unsatisfiable):
+            cut_bounds(world, self.ENV)
+        with pytest.raises(NonlinearUnsupported):
+            cut_bounds(world[2:] + world[:2], self.ENV)
 
 
 class TestSatisfiable:

@@ -379,6 +379,19 @@ class TestLiterals:
             parse_scalar(text, 10)
         assert ei.value.column == column
 
+    @pytest.mark.parametrize("text, bad, column", [
+        # offset 10: the literal starts at column 11
+        ("alg[x,0,1;1,2]", "x", 15),        # first coefficient
+        ("alg[-2,x,1;1,2]", "x", 18),       # middle
+        ("alg[-2,0, 1y;1,2]", "1y", 21),    # last, after a space
+        ("  alg[-2,,1;1,2]", "", 20),       # an empty middle entry
+    ])
+    def test_bad_alg_coefficient_column_is_its_entry(self, text, bad, column):
+        with pytest.raises(ParseError,
+                           match=f"bad alg coefficient '{bad}'") as ei:
+            parse_scalar(text, 10)
+        assert ei.value.column == column
+
     def test_round_trip(self):
         for x in [Fraction(5), Fraction(-7, 4), SQRT2, scalar_add(SQRT2, SQRT3)]:
             assert parse_scalar(format_scalar(x)) == x
