@@ -631,10 +631,13 @@ def _nnf(f: Formula, negated: bool = False) -> Formula:
         if not negated:
             return f
         if f.rel == "<":
-            # not (p < n)  <=>  n < p or n = p
+            # not (p < n)  <=>  n < p or n = p; the sides of a canonical
+            # atom are canonical, so the = atom only orders them as
+            # make_atom does
             swapped = Atom("<", f.neg, f.pos)
-            eq = make_atom("=", f.neg, f.pos)
-            return Or(swapped, eq)
+            if _side_text(f.neg) <= _side_text(f.pos):
+                return Or(swapped, Atom("=", f.neg, f.pos))
+            return Or(swapped, Atom("=", f.pos, f.neg))
         return Or(Atom("<", f.pos, f.neg), Atom("<", f.neg, f.pos))
     if isinstance(f, Not):
         return _nnf(f.body, not negated)

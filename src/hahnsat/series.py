@@ -7,12 +7,17 @@ series may carry a truncation bound: stored exponents are all strictly below
 it, and nothing is known at or beyond it.  Arithmetic propagates bounds so
 that every stored term of a result is genuine.
 
-Invariant of every Series: each exponent is a tuple of exactly `dim`
-Fractions, each coefficient is nonzero, and each stored exponent lies
+Invariant of every Series: each exponent is an interned `Exp` of exactly
+`dim` Fractions, each coefficient is nonzero, and each stored exponent lies
 strictly below `trunc` when a bound is present.  The public constructor
 (`Series(...)`, `series`, `parse_series`) normalizes outside input to it;
 arithmetic results preserve it by construction and are built through the
 trusted `Series._raw`, which does not re-check.
+
+Every exponent is built by `Exp(coords)`, which keeps one object per value
+in a bounded cache: equal exponents are mostly the same object, share their
+`Fraction` coordinates and carry a stored hash, so the order kernel below
+seldom compares or hashes a `Fraction` of an exponent.
 
 A Series computes its support in ascending order once, on first use, and
 keeps it (`sorted_terms`).  Order and the valuation of a difference are
@@ -49,7 +54,55 @@ from .scalars import (
     scalar_sign,
 )
 
-Exponent = tuple  # tuple[Fraction, ...], compared lexicographically
+
+class Exp(tuple):
+    """An exponent: a tuple of Fractions, compared lexicographically.
+
+    `Exp(coords)` takes Fraction or int coordinates and returns the interned
+    object for their value.  The hash is stored and equals the plain
+    tuple's, so a plain tuple key finds an `Exp` key.  Equality is by value:
+    identity first, then a stored-hash mismatch between two `Exp`s, then
+    the coordinates.
+    """
+
+    def __new__(cls, coords):
+        if type(coords) is cls:
+            return coords
+        key = tuple([q.as_integer_ratio() for q in coords])
+        exp = _EXPS.get(key)
+        if exp is None:
+            if len(_EXPS) >= _TABLE_MAX or len(_COORDS) >= _TABLE_MAX:
+                _EXPS.clear()
+                _COORDS.clear()
+            exp = tuple.__new__(cls, [_coord(r) for r in key])
+            exp._hash = tuple.__hash__(exp)
+            _EXPS[key] = exp
+        return exp
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is Exp and other._hash != self._hash:
+            return False
+        return tuple.__eq__(self, other)
+
+
+# The intern tables of Exp, keyed by (numerator, denominator) pairs so that
+# a lookup hashes no Fraction.  They are a pure cache, cleared together past
+# _TABLE_MAX, far above the few hundred exponents a benchmark workload uses.
+_EXPS: dict = {}
+_COORDS: dict = {}
+_TABLE_MAX = 4096
+
+
+def _coord(ratio: tuple) -> Fraction:
+    q = _COORDS.get(ratio)
+    if q is None:
+        q = _COORDS[ratio] = Fraction(*ratio)
+    return q
 
 
 class _Infinity:
@@ -87,36 +140,38 @@ class _Infinity:
 INFINITY = _Infinity()
 
 
-def zero_exp(dim: int) -> Exponent:
-    return (Fraction(0),) * dim
+def zero_exp(dim: int) -> Exp:
+    return Exp((0,) * dim)
 
 
-def exp_add(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x + y for x, y in zip(a, b))
+def exp_add(a: Exp, b: Exp) -> Exp:
+    return Exp([x + y for x, y in zip(a, b)])
 
 
-def exp_neg(a: Exponent) -> Exponent:
-    return tuple(-x for x in a)
+def exp_neg(a: Exp) -> Exp:
+    return Exp([-x for x in a])
 
 
-def exp_scale(a: Exponent, q: Fraction) -> Exponent:
-    return tuple(x * q for x in a)
+def exp_scale(a: Exp, q: Fraction) -> Exp:
+    return Exp([x * q for x in a])
 
 
-def _strip_exp(exp) -> tuple:
+def _strip_exp(exp) -> Exp:
     """The coordinates of `exp` without its trailing zeros."""
     coords = list(exp)
     while coords and coords[-1] == 0:
         coords.pop()
-    return tuple(coords)
+    return Exp(coords)
 
 
-def make_exp(values, dim: int) -> Exponent:
-    vals = [Fraction(v) for v in values]
+def make_exp(values, dim: int) -> Exp:
+    """The exponent of `values` (anything `Fraction` reads), padded with
+    zeros to `dim` coordinates."""
+    vals = [v if type(v) is Fraction else Fraction(v) for v in values]
     if len(vals) > dim:
         raise ValueError(f"exponent has {len(vals)} coordinates, dimension is {dim}")
-    vals.extend([Fraction(0)] * (dim - len(vals)))
-    return tuple(vals)
+    vals.extend([0] * (dim - len(vals)))
+    return Exp(vals)
 
 
 class Series:
@@ -129,7 +184,9 @@ class Series:
 
     __slots__ = ("dim", "terms", "trunc", "_hash", "_order")
 
-    def __init__(self, terms: dict, dim: int, trunc: Optional[Exponent] = None):
+    def __init__(self, terms: dict, dim: int, trunc: Optional[Exp] = None):
+        if trunc is not None:
+            trunc = Exp(trunc)
         kept = {}
         for exp, c in terms.items():
             if len(exp) != dim:
@@ -138,18 +195,18 @@ class Series:
                 continue
             if trunc is not None and not exp < trunc:
                 continue
-            kept[tuple(Fraction(q) for q in exp)] = c
+            kept[Exp(exp)] = c
         self._fill(kept, dim, trunc)
 
     @classmethod
-    def _raw(cls, terms: dict, dim: int, trunc: Optional[Exponent] = None) -> "Series":
+    def _raw(cls, terms: dict, dim: int, trunc: Optional[Exp] = None) -> "Series":
         """Trusted constructor for arithmetic results: `terms` already meets
         the module invariant and is owned by the new series."""
         self = object.__new__(cls)
         self._fill(terms, dim, trunc)
         return self
 
-    def _fill(self, terms: dict, dim: int, trunc: Optional[Exponent]):
+    def _fill(self, terms: dict, dim: int, trunc: Optional[Exp]):
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "trunc", trunc)
@@ -197,7 +254,7 @@ class Series:
         return f"<{body}>"
 
 
-def series(terms: dict, dim: int, trunc: Optional[Exponent] = None) -> Series:
+def series(terms: dict, dim: int, trunc: Optional[Exp] = None) -> Series:
     return Series(terms, dim, trunc)
 
 
@@ -251,7 +308,7 @@ def leading_term(x: Series):
     return x.sorted_terms()[:2]
 
 
-def _min_trunc(a: Optional[Exponent], b: Optional[Exponent]) -> Optional[Exponent]:
+def _min_trunc(a: Optional[Exp], b: Optional[Exp]) -> Optional[Exp]:
     if a is None:
         return b
     if b is None:
@@ -259,7 +316,7 @@ def _min_trunc(a: Optional[Exponent], b: Optional[Exponent]) -> Optional[Exponen
     return min(a, b)
 
 
-def _below(terms: dict, trunc: Exponent) -> dict:
+def _below(terms: dict, trunc: Exp) -> dict:
     return {e: c for e, c in terms.items() if e < trunc}
 
 
@@ -330,13 +387,13 @@ def scale(x: Series, c) -> Series:
                        x.dim, x.trunc)
 
 
-def with_trunc(x: Series, bound: Optional[Exponent]) -> Series:
+def with_trunc(x: Series, bound: Optional[Exp]) -> Series:
     trunc = _min_trunc(x.trunc, bound)
     terms = dict(x.terms) if trunc == x.trunc else _below(x.terms, trunc)
     return Series._raw(terms, x.dim, trunc)
 
 
-def restrict_exponents(x: Series, bound: Exponent, inclusive: bool = True) -> Series:
+def restrict_exponents(x: Series, bound: Exp, inclusive: bool = True) -> Series:
     """Exact series made of the stored terms with exponent <= bound
     (< bound when inclusive=False); the truncation bound is discarded."""
     if inclusive:
@@ -346,7 +403,7 @@ def restrict_exponents(x: Series, bound: Exponent, inclusive: bool = True) -> Se
     return Series._raw(kept, x.dim)
 
 
-def invert(x: Series, order: Optional[Exponent] = None) -> Series:
+def invert(x: Series, order: Optional[Exp] = None) -> Series:
     """Multiplicative inverse.
 
     Exact monomials invert exactly whatever the order.  Otherwise `order` is
@@ -557,7 +614,7 @@ def _split_top_level(text: str):
     return chunks
 
 
-def _parse_exponent(text: str, col: int, dim: int) -> Exponent:
+def _parse_exponent(text: str, col: int, dim: int) -> Exp:
     """`col` is the 0-based column of `text` in the literal."""
     t = text.strip()
     col += len(text) - len(text.lstrip())
@@ -582,8 +639,8 @@ def _parse_exponent(text: str, col: int, dim: int) -> Exponent:
             vals.append(Fraction(c))
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad exponent coordinate {c!r}", c_col) from None
-    vals.extend([Fraction(0)] * (dim - len(vals)))
-    return tuple(vals)
+    vals.extend([0] * (dim - len(vals)))
+    return Exp(vals)
 
 
 def _parse_term(sign: int, chunk: str, col: int, dim: int):

@@ -405,6 +405,23 @@ def test_c8_field_mode_digest():
     assert reports.hexdigest() == C8_FIELD_DIGEST
 
 
+def test_c8_second_realization_interns_no_new_exponent():
+    """Every exponent of a realization is interned: realizing c8's group
+    types 1000-1009 again in the same process adds no table entry."""
+    from hahnsat import series
+    budgets = Budgets(formula_prefix_budget=100)
+    series._EXPS.clear()  # a pure cache: start far below its bound
+    series._COORDS.clear()
+    tables = []
+    for _ in range(2):
+        for seed in range(1000, 1010):
+            tau, env = _generated_type(seed)
+            realize_type(tau, env, mode="group", budgets=budgets)
+        tables.append((set(series._EXPS), set(series._COORDS)))
+    assert tables[0] == tables[1]
+    assert tables[0][0]
+
+
 CLI_SUITE = (
     ("realize", str(FIXTURES / "residue_sqrt2.type")),
     ("realize", str(FIXTURES / "beta.type")),

@@ -3,6 +3,7 @@ elimination, cut extraction, and the atomic-fragment enumeration."""
 
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +35,8 @@ from hahnsat.formulas import (
     satisfiable,
 )
 from hahnsat.formulas import (_conjunct_atoms, _consistent, _eval_qf,
-                              _infer_dim, _solve_for, _term_series)
+                              _fragment, _infer_dim, _nnf, _solve_for,
+                              _term_series, make_atom)
 from hahnsat.series import (
     compare_series,
     format_series,
@@ -675,6 +677,22 @@ class TestEnumeration:
                "g2": parse_series("-3 + t")}
         for i in range(200):
             assert eval_formula(enumerate_formulas(i, self.sig), env) in (True, False)
+
+    def test_negated_atom_needs_no_recanonicalizing(self):
+        """_nnf orders the sides of the = half of not (p < n) instead of
+        rebuilding it; on canonical atoms that is make_atom's atom."""
+        atoms = [parse_formula(text) for text in (
+            "t^(1/2) + x < 2*g1", "x < 1 + t", "3*g1 + t^(0,1) < x")]
+        for kind, symbols in (("group", ("x", "g1")),
+                              ("group", ("x", "g1", "g2")),
+                              ("field", ("x", "g1")),
+                              ("field", ("x", "g1", "g2"))):
+            atoms.extend(islice(_fragment(Signature(kind, symbols)), 1500))
+        atoms = [a for a in atoms if isinstance(a, Atom) and a.rel == "<"]
+        assert len(atoms) > 3000
+        for a in atoms:
+            assert _nnf(Not(a)) == Or(Atom("<", a.neg, a.pos),
+                                      make_atom("=", a.neg, a.pos))
 
 
 class TestWalks:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import random_series
 from hahnsat import scalars
+from hahnsat import series as series_mod
 from hahnsat.errors import (
     ClassMismatch,
     ComparisonUndecidedAtPrecision,
@@ -26,6 +27,7 @@ from hahnsat.scalars import (
 )
 from hahnsat.series import (
     INFINITY,
+    Exp,
     Series,
     _format_exp,
     add,
@@ -439,8 +441,9 @@ def _pairs():
 
 def _assert_normal(r):
     for e, c in r.terms.items():
-        assert type(e) is tuple and len(e) == r.dim
-        assert all(type(q) is F for q in e)
+        assert type(e) is Exp and len(e) == r.dim
+        assert e is Exp(tuple(e))  # the table's entry for its value
+        assert all(type(q) is F and q is Exp((q,))[0] for q in e)
         assert not scalar_is_zero(c)
         assert r.trunc is None or e < r.trunc
     assert r == Series(r.terms, r.dim, r.trunc)
@@ -552,6 +555,148 @@ class TestTrustedPath:
                 diff_valuation(x, cut)
         finally:
             _UnhashableFraction.armed = False
+
+
+# ---------------------------------------------------------------------------
+# interned exponents against plain tuples
+
+
+def _plain(x):
+    """(terms, trunc) of x with plain tuples of fresh Fractions as
+    exponents: no object shared with the intern table."""
+    def fresh(e):
+        return tuple(F(q.numerator, q.denominator) for q in e)
+    return ({fresh(e): c for e, c in x.terms.items()},
+            None if x.trunc is None else fresh(x.trunc))
+
+
+def _plain_series(x):
+    """x rebuilt through the trusted constructor on plain-tuple keys."""
+    terms, trunc = _plain(x)
+    return Series._raw(terms, x.dim, trunc)
+
+
+def _ref_normal(terms, trunc):
+    return ({e: c for e, c in terms.items()
+             if not scalar_is_zero(c) and (trunc is None or e < trunc)},
+            trunc)
+
+
+def _ref_add(x, y):
+    bounds = [b for b in (x[1], y[1]) if b is not None]
+    out = dict(x[0])
+    for e, c in y[0].items():
+        out[e] = scalar_add(out[e], c) if e in out else c
+    return _ref_normal(out, min(bounds) if bounds else None)
+
+
+def _ref_map(x, fn):
+    return ({e: fn(c) for e, c in x[0].items()}, x[1])
+
+
+def _ref_multiply(x, y):
+    if (not x[0] and x[1] is None) or (not y[0] and y[1] is None):
+        return {}, None
+    bounds = []
+    for (_, b), (terms, other_b) in ((x, y), (y, x)):
+        if b is not None:
+            floor = min(terms) if terms else other_b
+            bounds.append(tuple(p + q for p, q in zip(b, floor)))
+    out = {}
+    for e1, c1 in x[0].items():
+        for e2, c2 in y[0].items():
+            e = tuple(p + q for p, q in zip(e1, e2))
+            p = scalars.scalar_mul(c1, c2)
+            out[e] = scalar_add(out[e], p) if e in out else p
+    return _ref_normal(out, min(bounds) if bounds else None)
+
+
+def _ref_sign_and_valuation(x, y):
+    """The sign and the valuation of x - y, both "unknown" when x and y
+    agree below the smaller bound."""
+    terms, trunc = _ref_add(x, _ref_map(y, scalar_neg))
+    if terms:
+        e = min(terms)
+        return scalar_sign(terms[e]), e
+    return (0, INFINITY) if trunc is None else ("unknown", "unknown")
+
+
+def _unknown_as_str(fn, *args):
+    try:
+        return fn(*args)
+    except TruncationInsufficient:
+        return "unknown"
+
+
+class TestInternedExponents:
+    @given(_exps(DIM), _exps(DIM))
+    @settings(deadline=None)
+    def test_exp_agrees_with_its_tuple(self, t, u):
+        e = Exp(t)
+        assert e == t and t == e and not e != t
+        assert hash(e) == hash(t)
+        assert e is Exp(t) is Exp(e)
+        assert (e == Exp(u)) == (t == u)
+        assert (e < Exp(u)) == (t < u)
+        series_mod._EXPS.clear()
+        series_mod._COORDS.clear()
+        again = Exp(t)
+        assert again is not e
+        assert again == e and e == again and not again != e
+        assert hash(again) == hash(e)
+        assert (again == Exp(u)) == (t == u)
+
+    def test_int_coordinates(self):
+        e = Exp((-1, -1))
+        assert all(type(q) is F for q in e)
+        assert e is Exp((F(-1), F(-1)))
+        assert _format_exp((-1, -1)) == _format_exp(e) == "(-1,-1)"
+
+    @given(_series(), _series(), _COEFF)
+    @settings(max_examples=300, deadline=None)
+    def test_arithmetic_agrees_with_plain_tuples(self, x, y, c):
+        px, py = _plain(x), _plain(y)
+        for a, b in ((x, y), (_plain_series(x), _plain_series(y))):
+            assert _plain(add(a, b)) == _ref_add(px, py)
+            assert _plain(multiply(a, b)) == _ref_multiply(px, py)
+            assert _plain(negate(a)) == _ref_map(px, scalar_neg)
+            if not scalar_is_zero(c):
+                assert _plain(scale(a, c)) == \
+                    _ref_map(px, lambda q: scalars.scalar_mul(q, c))
+            assert (_unknown_as_str(compare_series, a, b),
+                    _unknown_as_str(diff_valuation, a, b)) == \
+                _ref_sign_and_valuation(px, py)
+            assert a.sorted_terms() == \
+                tuple(v for e in sorted(px[0]) for v in (e, px[0][e]))
+        assert x == _plain_series(x) and hash(x) == hash(_plain_series(x))
+
+    def test_equal_supports_built_apart_compare_by_identity(self,
+                                                            monkeypatch):
+        text = "1 + 2*t^(1/2) - t^(1,-1/3) + 5*t^(3/2,2)"
+        x = parse_series(text, DIM)
+        y = parse_series(text, DIM)
+        longer = parse_series(text + " + t^(4)", DIM)
+        coords = {id(q) for s in (x, y, longer) for e in s.terms for q in e}
+        for s in (x, y, longer):
+            s.sorted_terms()  # sorted once per series, before any walk
+        touched = []
+
+        def counted(name):
+            real = getattr(F, name)
+
+            def method(q, *other):
+                if id(q) in coords or any(id(o) in coords for o in other):
+                    touched.append(name)
+                return real(q, *other)
+            return method
+
+        monkeypatch.setattr(F, "__eq__", counted("__eq__"))
+        monkeypatch.setattr(F, "__hash__", counted("__hash__"))
+        assert series_mod._first_difference(x, y) is None
+        assert compare_series(x, y) == 0
+        assert compare_series(longer, x) == 1
+        assert diff_valuation(x, longer) == make_exp([4], DIM)
+        assert touched == []
 
 
 class TestSplitter:
