@@ -77,7 +77,6 @@ from .engine import (
     Side,
     classify_cut,
     complete_type,
-    derived_oracle,
     gap_center,
     oracle_from_value,
     realize_cut_field,

@@ -34,6 +34,7 @@ from .formulas import (
     _fragment,
     _has_quantifier,
     _infer_dim,
+    _inside,
     atom_store,
     conjoin,
     doag_qe,
@@ -147,7 +148,9 @@ class CutOracle:
 
 def oracle_from_value(x0: Series,
                       height_enum: Callable[[int], Iterable[Series]]) -> CutOracle:
-    """Test helper: the cut of a concrete hidden element."""
+    """The cut of a concrete hidden element: each query is one comparison
+    with x0.  realize_type hides the completion store's point or gap
+    center here."""
 
     return CutOracle(lambda d: Side(compare_series(d, x0)), height_enum)
 
@@ -1008,7 +1011,7 @@ def completed_partial_type(completion: Completion,
 
 
 # ---------------------------------------------------------------------------
-# the derived oracle and the realization pipeline
+# the realization pipeline
 
 
 _PACE_EMISSIONS = 2  # emitted formulas whose bounds pace in per generation
@@ -1036,30 +1039,6 @@ def _theta_bound_elements(thetas: list, env: dict, var: str, dim: int,
     return batches
 
 
-def derived_oracle(completion: Completion, basis: SpanBasis,
-                   paced: Sequence[Sequence[Series]], dim: int,
-                   counters: dict) -> CutOracle:
-    """Answer side queries from the completion: the store bounds decide
-    outright, anything strictly between them is settled against the
-    canonical gap center (a counted free decision)."""
-    center = gap_center(completion.lower, completion.upper, dim)
-
-    def side(e: Series) -> Side:
-        if completion.point is not None:
-            return Side(compare_series(e, completion.point))
-        if completion.lower is not None and \
-                compare_series(e, completion.lower) <= 0:
-            return Side.BELOW
-        if completion.upper is not None and \
-                compare_series(e, completion.upper) >= 0:
-            return Side.ABOVE
-        counters["free_decisions"] += 1
-        return Side(compare_series(e, center))
-
-    enum = standard_height_enum(basis.generators, paced=paced)
-    return CutOracle(side, enum)
-
-
 @dataclass(frozen=True)
 class RealizationResult:
     witness: Series
@@ -1071,9 +1050,9 @@ class RealizationResult:
 
 def realize_type(tau: PartialType, env: dict, mode: str = "group",
                  budgets: Budgets = Budgets(), dim: int = 2) -> RealizationResult:
-    """Complete the type, classify the resulting cut through the derived
-    oracle, realize it, and verify the witness against every emission.  The
-    parameters' dimension overrides `dim`."""
+    """Complete the type, classify the cut of the completion store through
+    the oracle of its hidden element, realize it, and verify the witness
+    against every emission.  The parameters' dimension overrides `dim`."""
     dim = _infer_dim(None, env, dim)
     # each atom's store, solved once for the whole realization; the
     # verification below re-evaluates the emissions without it
@@ -1084,40 +1063,38 @@ def realize_type(tau: PartialType, env: dict, mode: str = "group",
     basis = valuation_basis(generators)
     paced = _theta_bound_elements(list(completion.thetas), env, tau.var, dim,
                                   table)
-    counters = {"free_decisions": 0}
-    oracle = derived_oracle(completion, basis, paced, dim, counters)
+    # the cut is the completion store's: its point, or else its gap center,
+    # which lies strictly inside and so agrees with the bounds on every
+    # element outside them; a query strictly inside is a free decision
+    lo, up, hidden = completion.lower, completion.upper, completion.point
+    if hidden is None:
+        hidden = gap_center(lo, up, dim)
+    else:
+        lo = up = hidden  # nothing lies strictly inside a point store
+    oracle = oracle_from_value(
+        hidden, standard_height_enum(basis.generators, paced=paced))
     classification = classify_cut(oracle, basis, budgets, mode)
     if mode == "group":
         witness = realize_cut_group(classification, oracle, basis, budgets)
     else:
         witness = realize_cut_field(classification, oracle, basis, budgets)
-    witness, clamped = _clamp_to_store(witness, completion, dim)
+    # a witness built from a height-truncated probe chain can lag behind
+    # theta bounds the enumeration never reached: fold the store back in
+    clamped = not (_inside(lo, up, witness)
+                   or compare_series(witness, hidden) == 0)
+    if clamped:
+        witness = hidden
     verification = []
     wenv = dict(env)
     wenv[tau.var] = witness
     for _, f in completion.thetas:
         verification.append((format_formula(f), eval_formula(f, wenv, dim)))
+    free = sum(_inside(lo, up, d) for d, _ in oracle.log)
     report = _render_report(completion, classification, witness,
-                            verification, oracle, counters, budgets, mode,
+                            verification, oracle, free, budgets, mode,
                             clamped)
     return RealizationResult(witness, classification, completion,
                              tuple(verification), report)
-
-
-def _clamp_to_store(witness: Series, completion: Completion,
-                    dim: int) -> tuple:
-    """The decided prefix confines x to the completion store; a witness
-    built from a height-truncated probe chain can lag behind theta bounds
-    the enumeration never reached, so fold the store back in."""
-    if completion.point is not None:
-        if compare_series(witness, completion.point) == 0:
-            return witness, False
-        return completion.point, True
-    lo, up = completion.lower, completion.upper
-    if (lo is not None and compare_series(witness, lo) <= 0) or \
-            (up is not None and compare_series(witness, up) >= 0):
-        return gap_center(lo, up, dim), True
-    return witness, False
 
 
 # ---------------------------------------------------------------------------
@@ -1165,7 +1142,7 @@ def _budget_lines(budgets: Budgets) -> list:
 
 def _render_report(completion: Completion, cls: object,
                    witness: Series, verification: list, oracle: CutOracle,
-                   counters: dict, budgets: Budgets, mode: str,
+                   free_decisions: int, budgets: Budgets, mode: str,
                    clamped: bool = False) -> str:
     lines = []
     lines.append("== COMPLETION ==")
@@ -1192,7 +1169,7 @@ def _render_report(completion: Completion, cls: object,
     lines.extend(_budget_lines(budgets))
     lines.append(f"oracle queries: {len(oracle.log)}")
     lines.append(f"interval states: {completion.interval_states}")
-    lines.append(f"free decisions: {counters['free_decisions']}")
+    lines.append(f"free decisions: {free_decisions}")
     return "\n".join(lines) + "\n"
 
 

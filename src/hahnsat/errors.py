@@ -53,7 +53,9 @@ class Unsatisfiable(ValueError):
 
 
 class NonlinearUnsupported(ValueError):
-    """cut_bounds received a constraint that is not linear in the variable."""
+    """An atom is not linear in the variable it is solved for: raised by
+    _solve_for, and so by quantifier elimination, cut_bounds, satisfiable,
+    conjoin and type completion."""
 
 
 class BoundaryUndecided(RuntimeError):

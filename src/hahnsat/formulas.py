@@ -647,10 +647,6 @@ def _nnf(f: Formula, negated: bool = False) -> Formula:
     if isinstance(f, Or):
         l, r = _nnf(f.left, negated), _nnf(f.right, negated)
         return And(l, r) if negated else Or(l, r)
-    if isinstance(f, Exists):
-        if negated:
-            raise ValueError("quantifiers must be eliminated innermost-first")
-        return Exists(f.var, _nnf(f.body))
     raise TypeError(f"cannot normalize {type(f).__name__}")
 
 
@@ -831,12 +827,17 @@ def cut_bounds(constraints, env: dict, var: str = "x", dim: int = 2):
     return store
 
 
+def _inside(lower, upper, e) -> bool:
+    """Whether e lies strictly between the bounds; a None bound is open."""
+    return (lower is None or compare_series(lower, e) < 0) and \
+        (upper is None or compare_series(e, upper) < 0)
+
+
 def _consistent(lower, upper, point) -> bool:
     """Whether the store holds a value: its point strictly inside the
     bounds or, without a point, a nonempty open interval."""
     if point is not None:
-        return (lower is None or compare_series(lower, point) < 0) and \
-            (upper is None or compare_series(point, upper) < 0)
+        return _inside(lower, upper, point)
     return lower is None or upper is None or compare_series(lower, upper) < 0
 
 
@@ -855,7 +856,10 @@ def _conjunct_atoms(f: Formula) -> list:
 def _world_stores(f: Formula, env: dict, var: str, dim: int,
                   table: Optional[dict]):
     """Lazily yield the store of each DNF world of f, None for a world with
-    no value; without a `table`, atoms shared by worlds are solved once."""
+    no value; quantifiers are eliminated first.  Without a `table`, atoms
+    shared by worlds are solved once."""
+    if _has_quantifier(f):
+        f = doag_qe(f)
     dim = _infer_dim(None, env, dim)
     table = {} if table is None else table
     for world in iter_worlds(_nnf(f)):

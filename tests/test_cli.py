@@ -493,3 +493,27 @@ class TestInputErrors:
         with pytest.raises(ParseError, match="unknown symbol") as ei:
             load_type_file(str(p), 2)
         assert ei.value.column == column
+
+
+class TestBudgetSweep:
+    """Within its budgets every fixture realizes with all checks PASS or
+    exits with a documented code, and prints the same bytes twice.  The
+    residue fixture at --prefix 100 --precision 24 crashes (the strict xfail
+    in TestExitCodes), so the grid stays off that combination."""
+
+    GRID = [(height, precision, prefix) for height in (1, 4)
+            for precision in (8, 16) for prefix in (8, 48)]
+
+    @pytest.mark.parametrize("mode", ["group", "field"])
+    @pytest.mark.parametrize("fixture", ["beta", "contradictory",
+                                         "immediate_tail", "residue_sqrt2"])
+    def test_documented_exit_and_same_bytes(self, capsys, fixture, mode):
+        for height, precision, prefix in self.GRID:
+            argv = ("realize", str(FIXTURES / f"{fixture}.type"),
+                    "--mode", mode, "--height", str(height),
+                    "--precision", str(precision), "--prefix", str(prefix))
+            first = run(capsys, *argv)
+            rc, out, err = first
+            assert rc in (0, 2, 3), (argv, err)
+            assert "FAIL  " not in out, argv
+            assert run(capsys, *argv) == first, argv

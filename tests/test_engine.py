@@ -5,6 +5,8 @@ from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from hahnsat import formulas
 from hahnsat.engine import (
@@ -193,6 +195,22 @@ class TestHeightEnum:
         assert gen1.count(T) == 1
 
 
+# few leading exponents, so that equal valuations are common; a second
+# coordinate, so that gap_center's floor of the first one is exercised
+_GAP_EXPS = [(F(q), F(r)) for q in (-1, 0, F(1, 2), 1, 2) for r in (0, 1)]
+
+
+@st.composite
+def _gap_series(draw):
+    """A series of at most three terms, zero included."""
+    terms = draw(st.dictionaries(
+        st.sampled_from(_GAP_EXPS),
+        st.builds(F, st.integers(-3, 3).filter(bool), st.integers(1, 3)),
+        max_size=3))
+    return Series({make_exp(list(e), DIM): c for e, c in terms.items()},
+                  DIM)
+
+
 class TestGapCenter:
     def test_no_bounds(self):
         assert gap_center(None, None, DIM).is_zero()
@@ -228,6 +246,28 @@ class TestGapCenter:
 
     def test_only_zero_lower(self):
         assert format_series(gap_center(zero_series(DIM), None, DIM)) == "1"
+
+    @given(st.none() | _gap_series(), st.none() | _gap_series())
+    @example(None, None)
+    @example(None, zero_series(DIM))
+    @example(zero_series(DIM), T)
+    @example(negate(T), zero_series(DIM))
+    @example(negate(t_pow(2)), T)
+    @example(T, t_pow(1, 2))
+    @example(t_pow(2), T)
+    @example(negate(T), negate(t_pow(2)))
+    @settings(max_examples=400, deadline=None)
+    def test_center_lies_strictly_inside(self, a, b):
+        """realize_type answers every query by comparing with this center,
+        which agrees with the store's bounds only if it lies between them."""
+        if a is not None and b is not None:
+            c = compare_series(a, b)
+            assume(c != 0)
+            if c > 0:
+                a, b = b, a
+        center = gap_center(a, b, DIM)
+        assert a is None or compare_series(a, center) < 0
+        assert b is None or compare_series(center, b) < 0
 
 
 class TestClassifyGroup:
@@ -466,6 +506,22 @@ class TestClassifyField:
         w = realize_cut_field(cls, oracle, basis, Budgets())
         assert format_series(w) == "alg[-3,0,1;1,2] + t^(1)"
         assert compare_series(w, hidden) == 0
+
+    def test_installed_residue_hits_the_hidden_element(self):
+        # the installed d0 + scale * residue is the hidden element itself,
+        # so realization ends on that one EQUAL query
+        hidden = parse_series("t + alg[-2,0,1;1,2]*t^(2)")
+        oracle = oracle_from_value(hidden, standard_height_enum([T]))
+        basis = valuation_basis([T])
+        cls = classify_cut(oracle, basis, Budgets(), mode="field")
+        assert isinstance(cls, ResidueTranscendental)
+        assert format_series(cls.d0) == "t^(1)"
+        assert format_series(cls.scale) == "t^(2)"
+        assert format_scalar(cls.residue) == "alg[-2,0,1;1,2]"
+        w = realize_cut_field(cls, oracle, basis, Budgets())
+        assert oracle.log[-1] == (w, Side.EQUAL)
+        assert oracle.log[-1][0] is w
+        assert format_series(w) == "t^(1) + alg[-2,0,1;1,2]*t^(2)"
 
     def test_cube_root_exponent_needs_denominator_budget(self):
         hidden = t_pow(F(1, 3))

@@ -554,6 +554,20 @@ class TestSatisfiable:
         # a generous cap scans them all and concludes unsatisfiable
         assert satisfiable(f, self.env, world_cap=128) is False
 
+    def test_quantified_formula_is_eliminated_first(self):
+        env = {"g1": parse_series("t")}
+        between = parse_formula("exists y (x < y and y < g1)")
+        assert satisfiable(between, env) is True
+        assert conjoin([(None, None, None)], between, env) == \
+            [(None, parse_series("t"), None)]
+        outside = parse_formula("not exists y (x < y and y < g1)")
+        assert satisfiable(outside, env) is True
+        assert conjoin([(None, None, None)], outside, env) == \
+            [(parse_series("t"), None, None), (None, None, parse_series("t"))]
+        empty = parse_formula("exists y (y < x and x < y)")
+        assert satisfiable(empty, env) is False
+        assert conjoin([(None, None, None)], empty, env) == []
+
     def test_agrees_with_conjoin_on_qe_formulas(self):
         from test_acceptance import _random_qe_formula
 
