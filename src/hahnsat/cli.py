@@ -415,11 +415,10 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 0 if e.code == 0 else 1
     try:
+        if getattr(args, "dim", 1) < 1:
+            raise ValueError("--dim must be positive")
         return args.fn(args)
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as e:
+    except (ParseError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

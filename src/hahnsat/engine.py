@@ -65,9 +65,7 @@ from .series import (
     exp_add,
     exp_scale,
     format_series,
-    make_exp,
     monomial,
-    negate,
     scale,
     subtract,
     valuation,
@@ -231,11 +229,10 @@ def _field_grid(basis: SpanBasis, denom_budget: int, dim: int) -> list:
     the denominator budget, combined additively across classes."""
     grid = {zero_exp(dim)}
     for gamma in _group_grid(basis):
-        extended = set()
-        for r in _rationals_of_height(denom_budget):
-            scaled_g = exp_scale(gamma, r)
-            extended.update(exp_add(g0, scaled_g) for g0 in grid)
-        grid |= extended
+        # 0 is one of the multiples, so the grid only grows
+        steps = [exp_scale(gamma, r)
+                 for r in _rationals_of_height(denom_budget)]
+        grid = {exp_add(g0, step) for g0 in grid for step in steps}
     return sorted(grid)
 
 
@@ -250,44 +247,43 @@ def _class_rep_for(basis: SpanBasis, gamma: tuple) -> Optional[Series]:
 # canonical gap center
 
 
-def _first_floor(gamma: tuple) -> int:
-    return math.floor(gamma[0])
+def _gap_exponent(lower: Optional[tuple], upper: Optional[tuple]) -> tuple:
+    """An exponent strictly between the levels `lower` and `upper` (None:
+    unbounded): their midpoint, or one unit past the first coordinate of
+    the one bounded level, or 0.  Every witness monomial is placed here."""
+    if lower is not None and upper is not None:
+        return exp_scale(exp_add(lower, upper), Fraction(1, 2))
+    if lower is not None:
+        return (Fraction(math.floor(lower[0]) + 1),)
+    if upper is not None:
+        return (Fraction(math.floor(upper[0]) - 1),)
+    return (Fraction(0),)
 
 
-def _outweighing_step(x: Series) -> Series:
-    """t^e with e below v(x), so that x -/+ t^e passes x; 1 when x = 0."""
-    e = 0 if x.is_zero() else _first_floor(valuation(x)) - 1
-    return monomial((e,), 1, x.dim)
+def _level(x: Series) -> Optional[tuple]:
+    """v(x) as a gap end: None, unbounded, for x = 0."""
+    return None if x.is_zero() else valuation(x)
 
 
 def gap_center(lower: Optional[Series], upper: Optional[Series],
                dim: int) -> Series:
-    """Deterministic representative of the open interval (lower, upper)."""
-    if lower is None and upper is None:
-        return zero_series(dim)
-    if lower is None:
-        if compare_series(upper, zero_series(dim)) > 0:
-            return zero_series(dim)
-        return subtract(upper, _outweighing_step(upper))
-    if upper is None:
-        if compare_series(lower, zero_series(dim)) < 0:
-            return zero_series(dim)
-        return add(lower, _outweighing_step(lower))
-    sl = compare_series(lower, zero_series(dim))
-    su = compare_series(upper, zero_series(dim))
-    if sl < 0 < su:
-        return zero_series(dim)
-    if sl == 0:
-        vu = valuation(upper)
-        return monomial((_first_floor(vu) + 1,), 1, dim)
-    if su == 0:
-        vl = valuation(lower)
-        return negate(monomial((_first_floor(vl) + 1,), 1, dim))
-    vl, vu = valuation(lower), valuation(upper)
+    """Deterministic representative of the open interval (lower, upper):
+    0 when the interval holds it, else a point placed by _gap_exponent."""
+    zero = zero_series(dim)
+    if (lower is None or compare_series(lower, zero) < 0) and \
+            (upper is None or compare_series(zero, upper) < 0):
+        return zero
+    if lower is None or upper is None:
+        # a ray: step past its end by a monomial that outweighs it
+        end, sign = (upper, -1) if lower is None else (lower, 1)
+        return add(end, monomial(_gap_exponent(None, _level(end)), sign, dim))
+    vl, vu = _level(lower), _level(upper)
     if vl == vu:
         return scale(add(lower, upper), Fraction(1, 2))
-    mono = monomial(exp_scale(exp_add(vl, vu), Fraction(1, 2)), 1, dim)
-    return mono if su > 0 else negate(mono)
+    # one side of 0: from the far end's level toward the near end's
+    sign = 1 if compare_series(upper, zero) > 0 else -1
+    far, near = (vu, vl) if sign > 0 else (vl, vu)
+    return monomial(_gap_exponent(far, near), sign, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +591,6 @@ def _adopt_from_enum(oracle: CutOracle, state: _ClassifyState, known: list,
         if not candidates:
             return
         candidates.sort(key=lambda c: (c[0], c[1]))
-        adopted = False
         for gamma, _, e in candidates:
             probe_unit = monomial(gamma, 1, e.dim)
             lo = oracle.side(subtract(e, scale(probe_unit, big)))
@@ -606,9 +601,8 @@ def _adopt_from_enum(oracle: CutOracle, state: _ClassifyState, known: list,
                 return
             if lo == Side.BELOW and hi == Side.ABOVE:
                 state.adopt(e, mine, gamma)
-                adopted = True
                 break
-        if not adopted:
+        else:
             return
 
 
@@ -718,16 +712,6 @@ def _verify_against_log(witness: Series, oracle: CutOracle):
                 f"witness contradicts {s.name} query {format_series(d)}")
 
 
-def _gap_exponent(lower: Optional[tuple], upper: Optional[tuple]) -> tuple:
-    if lower is not None and upper is not None:
-        return exp_scale(exp_add(lower, upper), Fraction(1, 2))
-    if upper is None and lower is None:
-        return (Fraction(0),)
-    if upper is None:
-        return (Fraction(_first_floor(lower) + 1),)
-    return (Fraction(_first_floor(upper) - 1),)
-
-
 def realize_cut_group(cls: object, oracle: CutOracle,
                       basis: SpanBasis, budgets: Budgets) -> Series:
     if isinstance(cls, Realized):
@@ -735,9 +719,8 @@ def realize_cut_group(cls: object, oracle: CutOracle,
     if isinstance(cls, ResidueTranscendental):
         witness = _install_residue(cls)
     elif isinstance(cls, GroupTranscendental):
-        mono = monomial(_gap_exponent(cls.lower, cls.upper), 1,
-                        basis.generators[0].dim)
-        witness = add(cls.d0, mono if cls.direction > 0 else negate(mono))
+        witness = add(cls.d0, monomial(_gap_exponent(cls.lower, cls.upper),
+                                       cls.direction, basis.generators[0].dim))
     else:
         raise ValueError(
             "group cuts have finite rank: no immediate-transcendental case")
@@ -856,22 +839,16 @@ def _records(elements: list, oracle: CutOracle, want: Side,
                 return None
             marks.append(best)
             last = best
+    # marks move strictly toward the cut: both steps have want's direction
     n = Fraction(len(elements))
     for a, b, c in zip(marks, marks[1:], marks[2:]):
-        if compare_series(scale(_abs_series(subtract(c, b)), n),
-                          _abs_series(subtract(b, a))) >= 0:
+        if _cmp_toward(scale(subtract(c, b), n), subtract(b, a), want) >= 0:
             return None
     return marks
 
 
 def _cmp_toward(e: Series, last: Series, want: Side) -> int:
     return compare_series(e, last) * _direction(want)
-
-
-def _abs_series(x: Series) -> Series:
-    if x.is_zero():
-        return x
-    return x if compare_series(x, zero_series(x.dim)) > 0 else negate(x)
 
 
 def _witness_past_records(oracle: CutOracle, marks: list, gammas: list,
@@ -885,15 +862,12 @@ def _witness_past_records(oracle: CutOracle, marks: list, gammas: list,
         elif s != Side.EQUAL:
             if opposite is None or _cmp_toward(e, opposite, want) < 0:
                 opposite = e
-    if opposite is None:
-        exp0 = Fraction(_first_floor(gammas[-1]) + 1)
-    else:
-        exp0 = Fraction(_first_floor(diff_valuation(opposite, base)) + 1)
-    gamma_last = gammas[-1]
-    if not gamma_last < make_exp((exp0,), dim):
-        exp0 = Fraction(_first_floor(gamma_last) + 1)
-    step = monomial((exp0,), 1, dim)
-    return add(base, step if want == Side.BELOW else negate(step))
+    # past the last record gap, and past the level of the opposite side
+    level = gammas[-1]
+    if opposite is not None:
+        level = max(level, diff_valuation(opposite, base))
+    return add(base, monomial(_gap_exponent(level, None), _direction(want),
+                              dim))
 
 
 # ---------------------------------------------------------------------------

@@ -56,13 +56,17 @@ Monomial = tuple  # tuple of (symbol, power) pairs, sorted by symbol
 CONST: Monomial = ()
 
 
+def _summed(*pair_lists) -> dict:
+    """{key: the sum of its values} over the (key, value) pairs."""
+    out: dict = {}
+    for pairs in pair_lists:
+        for k, v in pairs:
+            out[k] = out[k] + v if k in out else v
+    return out
+
+
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    powers: dict = {}
-    for s, p in a:
-        powers[s] = powers.get(s, 0) + p
-    for s, p in b:
-        powers[s] = powers.get(s, 0) + p
-    return tuple(sorted(powers.items()))
+    return tuple(sorted(_summed(a, b).items()))
 
 
 @dataclass(frozen=True)
@@ -97,13 +101,8 @@ class Term:
         )
 
     def plus(self, other: "Term") -> "Term":
-        syms = self.sym_dict()
-        for m, c in other.syms:
-            syms[m] = syms.get(m, Fraction(0)) + c
-        lits = self.lit_dict()
-        for e, c in other.lits:
-            lits[e] = lits.get(e, Fraction(0)) + c
-        return Term.build(syms, lits)
+        return Term.build(_summed(self.syms, other.syms),
+                          _summed(self.lits, other.lits))
 
     def times(self, other: "Term") -> "Term":
         self_const = not self.lits and all(m == CONST for m, _ in self.syms)
@@ -114,12 +113,9 @@ class Term:
             return self.scaled(other.sym_dict().get(CONST, Fraction(0)))
         if self.lits or other.lits:
             raise ParseError("literal t-powers may only be scaled or added", 1)
-        syms: dict = {}
-        for m1, c1 in self.syms:
-            for m2, c2 in other.syms:
-                m = _mono_mul(m1, m2)
-                syms[m] = syms.get(m, Fraction(0)) + c1 * c2
-        return Term.build(syms, {})
+        return Term.build(_summed((_mono_mul(m1, m2), c1 * c2)
+                                  for m1, c1 in self.syms
+                                  for m2, c2 in other.syms), {})
 
     def free_symbols(self) -> set:
         out = set()
@@ -399,20 +395,21 @@ def _first_nonlinear(f: Formula, text: str, var: str):
     return _format_mono(mono), 1
 
 
-def _parse_or(toks) -> Formula:
-    left = _parse_and(toks)
-    while toks.peek()[1] == "or":
+def _parse_chain(toks, op: str, operand, join):
+    """operand (op operand)*, joined from the left."""
+    acc = operand(toks)
+    while toks.peek()[1] == op:
         toks.next()
-        left = Or(left, _parse_and(toks))
-    return left
+        acc = join(acc, operand(toks))
+    return acc
+
+
+def _parse_or(toks) -> Formula:
+    return _parse_chain(toks, "or", _parse_and, Or)
 
 
 def _parse_and(toks) -> Formula:
-    left = _parse_not(toks)
-    while toks.peek()[1] == "and":
-        toks.next()
-        left = And(left, _parse_not(toks))
-    return left
+    return _parse_chain(toks, "and", _parse_not, And)
 
 
 def _parse_not(toks) -> Formula:
@@ -467,11 +464,7 @@ def _parse_term(toks) -> Term:
 
 
 def _parse_product(toks) -> Term:
-    acc = _parse_factor(toks)
-    while toks.peek()[1] == "*":
-        toks.next()
-        acc = acc.times(_parse_factor(toks))
-    return acc
+    return _parse_chain(toks, "*", _parse_factor, Term.times)
 
 
 def _parse_factor(toks) -> Term:

@@ -65,17 +65,23 @@ def _classes_by_valuation(gs: Sequence[Series]) -> dict:
     return out
 
 
+def _dependent_class(gs: Sequence[Series]):
+    """(indices, relation) for the lowest valuation class of `gs` whose
+    leading coefficients satisfy a rational relation; None if none does."""
+    for _, idxs in sorted(_classes_by_valuation(gs).items()):
+        rels = rational_relations(_leading_coeffs([gs[i] for i in idxs]))
+        if rels:
+            return idxs, rels[0]
+    return None
+
+
 def is_valuation_independent(gs: Sequence[Series]) -> bool:
     """True iff v(sum q_i g_i) = min{v(g_i) : q_i != 0} for all rational q̄,
     decided per valuation class through leading-coefficient independence."""
     for g in gs:
         if g.is_zero():
             raise ValueError("generators must be nonzero")
-    for _, idxs in _classes_by_valuation(gs).items():
-        leads = _leading_coeffs([gs[i] for i in idxs])
-        if rational_relations(leads):
-            return False
-    return True
+    return _dependent_class(gs) is None
 
 
 def _linear_combination(coeffs: Sequence[Fraction], gs: Sequence[Series], dim: int) -> Series:
@@ -112,23 +118,11 @@ def valuation_basis(gs: Sequence[Series]) -> SpanBasis:
         return SpanBasis((), (), (), ())
     dim = gs[0].dim
     work = list(gs)
-    while True:
+    while (found := _dependent_class(work)) is not None:
+        idxs, vec = found
+        pivot = idxs[max(j for j, q in enumerate(vec) if q)]
+        work[pivot] = _linear_combination(vec, [work[i] for i in idxs], dim)
         work = [g for g in work if not g.is_zero()]
-        classes = _classes_by_valuation(work)
-        reduced = False
-        for _, idxs in sorted(classes.items()):
-            leads = _leading_coeffs([work[i] for i in idxs])
-            rels = rational_relations(leads)
-            if not rels:
-                continue
-            vec = rels[0]
-            pivot_local = max(j for j, q in enumerate(vec) if q)
-            replacement = _linear_combination(vec, [work[i] for i in idxs], dim)
-            work[idxs[pivot_local]] = replacement
-            reduced = True
-            break
-        if not reduced:
-            break
     # back-reduce each element at the other classes' valuations, ascending;
     # only higher-valuation terms change, so the classes stay put
     work.sort(key=valuation)

@@ -358,6 +358,18 @@ class TestExitCodes:
         assert rc == 1 and out == ""
         assert "error: formula_prefix_budget must be positive" in err
 
+    @pytest.mark.parametrize("dim", ["0", "-2"])
+    @pytest.mark.parametrize("argv", [
+        ("realize", str(FIXTURES / "beta.type")),
+        ("basis", "t"),
+        ("pseudo-limit", "1,1+t,1+t+t^2"),
+        ("eval", str(FIXTURES / "beta.type"), "--at", "t"),
+    ], ids=["realize", "basis", "pseudo-limit", "eval"])
+    def test_dim_below_one_exits_one(self, capsys, argv, dim):
+        rc, out, err = run(capsys, *argv, "--dim", dim)
+        assert rc == 1 and out == ""
+        assert err == "error: --dim must be positive\n"
+
     def test_tree_path_off_tree_exits_one(self, capsys):
         rc, _, err = run(capsys, "tree", "path", "single:000", "3/4", "2")
         assert rc == 1 and "error:" in err
@@ -508,6 +520,7 @@ class TestBudgetSweep:
     @pytest.mark.parametrize("fixture", ["beta", "contradictory",
                                          "immediate_tail", "residue_sqrt2"])
     def test_documented_exit_and_same_bytes(self, capsys, fixture, mode):
+        cases = {}  # (height, prefix) -> cases decided without free decisions
         for height, precision, prefix in self.GRID:
             argv = ("realize", str(FIXTURES / f"{fixture}.type"),
                     "--mode", mode, "--height", str(height),
@@ -517,3 +530,11 @@ class TestBudgetSweep:
             assert rc in (0, 2, 3), (argv, err)
             assert "FAIL  " not in out, argv
             assert run(capsys, *argv) == first, argv
+            if rc == 0 and "free decisions: 0\n" in out:
+                lines = out.splitlines()
+                case = lines[lines.index("== CASE ==") + 1]
+                cases.setdefault((height, prefix), set()).add(case)
+        # every query answered by the store's bounds: the case is the
+        # store's, so the precision does not move it
+        for key, found in cases.items():
+            assert len(found) == 1, (key, found)

@@ -33,6 +33,7 @@ from hahnsat.engine import (
     _check_prefix_satisfiable,
     _ClassifyState,
     _field_rank_guard,
+    _gap_exponent,
     _materialize,
     _records,
     _verify_against_log,
@@ -211,6 +212,20 @@ def _gap_series(draw):
                   DIM)
 
 
+@st.composite
+def _gap_levels(draw):
+    """(lower, upper, dim): lower < upper, either one possibly None."""
+    dim = draw(st.integers(1, 3))
+    coord = st.builds(F, st.integers(-6, 6), st.integers(1, 3))
+    level = st.lists(coord, min_size=dim, max_size=dim).map(
+        lambda c: make_exp(c, dim))
+    lower, upper = draw(st.none() | level), draw(st.none() | level)
+    if lower is not None and upper is not None:
+        assume(lower != upper)
+        lower, upper = min(lower, upper), max(lower, upper)
+    return lower, upper, dim
+
+
 class TestGapCenter:
     def test_no_bounds(self):
         assert gap_center(None, None, DIM).is_zero()
@@ -268,6 +283,19 @@ class TestGapCenter:
         center = gap_center(a, b, DIM)
         assert a is None or compare_series(a, center) < 0
         assert b is None or compare_series(center, b) < 0
+
+    @given(_gap_levels())
+    @example((None, None, 1))
+    @example((make_exp([F(1, 2)], 1), None, 1))
+    @example((None, make_exp([F(-1, 2), F(3)], 2), 2))
+    @example((make_exp([0, 1], 2), make_exp([0, 2], 2), 2))
+    @settings(max_examples=400, deadline=None)
+    def test_gap_exponent_lies_strictly_inside_its_levels(self, levels):
+        """Every witness monomial of the engine is placed by this one rule."""
+        lower, upper, dim = levels
+        e = make_exp(_gap_exponent(lower, upper), dim)
+        assert lower is None or lower < e
+        assert upper is None or e < upper
 
 
 class TestClassifyGroup:
@@ -573,6 +601,17 @@ class TestClassifyField:
         assert format_series(w) == (
             "1 + t^(1/2) + t^(2/3) + t^(3/4) + t^(4/5) + t^(5/6) + t^(1)")
 
+    def test_immediate_witness_steps_past_the_last_record_gap(self):
+        # the logged 2 is one level from the records, but the last record
+        # gap is t^2: the witness step must lie past that gap, at t^3
+        oracle = oracle_from_value(parse_series("1 + t + t^2 + t^3"),
+                                   standard_height_enum([ONE]))
+        oracle.side(parse_series("2"))
+        chain = (ONE, add(ONE, T), add(add(ONE, T), t_pow(2)))
+        w = realize_cut_field(ImmediateTranscendental(chain, chain), oracle,
+                              valuation_basis([ONE]), Budgets())
+        assert format_series(w) == "1 + t^(1) + t^(2) + t^(3)"
+
     def test_immediate_refused_in_group_mode(self):
         hidden = tail_series(40)
         budgets = Budgets(height_budget=5, exponent_denominator_budget=1)
@@ -740,11 +779,16 @@ class TestRecordsMatchTreeSearch:
     @pytest.mark.parametrize("third, contracts", [
         (F(7, 3), False),  # the last step is exactly a third of the first
         (F(9, 4), True),
+        # the mirror: marks descend toward a cut below them
+        (F(-7, 3), False),
+        (F(-9, 4), True),
     ])
     def test_contraction_margin_is_the_prefix_length(self, third, contracts):
-        elements = [from_scalar(q, DIM) for q in (1, 2, third)]
-        oracle = oracle_from_value(from_scalar(10, DIM), lambda h: [])
-        marks = self._assert_same(elements, oracle, Side.BELOW)
+        sign = 1 if third > 0 else -1
+        elements = [from_scalar(sign * q, DIM) for q in (1, 2, abs(third))]
+        oracle = oracle_from_value(from_scalar(sign * 10, DIM), lambda h: [])
+        want = Side.BELOW if sign > 0 else Side.ABOVE
+        marks = self._assert_same(elements, oracle, want)
         assert marks == (elements if contracts else None)
 
     def test_random_cuts(self):
