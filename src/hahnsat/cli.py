@@ -48,44 +48,37 @@ TYPE_VAR = "x"
 # type files
 
 
-def _beta_generator(upper: str, lower: str):
-    def emit(i):
-        k = i // 2
-        if i % 2 == 0:
-            return parse_formula(f"{k + 1}*{lower} < {TYPE_VAR}")
-        return parse_formula(f"{k + 1}*{TYPE_VAR} < {upper}")
+def _alternating(lower, upper):
+    """The emission whose i-th formula is lower(k) at even i and upper(k) at
+    odd i, with k = i // 2; both return formula text."""
+    return lambda i: parse_formula((upper if i % 2 else lower)(i // 2))
 
-    return emit
+
+def _beta_generator(upper: str, lower: str):
+    return _alternating(lambda k: f"{k + 1}*{lower} < {TYPE_VAR}",
+                        lambda k: f"{k + 1}*{TYPE_VAR} < {upper}")
 
 
 def _scalar_cut_generator(literal: str, param: str):
     scalar = parse_scalar(literal)
 
-    def emit(i):
-        k = i // 2
-        lo, hi = approx_interval(scalar, k + 2)
-        if i % 2 == 0:
-            p = math.floor(lo * 2 ** k)
-            return parse_formula(f"{p}*{param} < {2 ** k}*{TYPE_VAR}")
-        p = math.floor(hi * 2 ** k)
-        return parse_formula(f"{2 ** k}*{TYPE_VAR} < {p + 1}*{param}")
+    def flank(k, end):
+        return math.floor(approx_interval(scalar, k + 2)[end] * 2 ** k)
 
-    return emit
+    return _alternating(
+        lambda k: f"{flank(k, 0)}*{param} < {2 ** k}*{TYPE_VAR}",
+        lambda k: f"{2 ** k}*{TYPE_VAR} < {flank(k, 1) + 1}*{param}")
 
 
 def _immediate_tail_generator():
+    # pair k (from 0) brackets x by a_k and a_k + 2*t^((k+1)/(k+2))
     def a_text(k):
         return " + ".join(["1"] + [f"t^({j}/{j + 1})"
                                    for j in range(1, k + 1)])
 
-    def emit(i):
-        k = i // 2 + 1
-        if i % 2 == 0:
-            return parse_formula(f"{a_text(k - 1)} < {TYPE_VAR}")
-        return parse_formula(
-            f"{TYPE_VAR} < {a_text(k - 1)} + 2*t^({k}/{k + 1})")
-
-    return emit
+    return _alternating(
+        lambda k: f"{a_text(k)} < {TYPE_VAR}",
+        lambda k: f"{TYPE_VAR} < {a_text(k)} + 2*t^({k + 1}/{k + 2})")
 
 
 def _build_generator(fields: list, params: dict):

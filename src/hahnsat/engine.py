@@ -13,7 +13,7 @@ All conclusions are budget-relative and reported as such.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
 from itertools import islice, product
@@ -96,10 +96,9 @@ class Budgets:
     precision_budget: int = 16
 
     def __post_init__(self):
-        for name in ("height_budget", "exponent_denominator_budget",
-                     "formula_prefix_budget", "precision_budget"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+        for budget in fields(self):
+            if getattr(self, budget.name) < 1:
+                raise ValueError(f"{budget.name} must be positive")
 
 
 class CutOracle:
@@ -1032,8 +1031,9 @@ def realize_type(tau: PartialType, env: dict, mode: str = "group",
     # verification below re-evaluates the emissions without it
     table: dict = {}
     completion = complete_type(tau, env, mode, budgets, dim, table)
-    generators = [env[p] for p in tau.params] if tau.params \
-        else [monomial((0,), 1, dim)]
+    # a zero parameter spans nothing
+    generators = [env[p] for p in tau.params if not env[p].is_zero()] \
+        or [monomial((0,), 1, dim)]
     basis = valuation_basis(generators)
     paced = _theta_bound_elements(list(completion.thetas), env, tau.var, dim,
                                   table)

@@ -243,10 +243,8 @@ def make_atom(rel: str, left: Term, right: Term):
     neg = Term.build(neg_s, neg_l)
     if rel == "=" and not _side_text(pos) <= _side_text(neg):
         pos, neg = neg, pos
-    if rel == "<":
-        # diff < 0 means pos side below neg side
-        return Atom("<", pos, neg)
-    return Atom("=", pos, neg)
+    # for "<", diff < 0 means pos side below neg side
+    return Atom(rel, pos, neg)
 
 
 def _format_mono(m: Monomial) -> str:
@@ -965,46 +963,33 @@ def _max_possible_len(sig: Signature) -> int:
 def _sides_of_length(sig: Signature, L: int):
     """All canonical side prints of exact length L as
     (print, support frozenset, coefficient items)."""
-    out = []
-    if L == 1:
-        out.append(("0", frozenset(), ()))
+    out = [("0", frozenset(), ())] if L == 1 else []
     symbols = sorted(sig.symbols)
 
-    def chunks_for(sym: str, budget: int):
-        res = []
-        if len(sym) <= budget:
-            res.append((sym, 1))
-        for c in range(2, _ENUM_COEFF_CAP + 1):
-            text = f"{c}*{sym}"
-            if len(text) <= budget:
-                res.append((text, c))
-        return res
-
-    def build(start_idx, remaining, acc_print, acc_sup, acc_coeffs):
-        if remaining == 0 and acc_print:
-            out.append((acc_print, frozenset(acc_sup), tuple(acc_coeffs)))
-            return
+    def build(start, left, prefix, sup, coeffs):
+        # a chunk after the separator fills `room` (the side ends there) or
+        # leaves room for more; the field constant comes last, so it fills it
+        sep = " + " if prefix else ""
+        room = left - len(sep)
         if sig.kind == "field":
-            budget = remaining if not acc_print else remaining - 3
-            for c in range(1, _ENUM_COEFF_CAP + 1):
-                if len(str(c)) == budget:
-                    p = str(c) if not acc_print else f"{acc_print} + {c}"
-                    out.append(
-                        (p, frozenset(acc_sup),
-                         tuple(acc_coeffs) + ((CONST, Fraction(c)),))
-                    )
-        for i in range(start_idx, len(symbols)):
+            out.extend((f"{prefix}{sep}{c}", sup,
+                        coeffs + ((CONST, Fraction(c)),))
+                       for c in range(1, _ENUM_COEFF_CAP + 1)
+                       if len(str(c)) == room)
+        for i in range(start, len(symbols)):
             sym = symbols[i]
-            budget = remaining if not acc_print else remaining - 3
-            if budget < 1:
-                continue
-            for text, coeff in chunks_for(sym, budget):
-                p = text if not acc_print else f"{acc_print} + {text}"
-                spent = len(text) if not acc_print else len(text) + 3
-                build(i + 1, remaining - spent, p, acc_sup | {sym},
-                      acc_coeffs + [(((sym, 1),), Fraction(coeff))])
+            for c in range(1, _ENUM_COEFF_CAP + 1):
+                chunk = sym if c == 1 else f"{c}*{sym}"
+                if len(chunk) > room:
+                    break  # chunks only grow with c
+                side = (f"{prefix}{sep}{chunk}", sup | {sym},
+                        coeffs + ((((sym, 1),), Fraction(c)),))
+                if len(chunk) == room:
+                    out.append(side)
+                else:
+                    build(i + 1, room - len(chunk), *side)
 
-    build(0, L, "", set(), [])
+    build(0, L, "", frozenset(), ())
     return sorted(set(out))
 
 

@@ -26,8 +26,6 @@ from .errors import (
     ParseError,
 )
 
-Rational = Fraction
-
 _DEFAULT_PRECISION = 64
 
 

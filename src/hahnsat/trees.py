@@ -16,8 +16,6 @@ from typing import Callable, Iterable, Optional, Sequence
 from .errors import BoundaryUndecided, NodeNotInTree, NotAChain
 from .scalars import OracleReal, approx_interval
 
-BinString = str
-
 
 def _check_bits(sigma: str) -> str:
     if any(ch not in "01" for ch in sigma):
@@ -108,7 +106,11 @@ def tree_from_notation(text: str) -> TreeOracle:
     if text.startswith("single:"):
         return single_chain(text[len("single:"):])
     if text.startswith("seeded:"):
-        return seeded_tree(int(text[len("seeded:"):]))
+        seed = text[len("seeded:"):]
+        try:
+            return seeded_tree(int(seed))
+        except ValueError:
+            raise ValueError(f"not a tree seed: {seed!r}") from None
     return explicit_tree(line.strip() for line in text.splitlines()
                          if line.strip())
 

@@ -16,7 +16,6 @@ from .errors import OracleFailure, TruncationInsufficient
 from .scalars import (
     rational_relations,
     scalar_add,
-    scalar_inv,
     scalar_mul,
     scalar_sign,
 )
@@ -24,6 +23,7 @@ from .series import (
     INFINITY,
     Series,
     add,
+    arch_ratio,
     compare_series,
     diff_valuation,
     negate,
@@ -92,10 +92,10 @@ def _linear_combination(coeffs: Sequence[Fraction], gs: Sequence[Series], dim: i
     return out
 
 
-def _rational_coordinates(c, leads):
-    """Rationals q with sum q_j * leads[j] = c, or None when c is outside
-    the Q-span of the (independent) leading coefficients."""
-    rels = rational_relations([c] + list(leads))
+def _rational_coordinates(c, members: Sequence[Series]):
+    """Rationals q with sum q_j * lead(members[j]) = c, or None when c is
+    outside the Q-span of the members' (independent) leading coefficients."""
+    rels = rational_relations([c] + _leading_coeffs(members))
     for vec in rels:
         if vec[0]:
             return [-q / vec[0] for q in vec[1:]]
@@ -109,7 +109,10 @@ def valuation_basis(gs: Sequence[Series]) -> SpanBasis:
     eliminated (the combination's valuation strictly increases, inside the
     finite union of input supports, so this terminates); the result is
     back-reduced to canonical form, leading-normalized, and sorted ascending
-    as group elements.
+    as group elements.  Back-reduction is one ascending pass over the
+    classes per element: reducing at level e subtracts elements of valuation
+    e, which changes only terms above e, so each later level is seen in its
+    final form.
     """
     for g in gs:
         if g.is_zero():
@@ -123,52 +126,30 @@ def valuation_basis(gs: Sequence[Series]) -> SpanBasis:
         pivot = idxs[max(j for j, q in enumerate(vec) if q)]
         work[pivot] = _linear_combination(vec, [work[i] for i in idxs], dim)
         work = [g for g in work if not g.is_zero()]
-    # back-reduce each element at the other classes' valuations, ascending;
-    # only higher-valuation terms change, so the classes stay put
+    # back-reduction keeps every valuation, so the classes stay put
     work.sort(key=valuation)
-    classes = _classes_by_valuation(work)
-    for i in range(len(work)):
-        exps_done = set()
-        while True:
-            g = work[i]
-            candidates = sorted(
-                e for e in g.terms
-                if e > valuation(g) and e in classes and e not in exps_done
-            )
-            if not candidates:
-                break
-            e = candidates[0]
-            exps_done.add(e)
-            others = [j for j in classes[e] if j != i]
-            if not others:
-                continue
-            leads = _leading_coeffs([work[j] for j in others])
-            coords = _rational_coordinates(g.terms[e], leads)
-            if coords is None:
-                continue
-            for q, j in zip(coords, others):
-                if q:
-                    g = subtract(g, scale(work[j], q))
-            work[i] = g
+    classes = sorted(_classes_by_valuation(work).items())
+    for i, g in enumerate(work):
+        for e, idxs in classes:
+            if e > valuation(g) and e in g.terms:
+                members = [work[j] for j in idxs]
+                coords = _rational_coordinates(g.terms[e], members)
+                if coords is not None:
+                    g = subtract(g, _linear_combination(coords, members, dim))
+        work[i] = g
     for i, g in enumerate(work):
         if scalar_sign(g.terms[valuation(g)]) < 0:
             work[i] = negate(g)
     # ascending as (now positive) group elements
     basis = sorted(work, key=cmp_to_key(compare_series))
-    class_reps = []
-    rep_by_val = {}
+    rep_by_val: dict = {}
     for g in basis:
-        v = valuation(g)
-        if v not in rep_by_val:
-            rep_by_val[v] = g
-            class_reps.append(g)
-    component_reals = tuple(
-        scalar_mul(g.terms[valuation(g)],
-                   scalar_inv(rep_by_val[valuation(g)].terms[valuation(g)]))
-        for g in basis
-    )
+        rep_by_val.setdefault(valuation(g), g)
+    component_reals = tuple(arch_ratio(g, rep_by_val[valuation(g)])
+                            for g in basis)
     change = tuple(tuple(represent(g, basis)) for g in gs)
-    return SpanBasis(tuple(basis), component_reals, tuple(class_reps), change)
+    return SpanBasis(tuple(basis), component_reals,
+                     tuple(rep_by_val.values()), change)
 
 
 def represent(x: Series, basis: Sequence[Series]) -> list[Fraction]:
@@ -181,8 +162,8 @@ def represent(x: Series, basis: Sequence[Series]) -> list[Fraction]:
         idxs = classes.get(v)
         if idxs is None:
             raise OracleFailure("element lies outside the basis span")
-        leads = _leading_coeffs([basis[j] for j in idxs])
-        sol = _rational_coordinates(residual.terms[v], leads)
+        sol = _rational_coordinates(residual.terms[v],
+                                    [basis[j] for j in idxs])
         if sol is None:
             raise OracleFailure("element lies outside the basis span")
         for q, j in zip(sol, idxs):

@@ -5,9 +5,11 @@ from pathlib import Path
 import pytest
 
 from hahnsat.cli import load_type_file, main
-from hahnsat.errors import ParseError
+from hahnsat.engine import Budgets, realize_type
+from hahnsat.errors import BudgetExhausted, NotFinitelySatisfiable, ParseError
 from hahnsat.formulas import eval_formula, format_formula
 from hahnsat.series import parse_series
+from test_acceptance import _generated_type
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDENS = Path(__file__).parent / "goldens"
@@ -370,6 +372,26 @@ class TestExitCodes:
         assert rc == 1 and out == ""
         assert err == "error: --dim must be positive\n"
 
+    @pytest.mark.parametrize("argv", [
+        ("search", "seeded:x", "3"), ("path", "seeded:x", "1/3", "3")])
+    def test_non_integer_tree_seed_exits_one(self, capsys, argv):
+        rc, out, err = run(capsys, "tree", *argv)
+        assert rc == 1 and out == ""
+        assert err == "error: not a tree seed: 'x'\n"
+
+    @pytest.mark.parametrize("mode", ["group", "field"])
+    @pytest.mark.parametrize("text", [
+        "param g1 = 0\nformula g1 < x\nformula x < 1\n",
+        "param g1 = t\nparam g2 = t - t\nformula g1 < x\nformula x < 2*g1\n",
+        "param g1 = 0\nparam g2 = t\ngenerator beta g2 g1\n",
+    ], ids=["only-zero", "zero-beside-t", "beta-over-zero"])
+    def test_zero_param_spans_nothing(self, capsys, tmp_path, text, mode):
+        p = tmp_path / "zero.type"
+        p.write_text(text)
+        rc, out, err = run(capsys, "realize", str(p), "--mode", mode)
+        assert (rc, err) == (0, "")
+        assert "PASS  " in out and "FAIL  " not in out
+
     def test_tree_path_off_tree_exits_one(self, capsys):
         rc, _, err = run(capsys, "tree", "path", "single:000", "3/4", "2")
         assert rc == 1 and "error:" in err
@@ -536,5 +558,37 @@ class TestBudgetSweep:
                 cases.setdefault((height, prefix), set()).add(case)
         # every query answered by the store's bounds: the case is the
         # store's, so the precision does not move it
+        for key, found in cases.items():
+            assert len(found) == 1, (key, found)
+
+    C8_SEEDS = (1001, 1025, 1040)
+
+    @pytest.mark.parametrize("mode", ["group", "field"])
+    @pytest.mark.parametrize("seed", C8_SEEDS)
+    def test_c8_slice_documented_outcome_and_same_bytes(self, seed, mode):
+        """Gate c8's types in process over the same grid: every run passes
+        its verification or raises a documented exception, a second run
+        gives the same report, and the case agrees across precisions when
+        no query was a free decision."""
+        tau, env = _generated_type(seed)
+        cases = {}
+        for height, precision, prefix in self.GRID:
+            budgets = Budgets(height_budget=height, precision_budget=precision,
+                              formula_prefix_budget=prefix)
+            outcomes = []
+            for _ in range(2):
+                try:
+                    res = realize_type(tau, env, mode=mode, budgets=budgets)
+                except (NotFinitelySatisfiable, BudgetExhausted) as e:
+                    outcomes.append(type(e).__name__)
+                    continue
+                assert all(ok for _, ok in res.verification), budgets
+                outcomes.append(res.report)
+            assert outcomes[0] == outcomes[1], budgets
+            out = outcomes[0]
+            if "free decisions: 0\n" in out:
+                lines = out.splitlines()
+                case = lines[lines.index("== CASE ==") + 1]
+                cases.setdefault((height, prefix), set()).add(case)
         for key, found in cases.items():
             assert len(found) == 1, (key, found)

@@ -3,7 +3,7 @@ elimination, cut extraction, and the atomic-fragment enumeration."""
 
 import random
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -34,8 +34,9 @@ from hahnsat.formulas import (
     parse_formula,
     satisfiable,
 )
-from hahnsat.formulas import (_conjunct_atoms, _consistent, _eval_qf,
-                              _fragment, _infer_dim, _nnf, _solve_for,
+from hahnsat.formulas import (CONST, _ENUM_COEFF_CAP, _conjunct_atoms,
+                              _consistent, _eval_qf, _fragment, _infer_dim,
+                              _nnf, _sides_of_length, _solve_for,
                               _term_series, make_atom)
 from hahnsat.series import (
     compare_series,
@@ -664,6 +665,31 @@ class TestEnumeration:
             if isinstance(f, Atom):
                 assert CONST not in dict(f.pos.syms)
                 assert CONST not in dict(f.neg.syms)
+
+    @pytest.mark.parametrize("kind", ["group", "field"])
+    def test_sides_match_brute_force(self, kind):
+        """Every side: per sorted symbol absent or a coefficient 1..99, for
+        fields an optional trailing constant, joined by " + "; "0" if
+        empty.  The enumerator gives exactly those of each print length."""
+        sig = Signature(kind, ("x", "g1"))
+        coeffs = range(1, _ENUM_COEFF_CAP + 1)
+        options = [[None] + [(s if c == 1 else f"{c}*{s}", s,
+                              (((s, 1),), Fraction(c))) for c in coeffs]
+                   for s in sorted(sig.symbols)]
+        if kind == "field":
+            options.append([None] + [(str(c), None, (CONST, Fraction(c)))
+                                     for c in coeffs])
+        brute = {}
+        for combo in product(*options):
+            parts = [p for p in combo if p]
+            text = " + ".join(p[0] for p in parts) or "0"
+            if len(text) < 10:
+                brute.setdefault(len(text), set()).add(
+                    (text, frozenset(p[1] for p in parts if p[1]),
+                     tuple(p[2] for p in parts)))
+        for length in range(1, 10):
+            assert set(_sides_of_length(sig, length)) == \
+                brute.get(length, set())
 
     def test_outside_fragment_raises(self):
         with pytest.raises(ValueError):

@@ -121,6 +121,15 @@ class TestValuationBasis:
             for g, row in zip(gens, b.change_of_basis):
                 assert compare_series(combine(row, b.generators), g) == 0
 
+    def test_back_reduction_cascades(self):
+        # reducing t + t^2 at level 2 leaves t - t^3, whose new term at
+        # level 3 must be reduced as well
+        b = valuation_basis([parse_series(text, DIM) for text in
+                             ("t + t^2", "t^2 + t^3", "t^3")])
+        assert [format_series(g) for g in b.generators] == [
+            "t^(3)", "t^(2)", "t^(1)"]
+        assert b.change_of_basis == ((0, 1, 1), (1, 1, 0), (1, 0, 0))
+
     def test_represent_round_trip(self):
         b = valuation_basis([parse_series("t + t^2", DIM), t_pow(1)])
         x = parse_series("3*t + 5*t^2", DIM)
