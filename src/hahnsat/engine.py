@@ -65,6 +65,7 @@ from .series import (
     exp_add,
     exp_scale,
     format_series,
+    linear_combination,
     monomial,
     scale,
     subtract,
@@ -75,7 +76,6 @@ from .series import (
 from .valbasis import (
     PseudoSequence,
     SpanBasis,
-    _linear_combination,
     check_pseudo_cauchy,
     pseudo_limit,
     valuation_basis,
@@ -173,7 +173,7 @@ def standard_height_enum(generators: Sequence[Series],
         for vec in product(_rationals_of_height(h), repeat=len(gens)):
             # only vectors whose maximal height is exactly h are new here
             if any(vec) and max(rational_height(q) for q in vec) == h:
-                batch.append(_linear_combination(vec, gens, gens[0].dim))
+                batch.append(linear_combination(zip(vec, gens), gens[0].dim))
         out = []
         for e in batch:
             if e not in seen and not e.is_zero():

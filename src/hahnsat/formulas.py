@@ -42,12 +42,11 @@ from .series import (
     Series,
     _format_exp,
     _strip_exp,
-    add as series_add,
     compare_series,
+    linear_combination,
     make_exp,
     monomial as series_monomial,
     multiply as series_multiply,
-    scale as series_scale,
 )
 
 RESERVED = {"and", "or", "not", "exists", "forall", "true", "false", "t"}
@@ -144,11 +143,34 @@ class FalseF:
 @dataclass(frozen=True)
 class Atom:
     """Canonical atom pos REL neg: disjoint supports, positive primitive
-    integer coefficients."""
+    integer coefficients.
+
+    The hash is computed on first use and stored, since atoms key the atom
+    tables.  Equality is by value: identity first, then a mismatch of two
+    stored hashes, then the fields."""
 
     rel: str  # "<" or "="
     pos: Term
     neg: Term
+    _hash = None  # not a field: the stored hash, set by __hash__
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((self.rel, self.pos, self.neg))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not Atom:
+            return NotImplemented
+        if self._hash is not None and other._hash is not None \
+                and self._hash != other._hash:
+            return False
+        return (self.rel, self.pos, self.neg) == \
+            (other.rel, other.pos, other.neg)
 
     def __str__(self):
         return f"{_side_text(self.pos)} {self.rel} {_side_text(self.neg)}"
@@ -523,11 +545,11 @@ def _parse_signed_rational(toks, message: str) -> Fraction:
 def _term_series(t: Term, env: dict, dim: int) -> Series:
     # stripped literal exponents are distinct and their coefficients nonzero,
     # so the literal part meets the Series invariant as built; a t^(0)
-    # literal and the constant meet in the add below
-    out = Series._raw({make_exp(e, dim): q for e, q in t.lits}, dim)
+    # literal and the constant meet in the combination
+    pairs = []
     for m, q in t.syms:
         if m == CONST:
-            out = series_add(out, series_monomial([Fraction(0)], q, dim))
+            pairs.append((q, series_monomial((), Fraction(1), dim)))
             continue
         acc = None
         for s, p in m:
@@ -535,8 +557,9 @@ def _term_series(t: Term, env: dict, dim: int) -> Series:
                 raise KeyError(f"symbol {s!r} is not bound")
             for _ in range(p):
                 acc = env[s] if acc is None else series_multiply(acc, env[s])
-        out = series_add(out, series_scale(acc, q))
-    return out
+        pairs.append((q, acc))
+    return linear_combination(
+        pairs, dim, {make_exp(e, dim): q for e, q in t.lits})
 
 
 def _infer_dim(f: Formula, env: dict, dim: Optional[int]) -> int:
@@ -672,18 +695,27 @@ def _nonlinear(m: Monomial, var: str) -> bool:
 def _solve_for(a: Atom, var: str):
     """(coeff, bound) reading `a` as coeff*var + rest REL 0 and solving it to
     var REL' bound, bound = -rest/coeff (REL' flips when coeff < 0); None
-    when var does not occur in `a`."""
-    diff = a.pos.plus(a.neg.scaled(Fraction(-1)))
-    syms = diff.sym_dict()
-    coeff = syms.pop(((var, 1),), None)
-    for m in syms:
-        if _nonlinear(m, var):
-            raise NonlinearUnsupported(
-                f"atom is not linear in {var}: {_format_mono(m)}")
+    when var does not occur in `a`.
+
+    The sides of a canonical atom have disjoint supports, so pos - neg is
+    the terms of pos and the negated terms of neg, read without adding."""
+    x = ((var, 1),)
+    bad = [m for m, _ in a.pos.syms + a.neg.syms if _nonlinear(m, var)]
+    if bad:
+        raise NonlinearUnsupported(
+            f"atom is not linear in {var}: {_format_mono(min(bad))}")
+    coeff = dict(a.pos.syms).get(x)
     if coeff is None:
-        return None
-    rest = Term.build(syms, diff.lit_dict())
-    return coeff, rest.scaled(Fraction(-1) / coeff)
+        coeff = dict(a.neg.syms).get(x)
+        if coeff is None:
+            return None
+        coeff = -coeff
+    r = 1 / coeff  # a pos term q goes to -q*r, a neg term q to q*r
+    syms = [(m, -q * r) for m, q in a.pos.syms if m != x]
+    syms += [(m, q * r) for m, q in a.neg.syms if m != x]
+    lits = [(e, -q * r) for e, q in a.pos.lits]
+    lits += [(e, q * r) for e, q in a.neg.lits]
+    return coeff, Term(tuple(sorted(syms)), tuple(sorted(lits)))
 
 
 def _eliminate_one(var: str, world: list) -> Formula:

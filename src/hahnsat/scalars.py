@@ -278,8 +278,10 @@ def _ralg_affine(a: RealAlgebraic, s: Fraction, q: Fraction):
         for k in range(i + 1):
             out[k] += w * math.comb(i, k) * (-q) ** (i - k)
     lo, hi = a.interval()
-    lo, hi = sorted((s * lo + q, s * hi + q))
-    return _make_algebraic(_int_primitive(out), lo, hi)
+    if s > 0:  # an increasing map keeps the order of the roots
+        return RealAlgebraic(_int_primitive(out), a.index, s * lo + q,
+                             s * hi + q)
+    return _make_algebraic(_int_primitive(out), s * hi + q, s * lo + q)
 
 
 def _ralg_inv(a: RealAlgebraic):

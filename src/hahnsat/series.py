@@ -341,8 +341,59 @@ def add(x: Series, y: Series) -> Series:
     return Series._raw(out, x.dim, trunc)
 
 
+def linear_combination(pairs, dim: int, terms: Optional[dict] = None) -> Series:
+    """The sum of q * g over the (q, g) pairs plus the series of `terms`, a
+    dict that meets the module invariant and is owned by the result.
+
+    Equal to the fold of `add` over `scale(g, q)`, built in one dict: pairs
+    with q = 0 drop out, the bound is the least bound of the others, terms
+    at or above it are never formed, and coefficients that cancel are
+    dropped."""
+    pairs = [(q, g) for q, g in pairs if not scalar_is_zero(q)]
+    trunc = None
+    for _, g in pairs:
+        if g.dim != dim:
+            raise ValueError("dimension mismatch")
+        trunc = _min_trunc(trunc, g.trunc)
+    out = {} if terms is None else terms
+    if trunc is not None and out:
+        out = _below(out, trunc)
+    for q, g in pairs:
+        unit = q == 1
+        for e, c in g.terms.items():
+            if trunc is not None and not e < trunc:
+                continue
+            if not unit:
+                c = scalar_mul(c, q)
+            prev = out.get(e)
+            if prev is None:
+                out[e] = c
+                continue
+            c = scalar_add(prev, c)
+            if scalar_is_zero(c):
+                del out[e]
+            else:
+                out[e] = c
+    return Series._raw(out, dim, trunc)
+
+
+def _mapped(x: Series, f) -> Series:
+    """x with each coefficient c replaced by the nonzero f(c).  The support
+    is unchanged, so a kept order carries over instead of being sorted
+    again."""
+    order = x._order
+    if order is None:
+        return Series._raw({e: f(c) for e, c in x.terms.items()}, x.dim,
+                           x.trunc)
+    flat = list(order)
+    flat[1::2] = [f(c) for c in order[1::2]]
+    out = Series._raw(dict(zip(flat[::2], flat[1::2])), x.dim, x.trunc)
+    object.__setattr__(out, "_order", tuple(flat))
+    return out
+
+
 def negate(x: Series) -> Series:
-    return Series._raw({e: scalar_neg(c) for e, c in x.terms.items()}, x.dim, x.trunc)
+    return _mapped(x, scalar_neg)
 
 
 def subtract(x: Series, y: Series) -> Series:
@@ -378,13 +429,15 @@ def multiply(x: Series, y: Series) -> Series:
 
 
 def scale(x: Series, c) -> Series:
-    """Multiply by an exact nonzero scalar; the bound is unaffected."""
+    """Multiply by an exact scalar; the bound is unaffected.  Scaling by 0
+    gives the exact zero series and scaling by 1 gives x itself."""
     if isinstance(c, int):
         c = Fraction(c)
     if scalar_is_zero(c):
         return zero_series(x.dim)
-    return Series._raw({e: scalar_mul(coef, c) for e, coef in x.terms.items()},
-                       x.dim, x.trunc)
+    if c == 1:
+        return x
+    return _mapped(x, lambda coef: scalar_mul(coef, c))
 
 
 def with_trunc(x: Series, bound: Optional[Exp]) -> Series:

@@ -22,17 +22,16 @@ from .scalars import (
 from .series import (
     INFINITY,
     Series,
-    add,
     arch_ratio,
     compare_series,
     diff_valuation,
+    linear_combination,
     negate,
     restrict_exponents,
-    scale,
-    subtract,
     valuation,
-    zero_series,
 )
+
+_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -84,14 +83,6 @@ def is_valuation_independent(gs: Sequence[Series]) -> bool:
     return _dependent_class(gs) is None
 
 
-def _linear_combination(coeffs: Sequence[Fraction], gs: Sequence[Series], dim: int) -> Series:
-    out = zero_series(dim)
-    for q, g in zip(coeffs, gs):
-        if q:
-            out = add(out, scale(g, q))
-    return out
-
-
 def _rational_coordinates(c, members: Sequence[Series]):
     """Rationals q with sum q_j * lead(members[j]) = c, or None when c is
     outside the Q-span of the members' (independent) leading coefficients."""
@@ -124,7 +115,8 @@ def valuation_basis(gs: Sequence[Series]) -> SpanBasis:
     while (found := _dependent_class(work)) is not None:
         idxs, vec = found
         pivot = idxs[max(j for j, q in enumerate(vec) if q)]
-        work[pivot] = _linear_combination(vec, [work[i] for i in idxs], dim)
+        work[pivot] = linear_combination(zip(vec, [work[i] for i in idxs]),
+                                         dim)
         work = [g for g in work if not g.is_zero()]
     # back-reduction keeps every valuation, so the classes stay put
     work.sort(key=valuation)
@@ -135,7 +127,9 @@ def valuation_basis(gs: Sequence[Series]) -> SpanBasis:
                 members = [work[j] for j in idxs]
                 coords = _rational_coordinates(g.terms[e], members)
                 if coords is not None:
-                    g = subtract(g, _linear_combination(coords, members, dim))
+                    g = linear_combination(
+                        [(_ONE, g)] + [(-q, m) for q, m in zip(coords, members)],
+                        dim)
         work[i] = g
     for i, g in enumerate(work):
         if scalar_sign(g.terms[valuation(g)]) < 0:
@@ -167,9 +161,10 @@ def represent(x: Series, basis: Sequence[Series]) -> list[Fraction]:
         if sol is None:
             raise OracleFailure("element lies outside the basis span")
         for q, j in zip(sol, idxs):
-            if q:
-                coords[j] += q
-                residual = subtract(residual, scale(basis[j], q))
+            coords[j] += q
+        residual = linear_combination(
+            [(_ONE, residual)] + [(-q, basis[j]) for q, j in zip(sol, idxs)],
+            residual.dim)
     return coords
 
 

@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -1069,6 +1070,21 @@ class TestAtomTable:
         tau, env = _generated_type(seed)
         realize_type(tau, env, mode=mode, budgets=self.BUDGETS)
         assert solved and max(solved.values()) == 1
+
+    def test_atoms_hold_only_their_fields_and_hash(self):
+        # a solve, store or negation kept on the shared atoms would outlive
+        # the realization that made it
+        sigs = set()
+        for seed in (1027, 1031):
+            tau, env = _generated_type(seed)
+            realize_type(tau, env, mode="group", budgets=self.BUDGETS)
+            sigs.add(Signature("group", (tau.var,) + tuple(tau.params)))
+        (sig,) = sigs
+        atoms = [f for f in islice(formulas._fragment(sig), 100)
+                 if isinstance(f, formulas.Atom)]
+        assert all(set(vars(a)) <= {"rel", "pos", "neg", "_hash"}
+                   for a in atoms)
+        assert any("_hash" in vars(a) for a in atoms)
 
 
 def tail_type():

@@ -2,6 +2,7 @@
 elimination, cut extraction, and the atomic-fragment enumeration."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import islice, product
 
@@ -34,9 +35,10 @@ from hahnsat.formulas import (
     parse_formula,
     satisfiable,
 )
-from hahnsat.formulas import (CONST, _ENUM_COEFF_CAP, _conjunct_atoms,
-                              _consistent, _eval_qf, _fragment, _infer_dim,
-                              _nnf, _sides_of_length, _solve_for,
+from hahnsat.formulas import (CONST, _ENUM_COEFF_CAP, Term,
+                              _conjunct_atoms, _consistent, _eval_qf,
+                              _format_mono, _fragment, _infer_dim, _nnf,
+                              _nonlinear, _sides_of_length, _solve_for,
                               _term_series, make_atom)
 from hahnsat.series import (
     compare_series,
@@ -462,6 +464,65 @@ def _reference_cut_bounds(constraints, env, var="x", dim=2):
     if not _consistent(lower, upper, point):
         raise Unsatisfiable("no value lies within the bounds")
     return lower, upper, point
+
+
+def _reference_solve_for(a, var):
+    """_solve_for as a Term round trip, before it read the canonical sides
+    directly: pos - neg is built with plus/scaled, then rest/coeff."""
+    diff = a.pos.plus(a.neg.scaled(Fraction(-1)))
+    syms = diff.sym_dict()
+    coeff = syms.pop(((var, 1),), None)
+    for m in syms:
+        if _nonlinear(m, var):
+            raise NonlinearUnsupported(
+                f"atom is not linear in {var}: {_format_mono(m)}")
+    if coeff is None:
+        return None
+    rest = Term.build(syms, diff.lit_dict())
+    return coeff, rest.scaled(Fraction(-1) / coeff)
+
+
+class TestSolveFor:
+    """_solve_for, which reads the canonical sides, against the Term round
+    trip above on seeded atoms."""
+
+    MONOS = [(("x", 1),), (("g1", 1),), (("g2", 1),), CONST]
+    NONLINEAR = [(("x", 2),), (("g1", 1), ("x", 1))]
+    EXPS = [(Fraction(1),), (Fraction(-1, 2),), (Fraction(0), Fraction(1))]
+
+    def _term(self, rng):
+        syms = {m: Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                for m in rng.sample(self.MONOS, rng.randint(0, 4))}
+        if rng.random() < 0.1:
+            syms[rng.choice(self.NONLINEAR)] = Fraction(rng.randint(1, 3))
+        lits = {e: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                for e in rng.sample(self.EXPS, rng.randint(0, 2))}
+        return Term.build(syms, lits)
+
+    def _outcome(self, solve, a):
+        try:
+            return solve(a, "x")
+        except NonlinearUnsupported as e:
+            return str(e)
+
+    def test_matches_the_round_trip(self):
+        rng = random.Random(33)
+        seen = Counter()
+        for _ in range(3000):
+            a = make_atom(rng.choice("<=>"), self._term(rng), self._term(rng))
+            if not isinstance(a, Atom):
+                continue
+            want = self._outcome(_reference_solve_for, a)
+            assert self._outcome(_solve_for, a) == want, str(a)
+            kind = ("nonlinear" if isinstance(want, str)
+                    else "absent" if want is None else "solved")
+            seen[kind, a.rel] += 1
+            if kind == "solved":
+                seen["literal"] += bool(want[1].lits)
+                seen["constant"] += CONST in want[1].sym_dict()
+        assert min(seen[k, r] for k in ("nonlinear", "absent", "solved")
+                   for r in "<=") > 0
+        assert seen["literal"] and seen["constant"]
 
 
 def _store_or_error(world, env):

@@ -15,7 +15,9 @@ from hahnsat.errors import (
 )
 from hahnsat.scalars import (
     OracleReal,
+    _make_algebraic,
     _ralg_affine,
+    _sympy_factors,
     RealAlgebraic,
     compare,
     creal_approx,
@@ -152,6 +154,28 @@ class TestAffineMap:
     def test_zero_scale_gives_the_shift(self):
         assert _ralg_affine(SQRT2, Fraction(0), Fraction(5, 2)) == \
             Fraction(5, 2)
+
+    def test_increasing_map_keeps_the_root_index(self):
+        """For s > 0 the index is carried over, not counted again: it is
+        the index a Sturm count over the new interval gives."""
+        import random
+
+        rng = random.Random(19)
+        checked = 0
+        while checked < 60:
+            cs = [rng.randint(-9, 9) for _ in range(rng.randint(3, 4))]
+            cs[-1] = cs[-1] or 1
+            # below degree 4, irreducible over Q is no rational root
+            if any(len(f) == 2 for f in _sympy_factors(cs)):
+                continue
+            for lo, hi in isolate_real_roots(cs):
+                a = real_algebraic(cs, lo, hi)
+                s = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                q = Fraction(rng.randint(-20, 20), rng.randint(1, 9))
+                b = _ralg_affine(a, s, q)
+                ref = _make_algebraic(b.coeffs, *b.interval())
+                assert (b.coeffs, b.index) == (ref.coeffs, ref.index)
+                checked += 1
 
     def test_negation_keeps_the_canonical_pair(self):
         neg = _ralg_affine(SQRT2, Fraction(-1), Fraction(0))

@@ -38,6 +38,7 @@ from hahnsat.series import (
     from_scalar,
     invert,
     leading_term,
+    linear_combination,
     make_exp,
     monomial,
     multiply,
@@ -555,6 +556,84 @@ class TestTrustedPath:
                 diff_valuation(x, cut)
         finally:
             _UnhashableFraction.armed = False
+
+
+def _fold_combination(pairs, dim, terms=None):
+    """Sum q * g as a fold of `add` over `scale`, from the series of
+    `terms`."""
+    out = Series._raw(dict(terms or {}), dim)
+    for q, g in pairs:
+        out = add(out, scale(g, q))
+    return out
+
+
+class TestLinearCombination:
+    """`linear_combination` against the fold of `add` over `scale`."""
+
+    GRID = [F(-1), F(0), F(1, 2), F(1), F(2)]
+    COEFFS = [F(-3), F(-1), F(-1, 2), F(1), F(2), SQRT2, scalar_neg(SQRT2)]
+    WEIGHTS = [F(0), F(1), F(-1), F(1, 3), F(-5, 2), F(4)]
+
+    def _operand(self, rng):
+        terms = {tuple(rng.choice(self.GRID) for _ in range(DIM)):
+                 rng.choice(self.COEFFS) for _ in range(rng.randint(0, 4))}
+        trunc = None
+        if rng.random() < 0.3:
+            trunc = tuple(rng.choice(self.GRID) for _ in range(DIM))
+        return Series(terms, DIM, trunc)
+
+    def _cases(self, count):
+        rng = random.Random(21)
+        for _ in range(count):
+            pairs = [(rng.choice(self.WEIGHTS), self._operand(rng))
+                     for _ in range(rng.randint(0, 4))]
+            if pairs and rng.random() < 0.25:
+                # a pair and its negation cancel in full
+                q, g = rng.choice(pairs)
+                pairs.append((-q, g))
+            lits = {}
+            if rng.random() < 0.5:
+                lits = {make_exp([rng.choice(self.GRID)], DIM): F(1, 3)}
+            yield pairs, lits
+
+    def test_matches_the_fold(self):
+        cancelled = truncated = algebraic = 0
+        for pairs, lits in self._cases(600):
+            got = linear_combination(pairs, DIM, dict(lits))
+            want = _fold_combination(pairs, DIM, lits)
+            assert (got.terms, got.trunc) == (want.terms, want.trunc)
+            _assert_normal(got)
+            cancelled += not got.terms and any(q for q, _ in pairs)
+            truncated += got.trunc is not None
+            algebraic += any(not isinstance(c, F)
+                             for c in got.terms.values())
+        assert min(cancelled, truncated, algebraic) > 0
+
+    def test_zero_weights_drop_out_with_their_bounds(self):
+        cut = Series({(F(0), F(0)): F(1)}, DIM, (F(1), F(0)))
+        got = linear_combination([(F(0), cut), (F(2), t_pow(2))], DIM)
+        assert got == scale(t_pow(2), 2) and got.trunc is None
+
+    def test_dimension_mismatch_raises(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            linear_combination([(F(1), t_pow(1, dim=1))], DIM)
+
+
+class TestMappedOrder:
+    """`scale` and `negate` keep the support, so a computed order carries
+    over; scaling by one returns the operand."""
+
+    @given(_series(), _COEFF)
+    @settings(max_examples=200, deadline=None)
+    def test_kept_order_is_the_sorted_support(self, x, c):
+        x.sorted_terms()
+        for r in [negate(x)] + ([] if scalar_is_zero(c) else [scale(x, c)]):
+            assert r._order is not None  # carried over, not sorted yet
+            _assert_normal(r)
+
+    @given(_series())
+    def test_scaling_by_one_returns_the_operand(self, x):
+        assert scale(x, 1) is x and scale(x, F(1)) is x
 
 
 # ---------------------------------------------------------------------------
