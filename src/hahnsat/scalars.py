@@ -406,7 +406,7 @@ def _inverse_interval(iv):
 
 def scalar_is_zero(a) -> bool:
     if isinstance(a, Fraction):
-        return a == 0
+        return not a.numerator
     return False  # RealAlgebraic is irrational; OracleReal zero is uncertifiable
 
 
@@ -517,12 +517,15 @@ def approx_interval(x, n: int) -> tuple[Fraction, Fraction]:
 def compare(a, b, precision_budget: int | None = None) -> int:
     """Sign of a - b.
 
-    Decides outright for rational/algebraic operands.  When an oracle real is
-    involved, identical objects compare equal, interval separation decides,
-    and otherwise ComparisonUndecidedAtPrecision is raised at the budget.
+    Decides outright for rational/algebraic operands, two Fractions by
+    integer cross-multiplication.  When an oracle real is involved,
+    identical objects compare equal, interval separation decides, and
+    otherwise ComparisonUndecidedAtPrecision is raised at the budget.
     """
     if type(a) is type(b) is Fraction:
-        return (a > b) - (a < b)
+        (n, d), (m, e) = a.as_integer_ratio(), b.as_integer_ratio()
+        left, right = n * e, m * d
+        return (left > right) - (left < right)
     if a is b:
         return 0
     oracle = isinstance(a, OracleReal) or isinstance(b, OracleReal)

@@ -16,8 +16,12 @@ trusted `Series._raw`, which does not re-check.
 
 Every exponent is built by `Exp(coords)`, which keeps one object per value
 in a bounded cache: equal exponents are mostly the same object, share their
-`Fraction` coordinates and carry a stored hash, so the order kernel below
-seldom compares or hashes a `Fraction` of an exponent.
+`Fraction` coordinates and carry a stored hash and a stored order key, so
+the order kernel below seldom compares or hashes a `Fraction` of an
+exponent.  Two exponents are ordered by their keys, which interleave each
+coordinate's float with the coordinate itself: C's tuple comparison decides
+on the floats and reaches a `Fraction` only where two distinct coordinates
+round to the same float.
 
 A Series computes its support in ascending order once, on first use, and
 keeps it (`sorted_terms`).  Order and the valuation of a difference are
@@ -25,13 +29,16 @@ decided by `_first_difference`, which merge-walks two such supports up to
 the first exponent where they differ, without hashing an exponent or
 building the difference.  It returns the two coefficients found there, and
 their order (`scalars.compare`) is the order of the series: no coefficient
-is negated or added.
+is negated or added, and two rational coefficients are compared on their
+integer numerators and denominators, never through `Fraction`'s own
+comparisons.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from operator import itemgetter
+from math import inf
 from typing import Optional
 
 from .errors import (
@@ -55,6 +62,34 @@ from .scalars import (
 )
 
 
+def _order_key(coords) -> tuple:
+    """(float(q0), q0, float(q1), q1, ...): ordered as the coordinates are.
+
+    Each float is the correctly rounded int division (clamped to +-inf past
+    float range), so it is monotone in q and a float tie falls through to
+    the exact coordinate."""
+    key = []
+    for q in coords:
+        n, d = q.as_integer_ratio()
+        try:
+            key += (n / d, q)
+        except OverflowError:
+            key += (inf if n > 0 else -inf, q)
+    return tuple(key)
+
+
+def _keyed(name):
+    """Exp's rich comparison `name`: by the stored keys against another
+    Exp, as tuple's own otherwise (plain tuples, INFINITY's reflection)."""
+    by_key, plain = getattr(operator, name), getattr(tuple, name)
+
+    def method(self, other):
+        if type(other) is Exp:
+            return by_key(self._key, other._key)
+        return plain(self, other)
+    return method
+
+
 class Exp(tuple):
     """An exponent: a tuple of Fractions, compared lexicographically.
 
@@ -62,22 +97,29 @@ class Exp(tuple):
     object for their value.  The hash is stored and equals the plain
     tuple's, so a plain tuple key finds an `Exp` key.  Equality is by value:
     identity first, then a stored-hash mismatch between two `Exp`s, then
-    the coordinates.
+    the coordinates.  Order against another `Exp` is by the stored
+    `_order_key`.
     """
 
     def __new__(cls, coords):
         if type(coords) is cls:
             return coords
-        key = tuple([q.as_integer_ratio() for q in coords])
-        exp = _EXPS.get(key)
+        ratios = tuple([q.as_integer_ratio() for q in coords])
+        exp = _EXPS.get(ratios)
         if exp is None:
             if len(_EXPS) >= _TABLE_MAX or len(_COORDS) >= _TABLE_MAX:
                 _EXPS.clear()
                 _COORDS.clear()
-            exp = tuple.__new__(cls, [_coord(r) for r in key])
+            exp = tuple.__new__(cls, [_coord(r) for r in ratios])
             exp._hash = tuple.__hash__(exp)
-            _EXPS[key] = exp
+            exp._key = _order_key(exp)
+            _EXPS[ratios] = exp
         return exp
+
+    __lt__ = _keyed("__lt__")
+    __le__ = _keyed("__le__")
+    __gt__ = _keyed("__gt__")
+    __ge__ = _keyed("__ge__")
 
     def __hash__(self):
         return self._hash
@@ -191,6 +233,8 @@ class Series:
         for exp, c in terms.items():
             if len(exp) != dim:
                 raise ValueError(f"exponent {exp} does not match dimension {dim}")
+            if isinstance(c, int):
+                c = Fraction(c)
             if scalar_is_zero(c):
                 continue
             if trunc is not None and not exp < trunc:
@@ -223,7 +267,7 @@ class Series:
         tuple without a pair object per term, built from a list so that it
         is allocated at its final size."""
         if self._order is None:
-            items = sorted(self.terms.items(), key=itemgetter(0))
+            items = sorted(self.terms.items(), key=_term_key)
             object.__setattr__(self, "_order",
                                tuple([v for term in items for v in term]))
         return self._order
@@ -242,9 +286,15 @@ class Series:
         )
 
     def __hash__(self):
+        """Hashes each exponent by its stored hash and each rational
+        coefficient by its (numerator, denominator), so no `Fraction` is
+        hashed; equal series have equal terms, hence equal hashes."""
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash(
-                (self.dim, self.trunc, frozenset(self.terms.items()))))
+            terms = frozenset([
+                (e, c.as_integer_ratio() if isinstance(c, Fraction) else c)
+                for e, c in self.terms.items()])
+            object.__setattr__(self, "_hash",
+                               hash((self.dim, self.trunc, terms)))
         return self._hash
 
     def __repr__(self):
@@ -252,6 +302,12 @@ class Series:
         if self.trunc is not None:
             return f"<{body} (below {_format_exp(self.trunc)})>"
         return f"<{body}>"
+
+
+def _term_key(term) -> tuple:
+    """The order key of a term's exponent, computed for a plain tuple."""
+    e = term[0]
+    return e._key if type(e) is Exp else _order_key(e)
 
 
 def series(terms: dict, dim: int, trunc: Optional[Exp] = None) -> Series:
@@ -508,10 +564,11 @@ def _first_difference(x: Series, y: Series, unknown: str = _SIGN_UNKNOWN):
     None when they are equal exact series.
 
     Merge-walks the two sorted supports; exponents are compared, never
-    hashed, and coefficients are compared with `==`, never negated or
-    added.  When they agree below the smaller bound, equality cannot be
-    certified and TruncationInsufficient is raised with `unknown` formatted
-    by that bound.
+    hashed, and coefficients are tested for equality, never negated or
+    added: two Fractions on their (numerator, denominator) pairs, which are
+    normalized, and any other pair with `==`.  When x and y agree below the
+    smaller bound, equality cannot be certified and TruncationInsufficient
+    is raised with `unknown` formatted by that bound.
     """
     if x.dim != y.dim:
         raise ValueError("dimension mismatch")
@@ -530,7 +587,9 @@ def _first_difference(x: Series, y: Series, unknown: str = _SIGN_UNKNOWN):
                 cx, cy = xs[i + 1], ys[j + 1]
                 i += 2
                 j += 2
-                if cx is cy or cx == cy:
+                if cx is cy or (cx.as_integer_ratio() == cy.as_integer_ratio()
+                                if type(cx) is type(cy) is Fraction
+                                else cx == cy):
                     continue
             elif e < ey:
                 cx, cy = xs[i + 1], _ZERO

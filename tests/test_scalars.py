@@ -1,6 +1,7 @@
 """Exact scalar layer: algebraics, oracles, comparison, relations."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,7 @@ from hahnsat.scalars import (
     real_algebraic,
     scalar_add,
     scalar_inv,
+    scalar_is_zero,
     scalar_mul,
     scalar_neg,
     scalar_sign,
@@ -278,6 +280,23 @@ class TestCompare:
     @given(st.fractions(), st.fractions())
     def test_compare_matches_fraction_order(self, a, b):
         assert compare(a, b) == (a > b) - (a < b)
+
+    def test_seeded_rational_pairs_match_fraction_order(self):
+        rng = random.Random(22)
+        scales = [1, 7, 10**20, 10**400]
+
+        def draw():
+            top = rng.choice(scales)
+            return Fraction(rng.randint(-top, top),
+                            rng.randint(1, rng.choice(scales)))
+        pairs = [(draw(), draw()) for _ in range(3000)]
+        pairs += [(a, Fraction(a.numerator, a.denominator))
+                  for a, _ in pairs[:100]]
+        for a, b in pairs:
+            assert compare(a, b) == (a > b) - (a < b)
+            assert scalar_is_zero(a) == (a == 0)
+        assert {compare(a, b) for a, b in pairs} == {-1, 0, 1}
+        assert any(a == 0 for a, _ in pairs)
 
     def test_sign_helper(self):
         assert scalar_sign(Fraction(-3)) == -1

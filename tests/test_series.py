@@ -515,6 +515,12 @@ class TestTrustedPath:
         for r in (monomial(e, c, DIM), from_scalar(c, DIM), zero_series(DIM)):
             _assert_normal(r)
 
+    def test_public_constructor_reads_int_coefficients_as_fractions(self):
+        x = Series({(0, 0): 2, (1, 0): 0}, DIM)
+        want = Series({(0, 0): F(2)}, DIM)
+        assert type(x.terms[(0, 0)]) is F and x.terms == want.terms
+        assert x == want and hash(x) == hash(want)
+
     @given(_pairs())
     @settings(max_examples=300, deadline=None)
     def test_compare_matches_normalizing_subtraction(self, pair):
@@ -776,6 +782,133 @@ class TestInternedExponents:
         assert compare_series(longer, x) == 1
         assert diff_valuation(x, longer) == make_exp([4], DIM)
         assert touched == []
+
+
+# ---------------------------------------------------------------------------
+# exponent order by stored keys, coefficient equality by integer pairs
+
+_THIRD = F(1, 3)
+# coordinates whose floats tie (1/3 and its neighbours 10**-40 away; the
+# zeros and +-10**-400), and coordinates beyond float range
+_ODD_COORD = st.sampled_from([
+    _THIRD, _THIRD + F(1, 10**40), _THIRD - F(1, 10**40), F(0),
+    F(1, 10**400), -F(1, 10**400), F(10**400), F(10**400) + 1,
+    -F(10**400), -F(10**400) - F(1, 2)])
+_ORDER_COORD = _ODD_COORD | st.fractions(min_value=-3, max_value=3,
+                                         max_denominator=4)
+_ORDER_EXP = st.tuples(*[_ORDER_COORD] * DIM)
+_FRESH = iter(range(10**9, 10**10))  # values no other test interns
+
+
+def _rebuilt(t):
+    """Exp(t) built afresh after the intern tables are cleared past
+    _TABLE_MAX (lowered to 1 for one new value): equal to the first one,
+    with none of its coordinates."""
+    first = Exp(t)
+    saved, series_mod._TABLE_MAX = series_mod._TABLE_MAX, 1
+    try:
+        Exp((next(_FRESH), 0))
+    finally:
+        series_mod._TABLE_MAX = saved
+    again = Exp(t)
+    assert all(p is not q for p, q in zip(first, again))
+    return again
+
+
+_ORDERS = ("__lt__", "__le__", "__gt__", "__ge__")
+
+
+class TestExponentOrder:
+    """`<`, `<=`, `>`, `>=` and `sorted` on `Exp` against plain tuples of
+    Fractions."""
+
+    @given(st.lists(_ORDER_EXP, min_size=2, max_size=6))
+    @settings(deadline=None)
+    def test_order_is_the_order_of_plain_tuples(self, ts):
+        es = [Exp(t) for t in ts] + [_rebuilt(ts[0])]
+        ts = ts + [ts[0]]
+        for a, ta in zip(es, ts):
+            for b, tb in zip(es, ts):
+                for op in _ORDERS:
+                    assert getattr(a, op)(b) is getattr(ta, op)(tb)
+                    assert getattr(a, op)(tb) is getattr(ta, op)(tb)
+                    assert getattr(tb, op)(a) is getattr(tb, op)(ta)
+        assert [tuple(e) for e in sorted(es)] == sorted(ts)
+
+    @given(_ORDER_EXP)
+    @settings(deadline=None)
+    def test_infinity_is_above_every_exponent(self, t):
+        e = Exp(t)
+        assert e < INFINITY and e <= INFINITY
+        assert not e > INFINITY and not e >= INFINITY
+        assert INFINITY > e and not INFINITY < e
+        assert max(e, INFINITY) is INFINITY and min(INFINITY, e) is e
+
+    def test_sorted_terms_on_tied_and_huge_exponents(self):
+        exps = [(_THIRD + F(1, 10**40), 0), (_THIRD, 1), (_THIRD, 0),
+                (F(10**400) + 1, 0), (F(10**400), 0), (-F(10**400), 5)]
+        x = Series({e: F(k + 1) for k, e in enumerate(exps)}, DIM)
+        assert x.sorted_terms()[::2] == tuple(sorted(exps))
+
+
+def _twin(c):
+    """A coefficient equal to c that is not c itself."""
+    twin = scalar_neg(scalar_neg(c))
+    assert twin == c and twin is not c
+    return twin
+
+
+def _reference_first_difference(x, y):
+    """`_first_difference` by `==` on every pair of coefficients, over the
+    union of the supports sorted as plain tuples."""
+    bounds = [tuple(b) for b in (x.trunc, y.trunc) if b is not None]
+    trunc = min(bounds) if bounds else None
+    for e in sorted(set(x.terms) | set(y.terms), key=tuple):
+        if trunc is not None and not tuple(e) < trunc:
+            break
+        cx, cy = x.terms.get(e, F(0)), y.terms.get(e, F(0))
+        if not cx == cy:
+            return e, cx, cy
+    if trunc is None:
+        return None
+    raise TruncationInsufficient("sign unknown")
+
+
+class TestFirstDifferenceCoefficients:
+    """The integer-pair equality of two Fractions against `==`, on series
+    that put Fraction and RealAlgebraic coefficients at the same
+    exponents."""
+
+    GRID = [(0, 0), (F(1, 2), 0), (1, 0), (1, -1)]
+    COEFFS = [F(-1), F(1, 2), F(2, 3), F(1), SQRT2, scalar_neg(SQRT2)]
+
+    def _series(self, rng, terms=None):
+        if terms is None:
+            terms = {rng.choice(self.GRID): rng.choice(self.COEFFS)
+                     for _ in range(rng.randint(0, 3))}
+        trunc = rng.choice(self.GRID) if rng.random() < 0.2 else None
+        return Series(terms, DIM, trunc)
+
+    def test_matches_the_eq_walk(self):
+        rng = random.Random(22)
+        mixed = skipped = 0
+        for _ in range(1500):
+            x = self._series(rng)
+            terms = {e: _twin(c) for e, c in x.terms.items()}
+            if not terms or rng.random() < 0.5:
+                terms[rng.choice(self.GRID)] = rng.choice(self.COEFFS)
+            y = self._series(rng, terms)
+            for a, b in ((x, y), (y, x)):
+                got = _unknown_as_str(series_mod._first_difference, a, b)
+                assert got == _unknown_as_str(_reference_first_difference,
+                                              a, b)
+                if got in (None, "unknown"):
+                    continue
+                e, ca, cb = got
+                mixed += e in a.terms and e in b.terms and \
+                    type(ca) is not type(cb)
+                skipped += any(e2 < e for e2 in a.terms if e2 in b.terms)
+        assert min(mixed, skipped) > 0
 
 
 class TestSplitter:
