@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
-from itertools import islice, product
+from itertools import product
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
@@ -28,15 +28,16 @@ from .errors import (
 )
 from .formulas import (
     And,
-    Not,
+    AtomTable,
     PartialType,
     Signature,
-    _fragment,
     _has_quantifier,
     _infer_dim,
     _inside,
     atom_store,
+    compiled_fragment,
     conjoin,
+    conjoin_worlds,
     doag_qe,
     eval_formula,
     format_formula,
@@ -911,7 +912,7 @@ def _materialize(tau: PartialType, env: dict, dim: int,
 
 
 def _check_prefix_satisfiable(thetas: list, env: dict, var: str, dim: int,
-                              table: Optional[dict] = None) -> list:
+                              table: Optional[AtomTable] = None) -> list:
     """Conjoin emissions in order; on collapse, name a minimal refuting
     subset.  Returns the surviving interval states.  `table` holds the
     realization's atom stores (see `formulas.atom_store`)."""
@@ -941,24 +942,32 @@ def _check_prefix_satisfiable(thetas: list, env: dict, var: str, dim: int,
 
 def complete_type(tau: PartialType, env: dict, mode: str = "group",
                   budgets: Budgets = Budgets(), dim: int = 2,
-                  table: Optional[dict] = None) -> Completion:
+                  table: Optional[AtomTable] = None) -> Completion:
     """Decide the first formula_prefix_budget enumerated formulas against the
     type's emissions, leftmost-consistent (negation preferred); a smaller
     finite fragment is decided whole.  The parameters' dimension overrides
-    `dim`.  `table` holds the atom stores of the calling realization; alone,
-    the completion keeps its own."""
+    `dim`.
+
+    The formulas, their negations, the DNF worlds of both and the solves of
+    their atoms come from `compiled_fragment`, kept once per process,
+    signature and variable.  Every atom's store, and the solve of each of
+    the type's own atoms outside the fragment, lives in `table`: the
+    calling realization's, or else the completion's own."""
     dim = _infer_dim(None, env, dim)
-    table = {} if table is None else table
     thetas = _materialize(tau, env, dim, budgets)
+    compiled = compiled_fragment(
+        Signature(mode, (tau.var,) + tuple(tau.params)), tau.var)
+    entries = compiled.prefix(budgets.formula_prefix_budget)
+    table = AtomTable() if table is None else table
+    table.solves = compiled.solves  # for emitted fragment atoms too
     states = _check_prefix_satisfiable(thetas, env, tau.var, dim, table)
-    sig = Signature(mode, (tau.var,) + tuple(tau.params))
     bits, decided = "", []
     # each value of a (nonempty) store satisfies f or not f, so one branch
     # keeps a store: the leftmost consistent branch never backtracks
-    for f in islice(_fragment(sig), budgets.formula_prefix_budget):
-        for bit, constraint in (("0", Not(f)), ("1", f)):
-            extended = conjoin(states, constraint, env, tau.var, dim,
-                               table=table)
+    for branches in entries:
+        for bit, (constraint, worlds) in zip("01", branches):
+            extended = conjoin_worlds(states, worlds, env, tau.var, dim,
+                                      table)
             if extended:
                 break
         else:
@@ -991,7 +1000,7 @@ _PACE_EMISSIONS = 2  # emitted formulas whose bounds pace in per generation
 
 
 def _theta_bound_elements(thetas: list, env: dict, var: str, dim: int,
-                          table: dict) -> list:
+                          table: AtomTable) -> list:
     """Concrete bound series named by the type's own atoms, batched two
     emissions per generation; these seed the comparison enumeration."""
     batches: list = []
@@ -1029,7 +1038,7 @@ def realize_type(tau: PartialType, env: dict, mode: str = "group",
     dim = _infer_dim(None, env, dim)
     # each atom's store, solved once for the whole realization; the
     # verification below re-evaluates the emissions without it
-    table: dict = {}
+    table = AtomTable()
     completion = complete_type(tau, env, mode, budgets, dim, table)
     # a zero parameter spans nothing
     generators = [env[p] for p in tau.params if not env[p].is_zero()] \

@@ -15,9 +15,14 @@ inside its bounds or, without a point, when the open interval is nonempty.
 the fold of `_merge_store`, the one intersection of stores, over its atoms'
 stores: `cut_bounds` builds it and rejects an inconsistent one,
 `satisfiable` scans the stores of a formula's worlds, and `conjoin`
-intersects a disjunction of stores with a further formula.  Atoms are solved
-for the variable by `_solve_for`; a realization hands these calls one table
-of atom stores, so that it solves each atom once.
+intersects a disjunction of stores with a further formula through
+`conjoin_worlds`, the one merge loop.  Atoms are solved for the variable by
+`_solve_for`, and each solve is kept only as long as it is shared:
+`compiled_fragment` keeps the solves of the fragment's atoms, with their
+worlds, once per process, signature and variable; a realization's
+`AtomTable` keeps every atom's store, and so the solve of each of the
+type's own atoms, once per realization; no store or series outlives the
+realization that made it.
 """
 
 from __future__ import annotations
@@ -793,15 +798,30 @@ def doag_qe(f: Formula) -> Formula:
 _UNSOLVED = object()  # marks an atom missing from a table
 
 
-def atom_store(a: Atom, env: dict, var: str, dim: int, table: dict):
+class AtomTable(dict):
+    """Atom stores for one env, var and dim (see `atom_store`), kept for as
+    long as one realization lasts.  `solves` lends the `_solve_for` results
+    of a compiled fragment, read and never written."""
+
+    __slots__ = ("solves",)
+
+    def __init__(self):
+        super().__init__()
+        self.solves = {}
+
+
+def atom_store(a: Atom, env: dict, var: str, dim: int, table: AtomTable):
     """The one-atom store of `a` in the model: the bound it puts on `var`,
     (None, None, None) for a true atom without `var`, None for a false one.
     Raises NonlinearUnsupported when `a` is not linear in `var`.  `table`
-    remembers each atom's store, so it must serve one env, var and dim."""
+    remembers each atom's store, so it must serve one env, var and dim; an
+    atom of `table.solves` is not solved again."""
     store = table.get(a, _UNSOLVED)
     if store is not _UNSOLVED:
         return store
-    solved = _solve_for(a, var)
+    solved = table.solves.get(a, _UNSOLVED)
+    if solved is _UNSOLVED:
+        solved = _solve_for(a, var)
     if solved is None:
         store = (None, None, None) if _eval_qf(a, env, dim) else None
     else:
@@ -816,7 +836,7 @@ def atom_store(a: Atom, env: dict, var: str, dim: int, table: dict):
 
 
 def _fold_atoms(atoms: Iterable[Atom], env: dict, var: str, dim: int,
-                table: dict):
+                table: AtomTable):
     """The store of a conjunction of atoms, their one-atom stores intersected
     in order; None at the first atom that leaves no value, before any later
     atom is read."""
@@ -843,7 +863,8 @@ def cut_bounds(constraints, env: dict, var: str = "x", dim: int = 2):
     atoms: list[Atom] = []
     for f in constraints:
         atoms.extend(_conjunct_atoms(f))
-    store = _fold_atoms(atoms, env, var, _infer_dim(None, env, dim), {})
+    store = _fold_atoms(atoms, env, var, _infer_dim(None, env, dim),
+                        AtomTable())
     if store is None:
         raise Unsatisfiable(f"no value of {var} satisfies "
                             + " and ".join(map(str, atoms)))
@@ -876,26 +897,24 @@ def _conjunct_atoms(f: Formula) -> list:
     raise ValueError("cut extraction expects a conjunction of atoms")
 
 
-def _world_stores(f: Formula, env: dict, var: str, dim: int,
-                  table: Optional[dict]):
-    """Lazily yield the store of each DNF world of f, None for a world with
-    no value; quantifiers are eliminated first.  Without a `table`, atoms
-    shared by worlds are solved once."""
+def _worlds(f: Formula) -> Iterable[list]:
+    """The DNF worlds of f, lazily; quantifiers are eliminated first."""
     if _has_quantifier(f):
         f = doag_qe(f)
-    dim = _infer_dim(None, env, dim)
-    table = {} if table is None else table
-    for world in iter_worlds(_nnf(f)):
-        yield _fold_atoms(world, env, var, dim, table)
+    return iter_worlds(_nnf(f))
 
 
 def satisfiable(f: Formula, env: dict, var: str = "x", world_cap: int = 64,
-                dim: int = 2, *, table: Optional[dict] = None) -> bool:
+                dim: int = 2, *, table: Optional[AtomTable] = None) -> bool:
     """Whether some value of `var` satisfies f under env: lazily scan DNF
     worlds, short-circuiting on the first satisfiable one.  Raises
     BudgetExhausted if no world within the cap is satisfiable and some
-    remain unexamined.  `table` is as for `atom_store`."""
-    for checked, store in enumerate(_world_stores(f, env, var, dim, table)):
+    remain unexamined.  `table` is as for `atom_store`; without one, atoms
+    shared by worlds are solved once."""
+    dim = _infer_dim(None, env, dim)
+    table = AtomTable() if table is None else table
+    stores = (_fold_atoms(w, env, var, dim, table) for w in _worlds(f))
+    for checked, store in enumerate(stores):
         if checked >= world_cap:
             raise BudgetExhausted(
                 f"satisfiability scan exceeded {world_cap} worlds",
@@ -925,13 +944,23 @@ _STATE_CAP = 64
 
 
 def conjoin(states: list, f: Formula, env: dict, var: str = "x",
-            dim: int = 2, *, table: Optional[dict] = None) -> list:
-    """Conjoin f onto a disjunction of stores: the distinct consistent
-    intersections of each store with each world of f, in order.  Raises
-    BudgetExhausted past _STATE_CAP stores.  `table` is as for
-    `atom_store`."""
-    world_stores = [st for st in _world_stores(f, env, var, dim, table)
-                    if st is not None]
+            dim: int = 2, *, table: Optional[AtomTable] = None) -> list:
+    """`conjoin_worlds` with the DNF worlds of f, quantifiers eliminated
+    first.  `table` is as for `atom_store`; without one, atoms shared by
+    worlds are solved once."""
+    return conjoin_worlds(states, _worlds(f), env, var,
+                          _infer_dim(None, env, dim),
+                          AtomTable() if table is None else table)
+
+
+def conjoin_worlds(states: list, worlds: Iterable, env: dict, var: str,
+                   dim: int, table: AtomTable) -> list:
+    """Conjoin a disjunction of worlds (atom sequences) onto a disjunction
+    of stores: the distinct consistent intersections of each store with
+    each world's store, in order.  Raises BudgetExhausted past _STATE_CAP
+    stores."""
+    world_stores = [st for st in (_fold_atoms(w, env, var, dim, table)
+                                  for w in worlds) if st is not None]
     out: list = []
     seen: set = set()
     for st in states:
@@ -1031,6 +1060,41 @@ def _fragment(sig: Signature):
     for L in range(1, _max_possible_len(sig) + 1):
         for _, f in _atoms_of_length(sig, L):
             yield f
+
+
+class CompiledFragment:
+    """What deciding sig's fragment for `var` takes that no env changes:
+    for each enumerated formula f, in order, its two branches `Not(f)` and
+    `f`, each with its DNF worlds as atom tuples in the order `iter_worlds`
+    yields them, and the `_solve_for` result of every atom of those worlds.
+    It holds no series and no store, and grows as far as the longest prefix
+    asked of it."""
+
+    def __init__(self, sig: Signature, var: str):
+        self.var = var
+        self.entries: list = []  # ((Not(f), worlds), (f, worlds)) per f
+        self.solves: dict = {}  # atom -> _solve_for(atom, var)
+        self._rest = _fragment(sig)
+
+    def prefix(self, n: int) -> list:
+        """The entries of the first n formulas, or of the whole fragment
+        when it is smaller."""
+        for f in islice(self._rest, max(0, n - len(self.entries))):
+            branches = []
+            for constraint in (Not(f), f):
+                worlds = tuple(map(tuple, iter_worlds(_nnf(constraint))))
+                for a in (a for world in worlds for a in world):
+                    if a not in self.solves:
+                        self.solves[a] = _solve_for(a, self.var)
+                branches.append((constraint, worlds))
+            self.entries.append(tuple(branches))
+        return self.entries[:n]
+
+
+@cache
+def compiled_fragment(sig: Signature, var: str) -> CompiledFragment:
+    """sig's fragment compiled for `var`, one per process."""
+    return CompiledFragment(sig, var)
 
 
 def enumerate_formulas(i: int, sig: Signature) -> Formula:

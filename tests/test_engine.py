@@ -41,6 +41,7 @@ from hahnsat.engine import (
 )
 from hahnsat.errors import (
     BudgetExhausted,
+    NonlinearUnsupported,
     NotFinitelySatisfiable,
     OracleFailure,
     PseudoLimitUnverified,
@@ -53,6 +54,7 @@ from hahnsat.formulas import (
     enumerate_formulas,
     format_formula,
     parse_formula,
+    satisfiable,
 )
 from hahnsat.scalars import (
     OracleReal,
@@ -1087,6 +1089,117 @@ class TestAtomTable:
         assert any("_hash" in vars(a) for a in atoms)
 
 
+class TestCompiledFragment:
+    """complete_type reads the fragment compiled once per signature and
+    variable; it decides what conjoining each formula's negation, then the
+    formula, onto the stores decides, and the compiled form keeps nothing
+    that depends on the parameters."""
+
+    @staticmethod
+    def _reference(tau, env, mode, prefix):
+        """The completion's fields by conjoining Not(f), then f."""
+        budgets = Budgets(formula_prefix_budget=prefix)
+        thetas = _materialize(tau, env, DIM, budgets)
+        states = _check_prefix_satisfiable(thetas, env, tau.var, DIM)
+        sig = Signature(mode, (tau.var,) + tuple(tau.params))
+        bits, decided = "", []
+        for f in islice(formulas._fragment(sig), prefix):
+            for bit, constraint in (("0", Not(f)), ("1", f)):
+                extended = conjoin(states, constraint, env, tau.var, DIM)
+                if extended:
+                    break
+            states = extended
+            bits += bit
+            decided.append(constraint)
+        return (bits, tuple(decided), *states[0], len(states))
+
+    def _assert_same(self, tau, env, mode, prefix):
+        comp = complete_type(tau, env, mode,
+                             Budgets(formula_prefix_budget=prefix))
+        assert (comp.bits, comp.decided, comp.lower, comp.upper, comp.point,
+                comp.interval_states) == \
+            self._reference(tau, env, mode, prefix)
+
+    @pytest.mark.parametrize("mode", ["group", "field"])
+    def test_c8_types_match_the_reference(self, mode):
+        for seed in range(1000, 1050):
+            tau, env = _generated_type(seed)
+            self._assert_same(tau, env, mode, 100)
+
+    def test_tail_chains_match_the_reference(self):
+        rng = random.Random(42)
+        for _ in range(16):
+            self._assert_same(tail_chain(rng), {}, "field", 64)
+
+    @staticmethod
+    def _reachable(obj):
+        """obj and everything its containers and dataclass fields hold."""
+        stack, out = [obj], []
+        while stack:
+            o = stack.pop()
+            out.append(o)
+            if isinstance(o, dict):
+                stack.extend(o.keys())
+                stack.extend(o.values())
+            elif isinstance(o, (tuple, list)):
+                stack.extend(o)
+            elif hasattr(o, "__dataclass_fields__"):
+                stack.extend(getattr(o, name)
+                             for name in o.__dataclass_fields__)
+        return out
+
+    def test_second_realization_solves_no_fragment_atom(self, monkeypatch):
+        budgets = Budgets(formula_prefix_budget=100)
+        tau, env = _generated_type(1027)
+        realize_type(tau, env, mode="group", budgets=budgets)
+        compiled = formulas.compiled_fragment(
+            Signature("group", (tau.var,) + tuple(tau.params)), tau.var)
+        assert len(compiled.entries) >= 100
+
+        held = self._reachable((compiled.entries, compiled.solves))
+        assert not any(isinstance(o, Series) for o in held)
+        assert (None, None, None) not in held  # the store of a true atom
+
+        solved = []
+        solve = formulas._solve_for
+
+        def recording(a, var):
+            solved.append(a)
+            return solve(a, var)
+
+        monkeypatch.setattr(formulas, "_solve_for", recording)
+        tau, env = _generated_type(1031)  # the same signature
+        assert formulas.compiled_fragment(
+            Signature("group", (tau.var,) + tuple(tau.params)),
+            tau.var) is compiled
+        realize_type(tau, env, mode="group", budgets=budgets)
+        assert solved  # the type's own atoms
+        assert not any(a in compiled.solves for a in solved)
+
+    def test_generic_callers_solve_lazily(self):
+        # the false atom ends the world before the nonlinear one is solved
+        env = {"g1": T}
+        assert not satisfiable(parse_formula("g1 < 0 and x*x < 1"), env)
+        with pytest.raises(NonlinearUnsupported):
+            satisfiable(parse_formula("x*x < 1 and g1 < 0"), env)
+
+
+def tail_chain(rng, pairs=16):
+    """A parameter-free immediate-tail chain, drawn from rng: a_k = 1 +
+    sum_{j<k} c_j t^e_j with e_0 = 1/r_0, e_{j+1} = e_j + (1 - e_j)/r_j,
+    r_j in {2,3,4}, c_j = a/b (a in 1..3, b in 1..2); emission pair k is
+    a_k < x and x < a_k + 2 c_k t^e_k."""
+    e, text, emissions = F(0), "1", []
+    for _ in range(pairs):
+        e += (1 - e) / rng.choice((2, 3, 4))
+        c = F(rng.randint(1, 3), rng.randint(1, 2))
+        emissions.append(parse_formula(f"{text} < x"))
+        emissions.append(parse_formula(f"x < {text} + {2 * c}*t^({e})"))
+        text += f" + {c}*t^({e})"
+    return PartialType(lambda i: emissions[i] if i < len(emissions) else None,
+                       "x", ())
+
+
 def tail_type():
     def a_text(k):
         return " + ".join(["1"] + [f"t^({j}/{j + 1})"
@@ -1287,3 +1400,18 @@ class TestReportDigest:
                                budgets=Budgets(formula_prefix_budget=100))
             h.update(res.report.encode())
         assert h.hexdigest() == self.LEVEL_SCAN_DIGEST
+
+    # 16 immediate-tail chains drawn from seed 42, field mode, prefix 64
+    TAIL_DIGEST = \
+        "f69a8c27c617a1fc1d61bef86892059feb4462b388d26cbca6fe8d186824527b"
+
+    def test_tail_chain_reports_are_byte_identical(self):
+        import hashlib
+
+        h = hashlib.sha256()
+        rng = random.Random(42)
+        for _ in range(16):
+            res = realize_type(tail_chain(rng), {}, mode="field",
+                               budgets=Budgets(formula_prefix_budget=64))
+            h.update(res.report.encode())
+        assert h.hexdigest() == self.TAIL_DIGEST
