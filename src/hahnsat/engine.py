@@ -32,18 +32,14 @@ from .formulas import (
     PartialType,
     Signature,
     _has_quantifier,
-    _infer_dim,
     _inside,
-    atom_store,
+    _worlds,
     compiled_fragment,
-    conjoin,
-    conjoin_worlds,
     doag_qe,
     eval_formula,
     format_formula,
     free_symbols,
     iter_atoms,
-    satisfiable,
 )
 from .scalars import (
     OracleReal,
@@ -220,27 +216,23 @@ class ImmediateTranscendental:
 # grids
 
 
-def _group_grid(basis: SpanBasis) -> list:
-    return sorted({valuation(rep) for rep in basis.class_reps})
-
-
-def _field_grid(basis: SpanBasis, denom_budget: int, dim: int) -> list:
-    """Rational multiples p/q of the parameter valuations, q and |p| up to
-    the denominator budget, combined additively across classes."""
+def _levels(basis: SpanBasis, budgets: Budgets, mode: str):
+    """(grid, unit): the cut's candidate levels, ascending, and the unit a
+    digit at level gamma scales, None where there is none.  Group mode: the
+    parameter classes' valuations and representatives; field mode: sums of
+    p/q times them, q and |p| up to the denominator budget, and monomials."""
+    # one representative per archimedean class, so one per valuation
+    reps = {valuation(rep): rep for rep in basis.class_reps}
+    if mode == "group":
+        return sorted(reps), reps.get
+    dim = basis.generators[0].dim
     grid = {zero_exp(dim)}
-    for gamma in _group_grid(basis):
+    for gamma in reps:
         # 0 is one of the multiples, so the grid only grows
-        steps = [exp_scale(gamma, r)
-                 for r in _rationals_of_height(denom_budget)]
+        steps = [exp_scale(gamma, r) for r in
+                 _rationals_of_height(budgets.exponent_denominator_budget)]
         grid = {exp_add(g0, step) for g0 in grid for step in steps}
-    return sorted(grid)
-
-
-def _class_rep_for(basis: SpanBasis, gamma: tuple) -> Optional[Series]:
-    for rep in basis.class_reps:
-        if valuation(rep) == gamma:
-            return rep
-    return None
+    return sorted(grid), lambda gamma: monomial(gamma, 1, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -529,8 +521,7 @@ def classify_cut(oracle: CutOracle, basis: SpanBasis, budgets: Budgets,
     if s0 == Side.EQUAL:
         return Realized(zero)
     state = _ClassifyState.start(zero, s0)
-    grid = (_group_grid(basis) if mode == "group"
-            else _field_grid(basis, budgets.exponent_denominator_budget, dim))
+    grid, unit = _levels(basis, budgets, mode)
     known: list = []
     known_set: set = set()
 
@@ -545,7 +536,7 @@ def classify_cut(oracle: CutOracle, basis: SpanBasis, budgets: Budgets,
                 return Realized(e)
             known.append(e)
         _adopt_from_enum(oracle, state, known, budgets)
-        result = _scan_levels(oracle, state, basis, grid, mode, budgets)
+        result = _scan_levels(oracle, state, grid, unit, budgets)
         if result is not None:
             return result
         if not state.improved:
@@ -631,10 +622,11 @@ def _observed_bounds(oracle: CutOracle, state: _ClassifyState):
     return gamma_lo, gamma_hi, levels
 
 
-def _scan_levels(oracle: CutOracle, state: _ClassifyState, basis: SpanBasis,
-                 grid: list, mode: str, budgets: Budgets):
-    """Resolve digits at candidate valuation levels, ascending.  Returns a
-    final classification when one is forced, else None.
+def _scan_levels(oracle: CutOracle, state: _ClassifyState, grid: list,
+                 unit: Callable, budgets: Budgets):
+    """Resolve digits at candidate valuation levels, ascending, each with
+    the unit `unit` gives it (see `_levels`).  Returns a final
+    classification when one is forced, else None.
 
     The query log is walked once per approximation: a level that resolves
     without adopting a digit logs only probes at its own level, below every
@@ -652,8 +644,7 @@ def _scan_levels(oracle: CutOracle, state: _ClassifyState, basis: SpanBasis,
                 continue
             if state.window_hi is not None and not gamma < state.window_hi:
                 continue
-            u = (_class_rep_for(basis, gamma) if mode == "group"
-                 else monomial(gamma, 1, state.d0.dim))
+            u = unit(gamma)
             if u is None:
                 return None
             outcome = _resolve_level(oracle, state, u, gamma, budgets)
@@ -758,8 +749,7 @@ def _realize_residue_field(cls: ResidueTranscendental, oracle: CutOracle,
     """Install the irrational digit, then keep resolving deeper levels until
     the cut closes or stabilizes; a deeper residue is installed in turn,
     within height_budget level scans in all."""
-    grid = _field_grid(basis, budgets.exponent_denominator_budget,
-                       basis.generators[0].dim)
+    grid, unit = _levels(basis, budgets, "field")
     result = cls
     for scans_left in range(budgets.height_budget, -1, -1):
         if isinstance(result, Realized):
@@ -775,7 +765,7 @@ def _realize_residue_field(cls: ResidueTranscendental, oracle: CutOracle,
         if not scans_left:
             break
         state.improved = False
-        result = _scan_levels(oracle, state, basis, grid, "field", budgets)
+        result = _scan_levels(oracle, state, grid, unit, budgets)
     tail = _stable_conclusion(state, grid, oracle)
     return realize_cut_group(tail, oracle, basis, budgets)
 
@@ -911,25 +901,22 @@ def _materialize(tau: PartialType, env: dict, dim: int,
     return thetas
 
 
-def _check_prefix_satisfiable(thetas: list, env: dict, var: str, dim: int,
-                              table: Optional[AtomTable] = None) -> list:
-    """Conjoin emissions in order; on collapse, name a minimal refuting
-    subset.  Returns the surviving interval states.  `table` holds the
-    realization's atom stores (see `formulas.atom_store`)."""
+def _check_prefix_satisfiable(thetas: list, table: AtomTable) -> list:
+    """Conjoin emissions in order in the table's model; on collapse, name a
+    minimal refuting subset.  Returns the surviving interval states."""
     states = [(None, None, None)]
     for j, (i_bad, f_bad) in enumerate(thetas):
-        new = conjoin(states, f_bad, env, var, dim, table=table)
+        new = table.conjoin(states, _worlds(f_bad))
         if new:
             states = new
             continue
-        if not satisfiable(f_bad, env, var, dim=dim, table=table):
+        if not table.satisfiable(f_bad):
             raise NotFinitelySatisfiable(
                 f"emission {i_bad} alone is unsatisfiable: "
                 f"{format_formula(f_bad)}",
                 witness=(format_formula(f_bad),))
         for i_prev, f_prev in thetas[:j]:
-            if not satisfiable(And(f_prev, f_bad), env, var, dim=dim,
-                               table=table):
+            if not table.satisfiable(And(f_prev, f_bad)):
                 raise NotFinitelySatisfiable(
                     f"emissions {i_prev} and {i_bad} conflict: "
                     f"{format_formula(f_prev)}  //  {format_formula(f_bad)}",
@@ -950,24 +937,23 @@ def complete_type(tau: PartialType, env: dict, mode: str = "group",
 
     The formulas, their negations, the DNF worlds of both and the solves of
     their atoms come from `compiled_fragment`, kept once per process,
-    signature and variable.  Every atom's store, and the solve of each of
-    the type's own atoms outside the fragment, lives in `table`: the
-    calling realization's, or else the completion's own."""
-    dim = _infer_dim(None, env, dim)
-    thetas = _materialize(tau, env, dim, budgets)
+    signature and variable.  The type is completed in the model of
+    `table`: the calling realization's, or else one built here over env,
+    the type's variable and dim.  Either borrows the compiled solves, and
+    the table keeps every atom's store; nothing else is written to it."""
     compiled = compiled_fragment(
         Signature(mode, (tau.var,) + tuple(tau.params)), tau.var)
+    if table is None:
+        table = AtomTable(env, tau.var, dim, compiled.solves)
+    thetas = _materialize(tau, table.env, table.dim, budgets)
     entries = compiled.prefix(budgets.formula_prefix_budget)
-    table = AtomTable() if table is None else table
-    table.solves = compiled.solves  # for emitted fragment atoms too
-    states = _check_prefix_satisfiable(thetas, env, tau.var, dim, table)
+    states = _check_prefix_satisfiable(thetas, table)
     bits, decided = "", []
     # each value of a (nonempty) store satisfies f or not f, so one branch
     # keeps a store: the leftmost consistent branch never backtracks
     for branches in entries:
         for bit, (constraint, worlds) in zip("01", branches):
-            extended = conjoin_worlds(states, worlds, env, tau.var, dim,
-                                      table)
+            extended = table.conjoin(states, worlds)
             if extended:
                 break
         else:
@@ -999,8 +985,7 @@ def completed_partial_type(completion: Completion,
 _PACE_EMISSIONS = 2  # emitted formulas whose bounds pace in per generation
 
 
-def _theta_bound_elements(thetas: list, env: dict, var: str, dim: int,
-                          table: AtomTable) -> list:
+def _theta_bound_elements(thetas: list, table: AtomTable) -> list:
     """Concrete bound series named by the type's own atoms, batched two
     emissions per generation; these seed the comparison enumeration."""
     batches: list = []
@@ -1010,7 +995,7 @@ def _theta_bound_elements(thetas: list, env: dict, var: str, dim: int,
             batches.append([])
         for a in iter_atoms(f):
             try:  # a false atom without var has no store
-                store = atom_store(a, env, var, dim, table) or ()
+                store = table.store(a) or ()
             except NonlinearUnsupported:
                 continue
             # a one-atom store holds that atom's bound, if it names one
@@ -1035,17 +1020,17 @@ def realize_type(tau: PartialType, env: dict, mode: str = "group",
     """Complete the type, classify the cut of the completion store through
     the oracle of its hidden element, realize it, and verify the witness
     against every emission.  The parameters' dimension overrides `dim`."""
-    dim = _infer_dim(None, env, dim)
     # each atom's store, solved once for the whole realization; the
     # verification below re-evaluates the emissions without it
-    table = AtomTable()
+    table = AtomTable(env, tau.var, dim, compiled_fragment(
+        Signature(mode, (tau.var,) + tuple(tau.params)), tau.var).solves)
+    dim = table.dim
     completion = complete_type(tau, env, mode, budgets, dim, table)
     # a zero parameter spans nothing
     generators = [env[p] for p in tau.params if not env[p].is_zero()] \
         or [monomial((0,), 1, dim)]
     basis = valuation_basis(generators)
-    paced = _theta_bound_elements(list(completion.thetas), env, tau.var, dim,
-                                  table)
+    paced = _theta_bound_elements(list(completion.thetas), table)
     # the cut is the completion store's: its point, or else its gap center,
     # which lies strictly inside and so agrees with the bounds on every
     # element outside them; a query strictly inside is a free decision

@@ -11,18 +11,22 @@ A cut is held as a store `(lower, upper, point)` of series, each None when
 absent: the values of the variable strictly between lower and upper, or the
 one point when it is set.  A store is consistent when its point lies strictly
 inside its bounds or, without a point, when the open interval is nonempty.
-`atom_store` gives the store of one atom, and the store of a DNF world is
-the fold of `_merge_store`, the one intersection of stores, over its atoms'
-stores: `cut_bounds` builds it and rejects an inconsistent one,
-`satisfiable` scans the stores of a formula's worlds, and `conjoin`
-intersects a disjunction of stores with a further formula through
-`conjoin_worlds`, the one merge loop.  Atoms are solved for the variable by
-`_solve_for`, and each solve is kept only as long as it is shared:
-`compiled_fragment` keeps the solves of the fragment's atoms, with their
-worlds, once per process, signature and variable; a realization's
-`AtomTable` keeps every atom's store, and so the solve of each of the
-type's own atoms, once per realization; no store or series outlives the
-realization that made it.
+
+An `AtomTable` is one model: the parameters' series `env`, the variable
+`var` and the dimension `dim`.  It keeps the store of every atom read in it
+for one realization, and it borrows a compiled fragment's solves and never
+writes them.  `AtomTable.store` gives the store of one atom, and the store
+of a DNF world is the fold of `_merge_store`, the one intersection of
+stores, over its atoms' stores (`AtomTable.fold`): `cut_bounds` builds it
+and rejects an inconsistent one, `satisfiable` scans the stores of a
+formula's worlds, and `conjoin` intersects a disjunction of stores with a
+further formula through `AtomTable.conjoin`, the one merge loop.  Atoms are
+solved for the variable by `_solve_for`, and each solve is kept only as
+long as it is shared: `compiled_fragment` keeps the solves of the
+fragment's atoms, with their worlds, once per process, signature and
+variable; a realization's table keeps the solve of each of the type's own
+atoms, through its store, once per realization; no store or series outlives
+the realization that made it.
 """
 
 from __future__ import annotations
@@ -268,10 +272,17 @@ def make_atom(rel: str, left: Term, right: Term):
         (pos_l if q > 0 else neg_l)[e] = abs(q)
     pos = Term.build(pos_s, pos_l)
     neg = Term.build(neg_s, neg_l)
-    if rel == "=" and not _side_text(pos) <= _side_text(neg):
-        pos, neg = neg, pos
+    if rel == "=":
+        return _equation(pos, neg)
     # for "<", diff < 0 means pos side below neg side
     return Atom(rel, pos, neg)
+
+
+def _equation(a: Term, b: Term) -> Atom:
+    """The canonical atom a = b of two canonical sides: the side whose
+    print comes first stands left."""
+    return Atom("=", a, b) if _side_text(a) <= _side_text(b) \
+        else Atom("=", b, a)
 
 
 def _format_mono(m: Monomial) -> str:
@@ -650,13 +661,8 @@ def _nnf(f: Formula, negated: bool = False) -> Formula:
         if not negated:
             return f
         if f.rel == "<":
-            # not (p < n)  <=>  n < p or n = p; the sides of a canonical
-            # atom are canonical, so the = atom only orders them as
-            # make_atom does
-            swapped = Atom("<", f.neg, f.pos)
-            if _side_text(f.neg) <= _side_text(f.pos):
-                return Or(swapped, Atom("=", f.neg, f.pos))
-            return Or(swapped, Atom("=", f.pos, f.neg))
+            # not (p < n)  <=>  n < p or n = p
+            return Or(Atom("<", f.neg, f.pos), _equation(f.neg, f.pos))
         return Or(Atom("<", f.pos, f.neg), Atom("<", f.neg, f.pos))
     if isinstance(f, Not):
         return _nnf(f.body, not negated)
@@ -799,54 +805,90 @@ _UNSOLVED = object()  # marks an atom missing from a table
 
 
 class AtomTable(dict):
-    """Atom stores for one env, var and dim (see `atom_store`), kept for as
-    long as one realization lasts.  `solves` lends the `_solve_for` results
-    of a compiled fragment, read and never written."""
+    """One model: the series `env`, the variable `var` and the dimension
+    `dim` (env's own when it has series).  It keeps the store of every atom
+    read in it for as long as one realization lasts, and borrows `solves`,
+    a compiled fragment's `_solve_for` results, read and never written."""
 
-    __slots__ = ("solves",)
+    __slots__ = ("env", "var", "dim", "solves")
 
-    def __init__(self):
-        super().__init__()
-        self.solves = {}
+    def __init__(self, env: dict, var: str, dim: int,
+                 solves: Optional[dict] = None):
+        self.env, self.var = env, var
+        self.dim = _infer_dim(None, env, dim)
+        self.solves = {} if solves is None else solves
 
-
-def atom_store(a: Atom, env: dict, var: str, dim: int, table: AtomTable):
-    """The one-atom store of `a` in the model: the bound it puts on `var`,
-    (None, None, None) for a true atom without `var`, None for a false one.
-    Raises NonlinearUnsupported when `a` is not linear in `var`.  `table`
-    remembers each atom's store, so it must serve one env, var and dim; an
-    atom of `table.solves` is not solved again."""
-    store = table.get(a, _UNSOLVED)
-    if store is not _UNSOLVED:
-        return store
-    solved = table.solves.get(a, _UNSOLVED)
-    if solved is _UNSOLVED:
-        solved = _solve_for(a, var)
-    if solved is None:
-        store = (None, None, None) if _eval_qf(a, env, dim) else None
-    else:
-        coeff, bound_term = solved
-        bound = _term_series(bound_term, env, dim)
-        if a.rel == "=":
-            store = (None, None, bound)
+    def store(self, a: Atom):
+        """The one-atom store of `a`: the bound it puts on `var`, (None,
+        None, None) for a true atom without `var`, None for a false one.
+        Raises NonlinearUnsupported when `a` is not linear in `var`; an atom
+        of `solves` is not solved again."""
+        store = self.get(a, _UNSOLVED)
+        if store is not _UNSOLVED:
+            return store
+        solved = self.solves.get(a, _UNSOLVED)
+        if solved is _UNSOLVED:
+            solved = _solve_for(a, self.var)
+        if solved is None:
+            store = (None, None, None) if _eval_qf(a, self.env, self.dim) \
+                else None
         else:
-            store = (None, bound, None) if coeff > 0 else (bound, None, None)
-    table[a] = store
-    return store
+            coeff, bound_term = solved
+            bound = _term_series(bound_term, self.env, self.dim)
+            if a.rel == "=":
+                store = (None, None, bound)
+            else:
+                store = (None, bound, None) if coeff > 0 else (bound, None, None)
+        self[a] = store
+        return store
 
+    def fold(self, atoms: Iterable[Atom]):
+        """The store of a conjunction of atoms, their one-atom stores
+        intersected in order; None at the first atom that leaves no value,
+        before any later atom is read."""
+        store = (None, None, None)
+        for a in atoms:
+            one = self.store(a)
+            store = None if one is None else _merge_store(store, one)
+            if store is None:
+                return None
+        return store
 
-def _fold_atoms(atoms: Iterable[Atom], env: dict, var: str, dim: int,
-                table: AtomTable):
-    """The store of a conjunction of atoms, their one-atom stores intersected
-    in order; None at the first atom that leaves no value, before any later
-    atom is read."""
-    store = (None, None, None)
-    for a in atoms:
-        one = atom_store(a, env, var, dim, table)
-        store = None if one is None else _merge_store(store, one)
-        if store is None:
-            return None
-    return store
+    def conjoin(self, states: list, worlds: Iterable) -> list:
+        """Conjoin a disjunction of worlds (atom sequences) onto a
+        disjunction of stores: the distinct consistent intersections of each
+        store with each world's store, in order.  Raises BudgetExhausted
+        past _STATE_CAP stores."""
+        world_stores = [st for st in map(self.fold, worlds) if st is not None]
+        out: list = []
+        seen: set = set()
+        for st in states:
+            for ws in world_stores:
+                merged = _merge_store(st, ws)
+                if merged is None or merged in seen:
+                    continue
+                seen.add(merged)
+                out.append(merged)
+                if len(out) > _STATE_CAP:
+                    raise BudgetExhausted(
+                        f"more than {_STATE_CAP} interval states",
+                        stage="worlds")
+        return out
+
+    def satisfiable(self, f: Formula, world_cap: int = 64) -> bool:
+        """Whether some value of `var` satisfies f: lazily scan DNF worlds,
+        short-circuiting on the first satisfiable one.  Raises
+        BudgetExhausted if no world within the cap is satisfiable and some
+        remain unexamined."""
+        for checked, store in enumerate(map(self.fold, _worlds(f))):
+            if checked >= world_cap:
+                raise BudgetExhausted(
+                    f"satisfiability scan exceeded {world_cap} worlds",
+                    stage="worlds",
+                )
+            if store is not None:
+                return True
+        return False
 
 
 def cut_bounds(constraints, env: dict, var: str = "x", dim: int = 2):
@@ -863,8 +905,7 @@ def cut_bounds(constraints, env: dict, var: str = "x", dim: int = 2):
     atoms: list[Atom] = []
     for f in constraints:
         atoms.extend(_conjunct_atoms(f))
-    store = _fold_atoms(atoms, env, var, _infer_dim(None, env, dim),
-                        AtomTable())
+    store = AtomTable(env, var, dim).fold(atoms)
     if store is None:
         raise Unsatisfiable(f"no value of {var} satisfies "
                             + " and ".join(map(str, atoms)))
@@ -905,24 +946,10 @@ def _worlds(f: Formula) -> Iterable[list]:
 
 
 def satisfiable(f: Formula, env: dict, var: str = "x", world_cap: int = 64,
-                dim: int = 2, *, table: Optional[AtomTable] = None) -> bool:
-    """Whether some value of `var` satisfies f under env: lazily scan DNF
-    worlds, short-circuiting on the first satisfiable one.  Raises
-    BudgetExhausted if no world within the cap is satisfiable and some
-    remain unexamined.  `table` is as for `atom_store`; without one, atoms
+                dim: int = 2) -> bool:
+    """`AtomTable.satisfiable` in the model of env, var and dim; atoms
     shared by worlds are solved once."""
-    dim = _infer_dim(None, env, dim)
-    table = AtomTable() if table is None else table
-    stores = (_fold_atoms(w, env, var, dim, table) for w in _worlds(f))
-    for checked, store in enumerate(stores):
-        if checked >= world_cap:
-            raise BudgetExhausted(
-                f"satisfiability scan exceeded {world_cap} worlds",
-                stage="worlds",
-            )
-        if store is not None:
-            return True
-    return False
+    return AtomTable(env, var, dim).satisfiable(f, world_cap)
 
 
 def _merge_store(a: tuple, b: tuple):
@@ -944,37 +971,11 @@ _STATE_CAP = 64
 
 
 def conjoin(states: list, f: Formula, env: dict, var: str = "x",
-            dim: int = 2, *, table: Optional[AtomTable] = None) -> list:
-    """`conjoin_worlds` with the DNF worlds of f, quantifiers eliminated
-    first.  `table` is as for `atom_store`; without one, atoms shared by
-    worlds are solved once."""
-    return conjoin_worlds(states, _worlds(f), env, var,
-                          _infer_dim(None, env, dim),
-                          AtomTable() if table is None else table)
-
-
-def conjoin_worlds(states: list, worlds: Iterable, env: dict, var: str,
-                   dim: int, table: AtomTable) -> list:
-    """Conjoin a disjunction of worlds (atom sequences) onto a disjunction
-    of stores: the distinct consistent intersections of each store with
-    each world's store, in order.  Raises BudgetExhausted past _STATE_CAP
-    stores."""
-    world_stores = [st for st in (_fold_atoms(w, env, var, dim, table)
-                                  for w in worlds) if st is not None]
-    out: list = []
-    seen: set = set()
-    for st in states:
-        for ws in world_stores:
-            merged = _merge_store(st, ws)
-            if merged is None or merged in seen:
-                continue
-            seen.add(merged)
-            out.append(merged)
-            if len(out) > _STATE_CAP:
-                raise BudgetExhausted(
-                    f"more than {_STATE_CAP} interval states",
-                    stage="worlds")
-    return out
+            dim: int = 2) -> list:
+    """`AtomTable.conjoin` with the DNF worlds of f, quantifiers eliminated
+    first, in the model of env, var and dim; atoms shared by worlds are
+    solved once."""
+    return AtomTable(env, var, dim).conjoin(states, _worlds(f))
 
 
 # ---------------------------------------------------------------------------

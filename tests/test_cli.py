@@ -76,6 +76,13 @@ class TestTypeFiles:
         ("param g1 = t\ngenerator immediate-tail g1\n", 26),  # the extra arg
         ("generator immediate-tail\n generator immediate-tail\n", 2),
         ("param g1 = t\n  formula g1 < x + g2\n", 20),  # undeclared symbol
+        ("param g1 = t\ngenerator scalar_cut 1/3\n", 11),  # missing param
+        ("param g1 = t\ngenerator scalar_cut 1/3 g9\n", 26),
+        ("param g1 = t\nformula x t\n", 11),  # expected a relation
+        ("param g1 = t\nformula x^y < t\n", 11),  # expected an integer power
+        ("param g1 = t\nformula x < t^(1 2)\n", 18),  # expected ',' or ')'
+        ("param g1 = t\nformula x < t^(-)\n", 17),  # a missing coordinate
+        ("param g1 = t\nformula x < t )\n", 15),  # unexpected ')'
     ])
     def test_error_column_points_into_the_line(self, tmp_path, text, column):
         p = tmp_path / "bad.type"
@@ -93,6 +100,7 @@ class TestTypeFiles:
         ("param 2g = t", "bad param name '2g'", 7),
         ("  param   g 1 = t", "bad param name 'g 1'", 11),
         ("param g1 = t^2", "param 'g1' is declared twice", 7),
+        ("param 1$ = t", "bad param name '1$'", 7),
     ])
     def test_bad_param_name_points_at_it(self, tmp_path, line, message,
                                          column):

@@ -47,6 +47,7 @@ from hahnsat.errors import (
     PseudoLimitUnverified,
 )
 from hahnsat.formulas import (
+    AtomTable,
     Not,
     PartialType,
     Signature,
@@ -946,7 +947,8 @@ def _leftmost_tree_path(tau, env, mode, prefix):
     decisions (bit 1: the i-th enumerated formula, bit 0: its negation)
     onto the emissions' stores keeps a store; with that node's stores."""
     thetas = _materialize(tau, env, DIM, Budgets(formula_prefix_budget=prefix))
-    memo = {"": _check_prefix_satisfiable(thetas, env, tau.var, DIM)}
+    memo = {"": _check_prefix_satisfiable(thetas,
+                                          AtomTable(env, tau.var, DIM))}
     sig = Signature(mode, (tau.var,) + tuple(tau.params))
     formulas = []
     while len(formulas) < prefix:
@@ -1100,7 +1102,8 @@ class TestCompiledFragment:
         """The completion's fields by conjoining Not(f), then f."""
         budgets = Budgets(formula_prefix_budget=prefix)
         thetas = _materialize(tau, env, DIM, budgets)
-        states = _check_prefix_satisfiable(thetas, env, tau.var, DIM)
+        states = _check_prefix_satisfiable(thetas,
+                                           AtomTable(env, tau.var, DIM))
         sig = Signature(mode, (tau.var,) + tuple(tau.params))
         bits, decided = "", []
         for f in islice(formulas._fragment(sig), prefix):

@@ -588,6 +588,19 @@ class TestCutBoundsFold:
             cut_bounds(world[2:] + world[:2], self.ENV)
 
 
+@pytest.mark.parametrize("call", [
+    lambda f, env: satisfiable(f, env),
+    lambda f, env: conjoin([(None, None, None)], f, env),
+    lambda f, env: cut_bounds([f], env),
+], ids=["satisfiable", "conjoin", "cut_bounds"])
+def test_mixed_dimensions_are_rejected(call):
+    env = {"g1": monomial((Fraction(1),), 1, 2),
+           "g2": monomial((Fraction(1),), 1, 3)}
+    with pytest.raises(ValueError,
+                       match="^environment series have mixed dimensions$"):
+        call(parse_formula("g1 < x and x < g2"), env)
+
+
 class TestSatisfiable:
     def setup_method(self):
         self.env = {"g1": parse_series("t^2"), "g2": parse_series("t")}
