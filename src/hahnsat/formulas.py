@@ -46,16 +46,22 @@ from .errors import (
     ParseError,
     Unsatisfiable,
 )
-from .scalars import format_rational, parse_rational
+from .scalars import (
+    format_rational,
+    parse_rational,
+    scalar_inv,
+    scalar_mul,
+    scalar_neg,
+)
 from .series import (
     Series,
     _format_exp,
     _strip_exp,
     compare_series,
     linear_combination,
-    make_exp,
-    monomial as series_monomial,
+    from_scalar,
     multiply as series_multiply,
+    padded_exp,
 )
 
 RESERVED = {"and", "or", "not", "exists", "forall", "true", "false", "t"}
@@ -558,6 +564,9 @@ def _parse_signed_rational(toks, message: str) -> Fraction:
 # evaluation
 
 
+_ONE = Fraction(1)
+
+
 def _term_series(t: Term, env: dict, dim: int) -> Series:
     # stripped literal exponents are distinct and their coefficients nonzero,
     # so the literal part meets the Series invariant as built; a t^(0)
@@ -565,7 +574,7 @@ def _term_series(t: Term, env: dict, dim: int) -> Series:
     pairs = []
     for m, q in t.syms:
         if m == CONST:
-            pairs.append((q, series_monomial((), Fraction(1), dim)))
+            pairs.append((q, from_scalar(_ONE, dim)))
             continue
         acc = None
         for s, p in m:
@@ -575,7 +584,7 @@ def _term_series(t: Term, env: dict, dim: int) -> Series:
                 acc = env[s] if acc is None else series_multiply(acc, env[s])
         pairs.append((q, acc))
     return linear_combination(
-        pairs, dim, {make_exp(e, dim): q for e, q in t.lits})
+        pairs, dim, {padded_exp(e, dim): q for e, q in t.lits})
 
 
 def _infer_dim(f: Formula, env: dict, dim: Optional[int]) -> int:
@@ -720,12 +729,13 @@ def _solve_for(a: Atom, var: str):
         coeff = dict(a.neg.syms).get(x)
         if coeff is None:
             return None
-        coeff = -coeff
-    r = 1 / coeff  # a pos term q goes to -q*r, a neg term q to q*r
-    syms = [(m, -q * r) for m, q in a.pos.syms if m != x]
-    syms += [(m, q * r) for m, q in a.neg.syms if m != x]
-    lits = [(e, -q * r) for e, q in a.pos.lits]
-    lits += [(e, q * r) for e, q in a.neg.lits]
+        coeff = scalar_neg(coeff)
+    r = scalar_inv(coeff)  # a pos term q goes to q*(-r), a neg term q to q*r
+    nr = scalar_neg(r)
+    syms = [(m, scalar_mul(q, nr)) for m, q in a.pos.syms if m != x]
+    syms += [(m, scalar_mul(q, r)) for m, q in a.neg.syms if m != x]
+    lits = [(e, scalar_mul(q, nr)) for e, q in a.pos.lits]
+    lits += [(e, scalar_mul(q, r)) for e, q in a.neg.lits]
     return coeff, Term(tuple(sorted(syms)), tuple(sorted(lits)))
 
 

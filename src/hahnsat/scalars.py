@@ -11,6 +11,14 @@ comparisons that involve a genuine oracle may raise
 zero.  Negating an algebraic number, or adding or multiplying it by a
 rational, is one affine map `s*a + q` on its defining polynomial; only sums
 and products of two distinct algebraic numbers go through a resultant.
+
+Two rationals are combined on their integer pairs: `_q_mul`, `_q_add`,
+`_q_neg` and `_q_inv` take the gcd steps of CPython's `Fraction._mul` and
+`_add`, so each result is already normalized, and build it with the one
+trusted constructor `_fraction`, which fills the two slots of a `Fraction`
+without a further gcd.  The `scalar_*` functions take this path first when
+both operands are exactly `Fraction`s; they alone decide which kinds take
+it, and the series and solve kernels reach it through them.
 """
 
 from __future__ import annotations
@@ -264,6 +272,47 @@ def _canonical_interval(a: RealAlgebraic) -> tuple[Fraction, Fraction]:
 
 # arithmetic -----------------------------------------------------------------
 
+_new_object = object.__new__
+
+
+def _fraction(n: int, d: int) -> Fraction:
+    """Trusted constructor of n/d, for coprime n and d > 0 (zero is 0/1).
+
+    Only the rational kernels below call it: any other pair would break
+    `==` and `hash`."""
+    q = _new_object(Fraction)
+    q._numerator = n
+    q._denominator = d
+    return q
+
+
+def _q_mul(a: Fraction, b: Fraction) -> Fraction:
+    """a * b, each numerator reduced against the other's denominator."""
+    na, da, nb, db = a._numerator, a._denominator, b._numerator, b._denominator
+    g1, g2 = math.gcd(na, db), math.gcd(nb, da)
+    return _fraction((na // g1) * (nb // g2), (da // g2) * (db // g1))
+
+
+def _q_add(a: Fraction, b: Fraction) -> Fraction:
+    """a + b over lcm(da, db), reduced by the one gcd left to take."""
+    na, da, nb, db = a._numerator, a._denominator, b._numerator, b._denominator
+    g = math.gcd(da, db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = math.gcd(t, g)
+    return _fraction(t // g2, s * (db // g2))
+
+
+def _q_neg(a: Fraction) -> Fraction:
+    return _fraction(-a._numerator, a._denominator)
+
+
+def _q_inv(a: Fraction) -> Fraction:
+    n, d = a._numerator, a._denominator
+    if not n:
+        raise ZeroDivisionError("scalar_inv(0)")
+    return _fraction(d, n) if n > 0 else _fraction(-d, -n)
+
 
 def _ralg_affine(a: RealAlgebraic, s: Fraction, q: Fraction):
     """s*a + q, a root of the primitive form of s^n * p((y - q) / s)."""
@@ -341,6 +390,8 @@ def _combine(a: RealAlgebraic, b: RealAlgebraic, op: str):
 
 
 def scalar_neg(a):
+    if type(a) is Fraction:
+        return _q_neg(a)
     if isinstance(a, Fraction):
         return -a
     if isinstance(a, RealAlgebraic):
@@ -350,6 +401,8 @@ def scalar_neg(a):
 
 
 def scalar_add(a, b):
+    if type(a) is Fraction and type(b) is Fraction:
+        return _q_add(a, b)
     if isinstance(a, OracleReal) or isinstance(b, OracleReal):
         return _oracle_arith(a, b, "add")
     if isinstance(a, Fraction) and isinstance(b, Fraction):
@@ -364,6 +417,8 @@ def scalar_add(a, b):
 
 
 def scalar_mul(a, b):
+    if type(a) is Fraction and type(b) is Fraction:
+        return _q_mul(a, b)
     if isinstance(a, OracleReal) or isinstance(b, OracleReal):
         return _oracle_arith(a, b, "mul")
     if isinstance(a, Fraction) and isinstance(b, Fraction):
@@ -377,11 +432,9 @@ def scalar_mul(a, b):
     return _combine(a, b, "mul")
 
 
-def scalar_sub(a, b):
-    return scalar_add(a, scalar_neg(b))
-
-
 def scalar_inv(a):
+    if type(a) is Fraction:
+        return _q_inv(a)
     if isinstance(a, Fraction):
         if a == 0:
             raise ZeroDivisionError("scalar_inv(0)")
@@ -406,7 +459,7 @@ def _inverse_interval(iv):
 
 def scalar_is_zero(a) -> bool:
     if isinstance(a, Fraction):
-        return not a.numerator
+        return not a._numerator
     return False  # RealAlgebraic is irrational; OracleReal zero is uncertifiable
 
 

@@ -10,7 +10,7 @@ that every stored term of a result is genuine.
 Invariant of every Series: each exponent is an interned `Exp` of exactly
 `dim` Fractions, each coefficient is nonzero, and each stored exponent lies
 strictly below `trunc` when a bound is present.  The public constructor
-(`Series(...)`, `series`, `parse_series`) normalizes outside input to it;
+(`Series(...)`, `parse_series`) normalizes outside input to it;
 arithmetic results preserve it by construction and are built through the
 trusted `Series._raw`, which does not re-check.
 
@@ -21,7 +21,9 @@ the order kernel below seldom compares or hashes a `Fraction` of an
 exponent.  Two exponents are ordered by their keys, which interleave each
 coordinate's float with the coordinate itself: C's tuple comparison decides
 on the floats and reaches a `Fraction` only where two distinct coordinates
-round to the same float.
+round to the same float.  The same cache keeps, under an (exponent,
+dimension) key, the padded form of a literal or monomial exponent
+(`padded_exp`).
 
 A Series computes its support in ascending order once, on first use, and
 keeps it (`sorted_terms`).  Order and the valuation of a difference are
@@ -216,6 +218,22 @@ def make_exp(values, dim: int) -> Exp:
     return Exp(vals)
 
 
+def padded_exp(exp: tuple, dim: int) -> Exp:
+    """make_exp(exp, dim) for a hashable exponent, such as a stripped
+    literal or a monomial's, kept in the intern table under the key
+    (exp, dim), so a repeat builds no Fraction and calls no make_exp.  No such key equals an Exp's
+    key, whose entries are all (numerator, denominator) pairs."""
+    key = (exp, dim)
+    out = _EXPS.get(key)
+    if out is None:
+        out = make_exp(exp, dim)
+        if len(_EXPS) >= _TABLE_MAX:
+            _EXPS.clear()
+            _COORDS.clear()
+        _EXPS[key] = out
+    return out
+
+
 class Series:
     """Finite-support Hahn series; structurally immutable.
 
@@ -251,11 +269,11 @@ class Series:
         return self
 
     def _fill(self, terms: dict, dim: int, trunc: Optional[Exp]):
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_order", None)
+        _set_dim(self, dim)
+        _set_terms(self, terms)
+        _set_trunc(self, trunc)
+        _set_hash(self, None)
+        _set_order(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Series is immutable")
@@ -268,8 +286,7 @@ class Series:
         is allocated at its final size."""
         if self._order is None:
             items = sorted(self.terms.items(), key=_term_key)
-            object.__setattr__(self, "_order",
-                               tuple([v for term in items for v in term]))
+            _set_order(self, tuple([v for term in items for v in term]))
         return self._order
 
     def is_zero(self) -> bool:
@@ -293,8 +310,7 @@ class Series:
             terms = frozenset([
                 (e, c.as_integer_ratio() if isinstance(c, Fraction) else c)
                 for e, c in self.terms.items()])
-            object.__setattr__(self, "_hash",
-                               hash((self.dim, self.trunc, terms)))
+            _set_hash(self, hash((self.dim, self.trunc, terms)))
         return self._hash
 
     def __repr__(self):
@@ -304,14 +320,15 @@ class Series:
         return f"<{body}>"
 
 
+# The slot setters of Series, which bypass its refusing __setattr__.
+_set_dim, _set_terms, _set_trunc, _set_hash, _set_order = (
+    getattr(Series, name).__set__ for name in Series.__slots__)
+
+
 def _term_key(term) -> tuple:
     """The order key of a term's exponent, computed for a plain tuple."""
     e = term[0]
     return e._key if type(e) is Exp else _order_key(e)
-
-
-def series(terms: dict, dim: int, trunc: Optional[Exp] = None) -> Series:
-    return Series(terms, dim, trunc)
 
 
 def zero_series(dim: int) -> Series:
@@ -322,7 +339,8 @@ def monomial(exponent, coeff, dim: Optional[int] = None) -> Series:
     """The series coeff * t^exponent."""
     if dim is None:
         dim = len(exponent)
-    exp = make_exp(exponent, dim)
+    exp = padded_exp(
+        exponent if type(exponent) is Exp else tuple(exponent), dim)
     if isinstance(coeff, int):
         coeff = Fraction(coeff)
     return Series._raw({} if scalar_is_zero(coeff) else {exp: coeff}, dim)
@@ -444,7 +462,7 @@ def _mapped(x: Series, f) -> Series:
     flat = list(order)
     flat[1::2] = [f(c) for c in order[1::2]]
     out = Series._raw(dict(zip(flat[::2], flat[1::2])), x.dim, x.trunc)
-    object.__setattr__(out, "_order", tuple(flat))
+    _set_order(out, tuple(flat))
     return out
 
 

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hahnsat import formulas as formulas_mod
+from hahnsat import series as series_mod
 from hahnsat.errors import (
     BudgetExhausted,
     NonlinearUnsupported,
@@ -831,3 +833,40 @@ class TestWalks:
 
         assert _has_quantifier(self.f)
         assert not _has_quantifier(parse_formula("not (a < x) or b = x"))
+
+
+class TestRationalPaths:
+    """Solving and literal evaluation stay on integers and interned
+    exponents."""
+
+    def test_solve_for_uses_no_fraction_operator(self, monkeypatch):
+        atoms = [parse_formula(text) for text in (
+            "3/2*x + 2*g1 - 1/3*t^(1/2) < 5/7",
+            "2*g1 + t^(1,-2) < 3*x + 1",
+            "-7/4*x + g2 = g1 - 2*t^(-1/3)")]
+        want = [_solve_for(a, "x") for a in atoms]
+
+        def refuse(*args):
+            raise AssertionError("Fraction arithmetic in _solve_for")
+
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__neg__",
+                     "__truediv__", "__rtruediv__"):
+            monkeypatch.setattr(Fraction, name, refuse)
+        got = [_solve_for(a, "x") for a in atoms]
+        monkeypatch.undo()
+        assert got == want
+
+    def test_reevaluating_literals_builds_no_exponent(self, monkeypatch):
+        lits = " + ".join(f"{k}*t^({k}/3)" if k % 2 else f"t^({k},-{k})"
+                          for k in range(1, 17))
+        a = parse_formula(f"{lits} + 2 < x")
+        side = a.pos if a.pos.lits else a.neg
+        assert len(side.lits) == 16 and side.sym_dict()[CONST]
+        want = _term_series(side, {}, 3)
+        calls = []
+        make_exp = series_mod.make_exp
+        for mod in (series_mod, formulas_mod):  # under either module's name
+            monkeypatch.setattr(mod, "make_exp", lambda *args: calls.append(
+                args) or make_exp(*args), raising=False)
+        assert _term_series(side, {}, 3) == want
+        assert calls == []

@@ -38,7 +38,6 @@ from hahnsat.scalars import (
     scalar_mul,
     scalar_neg,
     scalar_sign,
-    scalar_sub,
     set_default_precision,
     simplest_between,
 )

@@ -47,7 +47,6 @@ from hahnsat.series import (
     residue,
     restrict_exponents,
     scale,
-    series,
     subtract,
     valuation,
     with_trunc,
@@ -783,6 +782,27 @@ class TestInternedExponents:
         assert diff_valuation(x, longer) == make_exp([4], DIM)
         assert touched == []
 
+    def test_monomial_pads_a_known_exponent_once(self, monkeypatch):
+        spellings = [(1,), [F(1)], (F(1), 0), make_exp([1], DIM)]
+        want = make_exp([1], DIM)
+        for e in spellings:
+            assert next(iter(monomial(e, 3, DIM).terms)) is want
+        assert from_scalar(F(2), DIM) == monomial((0, 0), 2, DIM)
+        calls = []
+        real = series_mod.make_exp
+        monkeypatch.setattr(series_mod, "make_exp", lambda *args: calls.append(
+            args) or real(*args))
+        for e in spellings:
+            assert next(iter(monomial(e, 3, DIM).terms)) is want
+        assert from_scalar(F(2), DIM) == monomial((0, 0), 2, DIM)
+        assert calls == []
+        saved, series_mod._TABLE_MAX = series_mod._TABLE_MAX, 1
+        try:  # past the bound the table is cleared; the value stays
+            assert monomial((F(1, 7),), 1, DIM).terms == {
+                Exp((F(1, 7), 0)): F(1)}
+        finally:
+            series_mod._TABLE_MAX = saved
+
 
 # ---------------------------------------------------------------------------
 # exponent order by stored keys, coefficient equality by integer pairs
@@ -936,3 +956,119 @@ class TestSplitter:
 
     def test_sign_after_bracket_splits(self):
         assert format_series(parse_series("t^(1)-2", DIM)) == "-2 + t^(1)"
+
+
+# ---------------------------------------------------------------------------
+# rational coefficients combined on their integers
+
+
+class _SubFraction(F):
+    """A Fraction subclass: the integer kernels leave it to Fraction."""
+
+
+def _old_add(a, b):
+    """scalar_add before the integer kernels: Fraction's own + on any two
+    Fractions, subclasses included."""
+    if isinstance(a, F) and isinstance(b, F):
+        return a + b
+    return scalar_add(a, b)
+
+
+def _old_mul(a, b):
+    if isinstance(a, F) and isinstance(b, F):
+        return a * b
+    return scalars.scalar_mul(a, b)
+
+
+def _old_fold(pairs, dim):
+    """Sum q * g term by term with the old scalar arithmetic, in the order
+    linear_combination and add combine the terms."""
+    out = {}
+    for q, g in pairs:
+        if scalar_is_zero(q):
+            continue
+        for e, c in g.terms.items():
+            c = c if q == 1 else _old_mul(c, q)
+            if e in out:
+                c = _old_add(out[e], c)
+                if scalar_is_zero(c):
+                    del out[e]
+                    continue
+            out[e] = c
+    return out
+
+
+def _printed(terms):
+    """Each coefficient's kind and print: equal for the same value built by
+    the same operations, oracle reals included."""
+    return {e: (type(c), scalars.format_scalar(c)) for e, c in terms.items()}
+
+
+class TestMixedCoefficients:
+    """add, scale and linear_combination on coefficients the integer
+    kernels do not take (a Fraction subclass, algebraic and oracle reals),
+    mixed with Fractions, give what the old scalar_* fold gives."""
+
+    ORACLE = oracle_bits(0, lambda i: i % 2, "alternating")
+    COEFFS = [F(1, 2), F(-3), F(3, 4), _SubFraction(2, 3), _SubFraction(-1, 2),
+              SQRT2, scalar_neg(SQRT2), ORACLE]
+    GRID = [F(0), F(1, 2), F(1)]
+
+    def _operand(self, rng):
+        return Series({(rng.choice(self.GRID), rng.choice(self.GRID)):
+                       rng.choice(self.COEFFS)
+                       for _ in range(rng.randint(0, 4))}, DIM)
+
+    def test_match_the_old_fold(self):
+        rng = random.Random(12)
+        kinds = set()
+        for _ in range(150):
+            x, y = self._operand(rng), self._operand(rng)
+            q = rng.choice(self.COEFFS)
+            pairs = [(rng.choice(self.COEFFS), self._operand(rng))
+                     for _ in range(rng.randint(1, 3))]
+            assert _printed(add(x, y).terms) == \
+                _printed(_old_fold([(F(1), x), (F(1), y)], DIM))
+            assert _printed(scale(x, q).terms) == \
+                _printed({e: _old_mul(c, q) for e, c in x.terms.items()})
+            assert _printed(linear_combination(pairs, DIM).terms) == \
+                _printed(_old_fold(pairs, DIM))
+            kinds.update(type(c) for c in add(x, y).terms.values())
+        assert kinds == {F, _SubFraction, scalars.RealAlgebraic,
+                         scalars.OracleReal}
+
+
+class TestRationalFastPath:
+    """On rational series the kernels never reach Fraction's operators."""
+
+    OPERATORS = ("__mul__", "__rmul__", "__add__", "__radd__", "__neg__",
+                 "__truediv__", "__rtruediv__")
+
+    def test_series_kernels_use_no_fraction_operator(self, monkeypatch):
+        rng = random.Random(5)
+        xs = [random_series(rng, DIM) for _ in range(40)]
+        for x in xs[::2]:
+            x.sorted_terms()  # _mapped's kept-order path
+        qs = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in xs]
+        lit = make_exp([7], DIM)
+
+        def run():
+            out = []
+            for x, y, q in zip(xs, xs[1:], qs):
+                # x's pairs cancel in full
+                pairs = [(q, x), (F(2), y), (F(-q.numerator, q.denominator), x)]
+                out += [add(x, y), add(x, negate(x)), scale(x, q), negate(y),
+                        linear_combination(pairs, DIM, {lit: q})]
+            return out
+
+        want = run()
+
+        def refuse(*args):
+            raise AssertionError("Fraction arithmetic on the rational path")
+
+        for name in self.OPERATORS:
+            monkeypatch.setattr(F, name, refuse)
+        got = run()
+        monkeypatch.undo()
+        assert got == want
+        assert all(type(c) is F for r in got for c in r.terms.values())
