@@ -161,8 +161,7 @@ class Atom:
     integer coefficients.
 
     The hash is computed on first use and stored, since atoms key the atom
-    tables.  Equality is by value: identity first, then a mismatch of two
-    stored hashes, then the fields."""
+    tables.  Equality is the dataclass's, by the fields."""
 
     rel: str  # "<" or "="
     pos: Term
@@ -175,17 +174,6 @@ class Atom:
             h = hash((self.rel, self.pos, self.neg))
             object.__setattr__(self, "_hash", h)
         return h
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if type(other) is not Atom:
-            return NotImplemented
-        if self._hash is not None and other._hash is not None \
-                and self._hash != other._hash:
-            return False
-        return (self.rel, self.pos, self.neg) == \
-            (other.rel, other.pos, other.neg)
 
     def __str__(self):
         return f"{_side_text(self.pos)} {self.rel} {_side_text(self.neg)}"

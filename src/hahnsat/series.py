@@ -15,15 +15,14 @@ arithmetic results preserve it by construction and are built through the
 trusted `Series._raw`, which does not re-check.
 
 Every exponent is built by `Exp(coords)`, which keeps one object per value
-in a bounded cache: equal exponents are mostly the same object, share their
-`Fraction` coordinates and carry a stored hash and a stored order key, so
-the order kernel below seldom compares or hashes a `Fraction` of an
-exponent.  Two exponents are ordered by their keys, which interleave each
-coordinate's float with the coordinate itself: C's tuple comparison decides
-on the floats and reaches a `Fraction` only where two distinct coordinates
-round to the same float.  The same cache keeps, under an (exponent,
-dimension) key, the padded form of a literal or monomial exponent
-(`padded_exp`).
+in a bounded cache: equal exponents are mostly the same object and carry a
+stored hash and a stored order key, so the order kernel below seldom
+compares or hashes a `Fraction` of an exponent.  Two exponents are ordered
+by their keys, which interleave each coordinate's float with the
+coordinate itself: C's tuple comparison decides on the floats and reaches
+the two `Fraction`s only where their floats tie.
+The same cache keeps, under an (exponent, dimension) key, the padded form
+of a literal or monomial exponent (`padded_exp`).
 
 A Series computes its support in ascending order once, on first use, and
 keeps it (`sorted_terms`).  Order and the valuation of a difference are
@@ -109,10 +108,9 @@ class Exp(tuple):
         ratios = tuple([q.as_integer_ratio() for q in coords])
         exp = _EXPS.get(ratios)
         if exp is None:
-            if len(_EXPS) >= _TABLE_MAX or len(_COORDS) >= _TABLE_MAX:
+            if len(_EXPS) >= _TABLE_MAX:
                 _EXPS.clear()
-                _COORDS.clear()
-            exp = tuple.__new__(cls, [_coord(r) for r in ratios])
+            exp = tuple.__new__(cls, [Fraction(*r) for r in ratios])
             exp._hash = tuple.__hash__(exp)
             exp._key = _order_key(exp)
             _EXPS[ratios] = exp
@@ -134,19 +132,11 @@ class Exp(tuple):
         return tuple.__eq__(self, other)
 
 
-# The intern tables of Exp, keyed by (numerator, denominator) pairs so that
-# a lookup hashes no Fraction.  They are a pure cache, cleared together past
-# _TABLE_MAX, far above the few hundred exponents a benchmark workload uses.
+# The intern table of Exp, keyed by (numerator, denominator) pairs so that
+# a lookup hashes no Fraction.  It is a pure cache, cleared past _TABLE_MAX,
+# far above the few hundred exponents a benchmark workload uses.
 _EXPS: dict = {}
-_COORDS: dict = {}
 _TABLE_MAX = 4096
-
-
-def _coord(ratio: tuple) -> Fraction:
-    q = _COORDS.get(ratio)
-    if q is None:
-        q = _COORDS[ratio] = Fraction(*ratio)
-    return q
 
 
 class _Infinity:
@@ -229,7 +219,6 @@ def padded_exp(exp: tuple, dim: int) -> Exp:
         out = make_exp(exp, dim)
         if len(_EXPS) >= _TABLE_MAX:
             _EXPS.clear()
-            _COORDS.clear()
         _EXPS[key] = out
     return out
 
@@ -452,18 +441,8 @@ def linear_combination(pairs, dim: int, terms: Optional[dict] = None) -> Series:
 
 
 def _mapped(x: Series, f) -> Series:
-    """x with each coefficient c replaced by the nonzero f(c).  The support
-    is unchanged, so a kept order carries over instead of being sorted
-    again."""
-    order = x._order
-    if order is None:
-        return Series._raw({e: f(c) for e, c in x.terms.items()}, x.dim,
-                           x.trunc)
-    flat = list(order)
-    flat[1::2] = [f(c) for c in order[1::2]]
-    out = Series._raw(dict(zip(flat[::2], flat[1::2])), x.dim, x.trunc)
-    _set_order(out, tuple(flat))
-    return out
+    """x with each coefficient c replaced by the nonzero f(c)."""
+    return Series._raw({e: f(c) for e, c in x.terms.items()}, x.dim, x.trunc)
 
 
 def negate(x: Series) -> Series:

@@ -6,7 +6,8 @@ import pytest
 
 from hahnsat.cli import load_type_file, main
 from hahnsat.engine import Budgets, realize_type
-from hahnsat.errors import BudgetExhausted, NotFinitelySatisfiable, ParseError
+from hahnsat.errors import (BudgetExhausted, NotFinitelySatisfiable,
+                            OracleFailure, ParseError)
 from hahnsat.formulas import eval_formula, format_formula
 from hahnsat.series import parse_series
 from test_acceptance import _generated_type
@@ -288,14 +289,44 @@ class TestExitCodes:
     @pytest.mark.xfail(strict=True, reason=(
         "known crash: the algebraic candidate search hands a reducible "
         "polynomial to real_algebraic ('interval isolates 2 roots, need "
-        "exactly 1'); the fix waits for the O(h^3) candidate search of "
-        "ROADMAP item 1, and item 4's robustness sweep covers it"))
+        "exactly 1'); ROADMAP item 4 is its fix, and item 3's seeded "
+        "corpus covers it"))
     def test_residue_at_finer_precision_exits_with_a_documented_code(
             self, capsys):
         rc, _, err = run(capsys, "realize",
                          str(FIXTURES / "residue_sqrt2.type"),
                          "--prefix", "100", "--precision", "24")
         assert rc in (0, 2, 3), err
+
+    @pytest.fixture
+    def literal_outside_span(self, tmp_path):
+        """A type whose literal -1 lies at level 0, outside the span of its
+        one parameter."""
+        p = tmp_path / "outside.type"
+        p.write_text("param g1 = t^(3/2)\nformula -1 < x\n")
+        return str(p)
+
+    @pytest.mark.xfail(strict=True, raises=OracleFailure, reason=(
+        "known crash, ROADMAP item 2: group mode builds its grid from the "
+        "parameters alone, so the witness lands on the literal bound -1 "
+        "and verification raises 'witness contradicts BELOW query -1'"))
+    def test_group_mode_realizes_a_literal_outside_the_span(
+            self, capsys, literal_outside_span):
+        rc, out, err = run(capsys, "realize", literal_outside_span)
+        assert rc == 0, err
+        verification = out.split("== VERIFICATION ==\n")[1] \
+            .split("== BUDGETS ==")[0].splitlines()
+        assert verification
+        assert all(line.startswith("PASS  ") for line in verification)
+
+    def test_field_mode_realizes_a_literal_outside_the_span(
+            self, capsys, literal_outside_span):
+        rc, out, err = run(capsys, "realize", literal_outside_span,
+                           "--mode", "field")
+        assert rc == 0, err
+        verification = out.split("== VERIFICATION ==\n")[1] \
+            .split("== BUDGETS ==")[0].splitlines()
+        assert verification == ["PASS  0 < x + 1"]
 
     def test_missing_file_exits_one(self, capsys):
         rc, _, err = run(capsys, "realize", "/nonexistent/x.type")

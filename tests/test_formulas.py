@@ -170,6 +170,44 @@ class TestParsePrint:
         assert format_formula(parse_formula(text)) == text
 
 
+class TestAtomEquality:
+    """Atoms key the atom tables: equal atoms are equal and hash alike
+    whichever stored its hash first, and each field tells atoms apart."""
+
+    def _equal_pair(self):
+        a, b = parse_formula("2*x < g1"), parse_formula("4*x < 2*g1")
+        assert type(a) is Atom and type(b) is Atom and a is not b
+        return a, b
+
+    def test_equal_before_any_hash_is_stored(self):
+        a, b = self._equal_pair()
+        assert a == b and b == a and not a != b
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_equal_atoms_find_each_other_as_keys(self, first):
+        pair = self._equal_pair()
+        stored, probe = pair[first], pair[1 - first]
+        table = {stored: "value"}  # stores the hash of `stored` only
+        assert stored == probe and probe == stored
+        assert table[probe] == "value" and probe in {stored}
+        assert hash(probe) == hash(stored)
+        assert {probe: "value"}[stored] == "value"
+
+    def test_each_field_tells_atoms_apart(self):
+        a = parse_formula("2*x < g1")
+        other = parse_formula("2*x < g2")
+        assert other.pos == a.pos and other.neg != a.neg
+        hash(a)  # one side of each comparison has a stored hash
+        for b in (Atom("=", a.pos, a.neg), Atom(a.rel, a.pos, other.neg),
+                  Atom(a.rel, other.neg, a.neg)):
+            assert b != a and a != b and not b == a
+
+    def test_an_atom_is_no_other_formula(self):
+        a, b = self._equal_pair()
+        assert a != TrueF() and TrueF() != a
+        assert Not(a) == Not(b) and hash(Not(a)) == hash(Not(b))
+
+
 def _term_strategy():
     sym = st.sampled_from(["a", "b", "c", "x"])
     coeff = st.integers(min_value=-9, max_value=9).map(Fraction)
