@@ -910,13 +910,13 @@ def _check_prefix_satisfiable(thetas: list, table: AtomTable) -> list:
         if new:
             states = new
             continue
-        if not table.satisfiable(f_bad):
+        if not table.satisfiable(_worlds(f_bad)):
             raise NotFinitelySatisfiable(
                 f"emission {i_bad} alone is unsatisfiable: "
                 f"{format_formula(f_bad)}",
                 witness=(format_formula(f_bad),))
         for i_prev, f_prev in thetas[:j]:
-            if not table.satisfiable(And(f_prev, f_bad)):
+            if not table.satisfiable(_worlds(And(f_prev, f_bad))):
                 raise NotFinitelySatisfiable(
                     f"emissions {i_prev} and {i_bad} conflict: "
                     f"{format_formula(f_prev)}  //  {format_formula(f_bad)}",

@@ -25,8 +25,9 @@ solved for the variable by `_solve_for`, and each solve is kept only as
 long as it is shared: `compiled_fragment` keeps the solves of the
 fragment's atoms, with their worlds, once per process, signature and
 variable; a realization's table keeps the solve of each of the type's own
-atoms, through its store, once per realization; no store or series outlives
-the realization that made it.
+atoms, through its store, once per realization; `_compiled` keeps the worlds
+and solves of the 64 formulas last given to `satisfiable` or `conjoin`; no
+store or series outlives the realization or call that made it.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache, lru_cache, reduce
 from itertools import islice
 from operator import itemgetter
 from typing import Callable, Iterable, Optional
@@ -805,8 +806,8 @@ _UNSOLVED = object()  # marks an atom missing from a table
 class AtomTable(dict):
     """One model: the series `env`, the variable `var` and the dimension
     `dim` (env's own when it has series).  It keeps the store of every atom
-    read in it for as long as one realization lasts, and borrows `solves`,
-    a compiled fragment's `_solve_for` results, read and never written."""
+    read in it for as long as one realization lasts, and borrows `solves`:
+    a compiled fragment's, never written, or a self-filling `_Compiled`."""
 
     __slots__ = ("env", "var", "dim", "solves")
 
@@ -824,8 +825,9 @@ class AtomTable(dict):
         store = self.get(a, _UNSOLVED)
         if store is not _UNSOLVED:
             return store
-        solved = self.solves.get(a, _UNSOLVED)
-        if solved is _UNSOLVED:
+        try:
+            solved = self.solves[a]
+        except KeyError:
             solved = _solve_for(a, self.var)
         if solved is None:
             store = (None, None, None) if _eval_qf(a, self.env, self.dim) \
@@ -873,12 +875,12 @@ class AtomTable(dict):
                         stage="worlds")
         return out
 
-    def satisfiable(self, f: Formula, world_cap: int = 64) -> bool:
-        """Whether some value of `var` satisfies f: lazily scan DNF worlds,
-        short-circuiting on the first satisfiable one.  Raises
-        BudgetExhausted if no world within the cap is satisfiable and some
-        remain unexamined."""
-        for checked, store in enumerate(map(self.fold, _worlds(f))):
+    def satisfiable(self, worlds: Iterable, world_cap: int = 64) -> bool:
+        """Whether some value of `var` satisfies a disjunction of worlds
+        (atom sequences): scan them in order, short-circuiting on the first
+        satisfiable one.  Raises BudgetExhausted if no world within the cap
+        is satisfiable and some remain unexamined."""
+        for checked, store in enumerate(map(self.fold, worlds)):
             if checked >= world_cap:
                 raise BudgetExhausted(
                     f"satisfiability scan exceeded {world_cap} worlds",
@@ -943,11 +945,34 @@ def _worlds(f: Formula) -> Iterable[list]:
     return iter_worlds(_nnf(f))
 
 
+class _Compiled(dict):
+    """f compiled for `var`: as the dict, the `_solve_for` result of each
+    atom a fold has read, and `kept`, f's DNF worlds (atom tuples) as far as
+    a scan has read them.  It holds no series and no store."""
+
+    def __init__(self, f: Formula, var: str):
+        self.var, self.kept, self._rest = var, [], map(tuple, _worlds(f))
+
+    def __missing__(self, a: Atom):
+        self[a] = solved = _solve_for(a, self.var)
+        return solved
+
+    def worlds(self):
+        yield from self.kept  # a list iterator also reads what is appended
+        for world in self._rest:  # one scan at a time extends the list
+            self.kept.append(world)
+            yield world
+
+
+_compiled = lru_cache(maxsize=64)(_Compiled)  # a formula recurs in runs
+
+
 def satisfiable(f: Formula, env: dict, var: str = "x", world_cap: int = 64,
                 dim: int = 2) -> bool:
-    """`AtomTable.satisfiable` in the model of env, var and dim; atoms
-    shared by worlds are solved once."""
-    return AtomTable(env, var, dim).satisfiable(f, world_cap)
+    """`AtomTable.satisfiable` with f's compiled worlds, quantifiers
+    eliminated first, in the model of env, var and dim."""
+    unit = _compiled(f, var)
+    return AtomTable(env, var, dim, unit).satisfiable(unit.worlds(), world_cap)
 
 
 def _merge_store(a: tuple, b: tuple):
@@ -970,10 +995,10 @@ _STATE_CAP = 64
 
 def conjoin(states: list, f: Formula, env: dict, var: str = "x",
             dim: int = 2) -> list:
-    """`AtomTable.conjoin` with the DNF worlds of f, quantifiers eliminated
-    first, in the model of env, var and dim; atoms shared by worlds are
-    solved once."""
-    return AtomTable(env, var, dim).conjoin(states, _worlds(f))
+    """`AtomTable.conjoin` with f's compiled worlds, quantifiers eliminated
+    first, in the model of env, var and dim."""
+    unit = _compiled(f, var)
+    return AtomTable(env, var, dim, unit).conjoin(states, unit.worlds())
 
 
 # ---------------------------------------------------------------------------
@@ -1081,7 +1106,7 @@ class CompiledFragment:
         for f in islice(self._rest, max(0, n - len(self.entries))):
             branches = []
             for constraint in (Not(f), f):
-                worlds = tuple(map(tuple, iter_worlds(_nnf(constraint))))
+                worlds = tuple(map(tuple, _worlds(constraint)))
                 for a in (a for world in worlds for a in world):
                     if a not in self.solves:
                         self.solves[a] = _solve_for(a, self.var)

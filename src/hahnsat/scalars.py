@@ -576,8 +576,8 @@ def compare(a, b, precision_budget: int | None = None) -> int:
     otherwise ComparisonUndecidedAtPrecision is raised at the budget.
     """
     if type(a) is type(b) is Fraction:
-        (n, d), (m, e) = a.as_integer_ratio(), b.as_integer_ratio()
-        left, right = n * e, m * d
+        left = a._numerator * b._denominator
+        right = b._numerator * a._denominator
         return (left > right) - (left < right)
     if a is b:
         return 0
@@ -601,6 +601,8 @@ def compare(a, b, precision_budget: int | None = None) -> int:
 
 def _compare_exact(a, b) -> int:
     if isinstance(a, Fraction):
+        if isinstance(b, Fraction):  # a Fraction subclass operand
+            return (a > b) - (a < b)
         return -_ralg_vs_rational(b, a)
     if isinstance(b, Fraction):
         return _ralg_vs_rational(a, b)

@@ -562,8 +562,8 @@ def _first_difference(x: Series, y: Series, unknown: str = _SIGN_UNKNOWN):
 
     Merge-walks the two sorted supports; exponents are compared, never
     hashed, and coefficients are tested for equality, never negated or
-    added: two Fractions on their (numerator, denominator) pairs, which are
-    normalized, and any other pair with `==`.  When x and y agree below the
+    added: two Fractions on their numerator and denominator slots, which
+    are normalized, and any other pair with `==`.  When x and y agree below the
     smaller bound, equality cannot be certified and TruncationInsufficient
     is raised with `unknown` formatted by that bound.
     """
@@ -584,7 +584,8 @@ def _first_difference(x: Series, y: Series, unknown: str = _SIGN_UNKNOWN):
                 cx, cy = xs[i + 1], ys[j + 1]
                 i += 2
                 j += 2
-                if cx is cy or (cx.as_integer_ratio() == cy.as_integer_ratio()
+                if cx is cy or (cx._numerator == cy._numerator
+                                and cx._denominator == cy._denominator
                                 if type(cx) is type(cy) is Fraction
                                 else cx == cy):
                     continue

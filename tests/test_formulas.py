@@ -37,11 +37,11 @@ from hahnsat.formulas import (
     parse_formula,
     satisfiable,
 )
-from hahnsat.formulas import (CONST, _ENUM_COEFF_CAP, Term,
-                              _conjunct_atoms, _consistent, _eval_qf,
-                              _format_mono, _fragment, _infer_dim, _nnf,
-                              _nonlinear, _sides_of_length, _solve_for,
-                              _term_series, make_atom)
+from hahnsat.formulas import (CONST, _ENUM_COEFF_CAP, AtomTable, Term,
+                              _compiled, _conjunct_atoms, _consistent,
+                              _eval_qf, _format_mono, _fragment, _infer_dim,
+                              _nnf, _nonlinear, _sides_of_length, _solve_for,
+                              _term_series, _worlds, make_atom)
 from hahnsat.series import (
     compare_series,
     format_series,
@@ -694,6 +694,109 @@ class TestSatisfiable:
             for f in (matrix, Not(matrix)):
                 assert satisfiable(f, env) == \
                     bool(conjoin([(None, None, None)], f, env, "x"))
+
+
+def _c5_cases(count=30, envs=50):
+    """The first `count` formulas of gate c5's generator (seed 105) and the
+    first `envs` of its environments."""
+    from test_acceptance import _random_qe_formula
+
+    rng = random.Random(105)
+    cases = [_random_qe_formula(rng) for _ in range(100)]
+    return cases[:count], [{"a": random_series(rng, 2, max_terms=2),
+                            "b": random_series(rng, 2, max_terms=2)}
+                           for _ in range(envs)]
+
+
+class TestCompiledFormula:
+    """The generic satisfiable and conjoin compile each formula once per
+    variable: its worlds and solves are shared across environments, the
+    cache of compiled formulas is bounded, and what it keeps holds no
+    series."""
+
+    def test_matches_a_fresh_table_scan(self):
+        cases, envs = _c5_cases()
+        for _, matrix, _ in cases:
+            for f in (matrix, Not(matrix)):
+                for env in envs:
+                    states = [(None, None, None), (None, env["b"], None)]
+                    assert satisfiable(f, env) == \
+                        AtomTable(env, "x", 2).satisfiable(_worlds(f))
+                    assert conjoin(states, f, env) == \
+                        AtomTable(env, "x", 2).conjoin(states, _worlds(f))
+
+    def test_each_atom_is_solved_once_per_formula(self, monkeypatch):
+        solved = Counter()
+        solve = formulas_mod._solve_for
+
+        def counting(a, var):
+            solved[a, var] += 1
+            return solve(a, var)
+
+        monkeypatch.setattr(formulas_mod, "_solve_for", counting)
+        _compiled.cache_clear()
+        cases, envs = _c5_cases()
+        for _, matrix, _ in cases:
+            for f in (matrix, Not(matrix)):
+                solved.clear()
+                for env in envs:
+                    satisfiable(f, env)
+                    conjoin([(None, None, None)], f, env)
+                assert solved and max(solved.values()) == 1
+
+    def test_cache_stays_bounded(self):
+        env = {"g1": parse_series("t")}
+        for k in range(1, 101):
+            satisfiable(parse_formula(f"{k}*x < g1"), env)
+        info = _compiled.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+
+    def test_unit_holds_no_series_and_no_store(self):
+        from test_engine import TestCompiledFragment
+
+        cases, envs = _c5_cases(count=10, envs=5)
+        for _, matrix, _ in cases:
+            for f in (matrix, Not(matrix)):
+                for env in envs:
+                    conjoin([(None, None, None)], f, env)
+                unit = _compiled(f, "x")
+                assert unit.kept and len(unit)
+                held = TestCompiledFragment._reachable((unit.kept, dict(unit)))
+                assert not any(isinstance(o, series_mod.Series)
+                               for o in held)
+                assert (None, None, None) not in held
+
+    def test_world_cap_holds_with_cached_worlds(self):
+        env = {"g1": parse_series("t^2"), "g2": parse_series("t")}
+        f = parse_formula(" or ".join(["(g2 < x and x < g1)"] * 70))
+        for _ in range(2):
+            with pytest.raises(BudgetExhausted):
+                satisfiable(f, env, world_cap=64)
+            assert len(_compiled(f, "x").kept) > 64
+        assert satisfiable(f, env, world_cap=128) is False
+
+    def test_nonlinear_atom_raises_on_every_call(self):
+        f = parse_formula("x*x < 1 and g1 < 0")
+        for _ in range(2):
+            with pytest.raises(NonlinearUnsupported):
+                satisfiable(f, {"g1": parse_series("t")})
+        assert not _compiled(f, "x")  # no solve was kept
+
+    def test_decides_without_elimination_or_evaluation(self, monkeypatch):
+        # the world scan that checks quantifier elimination shares no work
+        # with it
+        cases, envs = _c5_cases(count=20, envs=10)
+        want = [satisfiable(f, env) for _, matrix, _ in cases
+                for f in (matrix, Not(matrix)) for env in envs]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the world scan called QE or evaluation")
+
+        _compiled.cache_clear()
+        monkeypatch.setattr(formulas_mod, "doag_qe", refuse)
+        monkeypatch.setattr(formulas_mod, "eval_formula", refuse)
+        assert [satisfiable(f, env) for _, matrix, _ in cases
+                for f in (matrix, Not(matrix)) for env in envs] == want
 
 
 # bounds and points of random stores, and values of the parameters

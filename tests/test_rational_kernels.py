@@ -1,8 +1,9 @@
-"""The integer-pair kernels of `scalars` against `fractions.Fraction`.
+"""The integer-pair kernels of `scalars` and `series` against
+`fractions.Fraction`.
 
 Only seeded `random` draws the operands, and the module imports nothing
-beyond the standard library and `hahnsat.scalars`, so it also runs as a
-script on interpreters without pytest or sympy:
+beyond the standard library, `hahnsat.scalars` and `hahnsat.series`, so it
+also runs as a script on interpreters without pytest or sympy:
 
     PYTHONPATH=src python tests/test_rational_kernels.py
 """
@@ -16,11 +17,13 @@ from hahnsat.scalars import (
     _q_inv,
     _q_mul,
     _q_neg,
+    compare,
     scalar_add,
     scalar_inv,
     scalar_mul,
     scalar_neg,
 )
+from hahnsat.series import _first_difference, monomial
 
 BIG = 2**64
 
@@ -102,6 +105,30 @@ def test_subclass_operand_keeps_fraction_arithmetic():
         _same(scalar_neg(sub), -a)
         if a:
             _same(scalar_inv(sub), 1 / a)
+
+
+def _order_pairs(rng):
+    """The kernels' operand pairs, each operand also against an equal value
+    held by a distinct object and against its Fraction subclass copy, both
+    ways round."""
+    for a, b in _pairs(rng):
+        twin = Fraction(a.numerator, a.denominator)
+        assert twin is not a
+        for x, y in ((a, b), (a, twin), (a, SubFraction(a)),
+                     (SubFraction(b), a)):
+            yield x, y
+            yield y, x
+
+
+def test_order_kernels_match_fraction():
+    rng = random.Random(27)
+    one = (Fraction(1),)
+    for x, y in _order_pairs(rng):
+        assert compare(x, y) == (x > y) - (x < y), (x, y)
+        first = _first_difference(monomial(one, x, 1), monomial(one, y, 1))
+        assert (first is None) == (x == y), (x, y)
+        if first is not None:
+            assert first[1:] == (x, y), (x, y)
 
 
 if __name__ == "__main__":
