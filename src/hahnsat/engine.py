@@ -1052,11 +1052,14 @@ def realize_type(tau: PartialType, env: dict, mode: str = "group",
                    or compare_series(witness, hidden) == 0)
     if clamped:
         witness = hidden
+    # the witness model keeps its own term values, none of them the table's
     verification = []
     wenv = dict(env)
     wenv[tau.var] = witness
+    values: dict = {}
     for _, f in completion.thetas:
-        verification.append((format_formula(f), eval_formula(f, wenv, dim)))
+        verification.append(
+            (format_formula(f), eval_formula(f, wenv, dim, values)))
     free = sum(_inside(lo, up, d) for d, _ in oracle.log)
     report = _render_report(completion, classification, witness,
                             verification, oracle, free, budgets, mode,

@@ -13,9 +13,10 @@ one point when it is set.  A store is consistent when its point lies strictly
 inside its bounds or, without a point, when the open interval is nonempty.
 
 An `AtomTable` is one model: the parameters' series `env`, the variable
-`var` and the dimension `dim`.  It keeps the store of every atom read in it
-for one realization, and it borrows a compiled fragment's solves and never
-writes them.  `AtomTable.store` gives the store of one atom, and the store
+`var` and the dimension `dim`.  It keeps the store of every atom read in it,
+and the series of every term evaluated in it (`values`), for one
+realization, and it borrows a compiled fragment's solves and never writes
+them.  `AtomTable.store` gives the store of one atom, and the store
 of a DNF world is the fold of `_merge_store`, the one intersection of
 stores, over its atoms' stores (`AtomTable.fold`): `cut_bounds` builds it
 and rejects an inconsistent one, `satisfiable` scans the stores of a
@@ -87,10 +88,21 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
 @dataclass(frozen=True)
 class Term:
     """syms: symbol-monomial coefficients; lits: literal t-power coefficients
-    keyed by exponent tuples with trailing zeros stripped."""
+    keyed by exponent tuples with trailing zeros stripped.
+
+    The hash is computed on first use and stored, since terms key the term
+    values of a model."""
 
     syms: tuple = ()
     lits: tuple = ()
+    _hash = None  # not a field: the stored hash, set by __hash__
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((self.syms, self.lits))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     @classmethod
     def build(cls, syms: dict, lits: dict) -> "Term":
@@ -556,7 +568,16 @@ def _parse_signed_rational(toks, message: str) -> Fraction:
 _ONE = Fraction(1)
 
 
-def _term_series(t: Term, env: dict, dim: int) -> Series:
+def _term_series(t: Term, env: dict, dim: int,
+                 values: Optional[dict] = None) -> Series:
+    """The series of t in the model of env and dim.  `values` is that
+    model's dict of term values: a term found there is not evaluated again,
+    and one evaluated is kept there."""
+    if values is not None:
+        x = values.get(t)
+        if x is None:
+            x = values[t] = _term_series(t, env, dim)
+        return x
     # stripped literal exponents are distinct and their coefficients nonzero,
     # so the literal part meets the Series invariant as built; a t^(0)
     # literal and the constant meet in the combination
@@ -614,35 +635,40 @@ def free_symbols(f: Formula) -> set:
     return out - {f.var} if isinstance(f, Exists) else out
 
 
-def eval_formula(f: Formula, env: dict, dim: Optional[int] = None) -> bool:
+def eval_formula(f: Formula, env: dict, dim: Optional[int] = None,
+                 values: Optional[dict] = None) -> bool:
     """Truth of f under compare_series semantics; quantifiers are eliminated
-    through the group-fragment procedure first."""
+    through the group-fragment procedure first.  `values` is the model's
+    dict of term values (`_term_series`), when the caller keeps one."""
     if _has_quantifier(f):
         f = doag_qe(f)
     d = _infer_dim(f, env, dim)
-    return _eval_qf(f, env, d)
+    return _eval_qf(f, env, d, values)
 
 
 def _has_quantifier(f: Formula) -> bool:
     return isinstance(f, Exists) or any(map(_has_quantifier, _parts(f)))
 
 
-def _eval_qf(f: Formula, env: dict, dim: int) -> bool:
+def _eval_qf(f: Formula, env: dict, dim: int,
+             values: Optional[dict] = None) -> bool:
     if isinstance(f, TrueF):
         return True
     if isinstance(f, FalseF):
         return False
     if isinstance(f, Atom):
-        lhs = _term_series(f.pos, env, dim)
-        rhs = _term_series(f.neg, env, dim)
+        lhs = _term_series(f.pos, env, dim, values)
+        rhs = _term_series(f.neg, env, dim, values)
         c = compare_series(lhs, rhs)
         return c < 0 if f.rel == "<" else c == 0
     if isinstance(f, Not):
-        return not _eval_qf(f.body, env, dim)
+        return not _eval_qf(f.body, env, dim, values)
     if isinstance(f, And):
-        return _eval_qf(f.left, env, dim) and _eval_qf(f.right, env, dim)
+        return _eval_qf(f.left, env, dim, values) and \
+            _eval_qf(f.right, env, dim, values)
     if isinstance(f, Or):
-        return _eval_qf(f.left, env, dim) or _eval_qf(f.right, env, dim)
+        return _eval_qf(f.left, env, dim, values) or \
+            _eval_qf(f.right, env, dim, values)
     raise TypeError(f"cannot evaluate {type(f).__name__}")
 
 
@@ -806,16 +832,18 @@ _UNSOLVED = object()  # marks an atom missing from a table
 class AtomTable(dict):
     """One model: the series `env`, the variable `var` and the dimension
     `dim` (env's own when it has series).  It keeps the store of every atom
-    read in it for as long as one realization lasts, and borrows `solves`:
-    a compiled fragment's, never written, or a self-filling `_Compiled`."""
+    read in it, and in `values` the series of every term evaluated in it,
+    for as long as one realization lasts, and borrows `solves`: a compiled
+    fragment's, never written, or a self-filling `_Compiled`."""
 
-    __slots__ = ("env", "var", "dim", "solves")
+    __slots__ = ("env", "var", "dim", "solves", "values")
 
     def __init__(self, env: dict, var: str, dim: int,
                  solves: Optional[dict] = None):
         self.env, self.var = env, var
         self.dim = _infer_dim(None, env, dim)
         self.solves = {} if solves is None else solves
+        self.values: dict = {}  # term -> its series in this model
 
     def store(self, a: Atom):
         """The one-atom store of `a`: the bound it puts on `var`, (None,
@@ -830,11 +858,11 @@ class AtomTable(dict):
         except KeyError:
             solved = _solve_for(a, self.var)
         if solved is None:
-            store = (None, None, None) if _eval_qf(a, self.env, self.dim) \
-                else None
+            store = (None, None, None) \
+                if _eval_qf(a, self.env, self.dim, self.values) else None
         else:
             coeff, bound_term = solved
-            bound = _term_series(bound_term, self.env, self.dim)
+            bound = _term_series(bound_term, self.env, self.dim, self.values)
             if a.rel == "=":
                 store = (None, None, bound)
             else:

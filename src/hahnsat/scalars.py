@@ -9,8 +9,9 @@ comparisons that involve a genuine oracle may raise
 
 `compare` is the one order rule, and `scalar_sign` is `compare` against
 zero.  Negating an algebraic number, or adding or multiplying it by a
-rational, is one affine map `s*a + q` on its defining polynomial; only sums
-and products of two distinct algebraic numbers go through a resultant.
+rational, is one affine map `s*a + q` on its defining polynomial, and a
+product with a rational (q = 0) is computed on integers; only sums and
+products of two distinct algebraic numbers go through a resultant.
 
 Two rationals are combined on their integer pairs: `_q_mul`, `_q_add`,
 `_q_neg` and `_q_inv` take the gcd steps of CPython's `Fraction._mul` and
@@ -321,11 +322,15 @@ def _ralg_affine(a: RealAlgebraic, s: Fraction, q: Fraction):
     if s == 1 and q == 0:
         return a
     n = len(a.coeffs) - 1
-    out = [Fraction(0)] * (n + 1)
-    for i, c in enumerate(a.coeffs):
-        w = c * s ** (n - i)  # c * s^(n-i) * (y - q)^i, expanded
-        for k in range(i + 1):
-            out[k] += w * math.comb(i, k) * (-q) ** (i - k)
+    if q == 0:  # c_i s^(n-i), times den(s)^n: integers
+        sn, sd = s.numerator, s.denominator
+        out = [c * sn ** (n - i) * sd ** i for i, c in enumerate(a.coeffs)]
+    else:
+        out = [Fraction(0)] * (n + 1)
+        for i, c in enumerate(a.coeffs):
+            w = c * s ** (n - i)  # c * s^(n-i) * (y - q)^i, expanded
+            for k in range(i + 1):
+                out[k] += w * math.comb(i, k) * (-q) ** (i - k)
     lo, hi = a.interval()
     if s > 0:  # an increasing map keeps the order of the roots
         return RealAlgebraic(_int_primitive(out), a.index, s * lo + q,
@@ -461,6 +466,12 @@ def scalar_is_zero(a) -> bool:
     if isinstance(a, Fraction):
         return not a._numerator
     return False  # RealAlgebraic is irrational; OracleReal zero is uncertifiable
+
+
+def scalar_is_one(a) -> bool:
+    if type(a) is Fraction:  # its slots, not the Python-level __eq__
+        return a._numerator == 1 == a._denominator
+    return a == 1
 
 
 # ---------------------------------------------------------------------------

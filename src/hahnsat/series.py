@@ -56,6 +56,7 @@ from .scalars import (
     parse_scalar,
     scalar_add,
     scalar_inv,
+    scalar_is_one,
     scalar_is_zero,
     scalar_mul,
     scalar_neg,
@@ -422,7 +423,7 @@ def linear_combination(pairs, dim: int, terms: Optional[dict] = None) -> Series:
     if trunc is not None and out:
         out = _below(out, trunc)
     for q, g in pairs:
-        unit = q == 1
+        unit = scalar_is_one(q)
         for e, c in g.terms.items():
             if trunc is not None and not e < trunc:
                 continue
@@ -488,7 +489,7 @@ def scale(x: Series, c) -> Series:
         c = Fraction(c)
     if scalar_is_zero(c):
         return zero_series(x.dim)
-    if c == 1:
+    if scalar_is_one(c):
         return x
     return _mapped(x, lambda coef: scalar_mul(coef, c))
 

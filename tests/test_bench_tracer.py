@@ -37,3 +37,7 @@ def test_traced_quickstart_realization():
     values = t.layer_values()
     assert values["engine.realize_type.calls"] == 1
     assert values["engine.oracle.side_calls"] > 0
+    # the verification checks each of the three emissions through
+    # eval_formula, which the tracer times as engine.verify
+    assert values["engine.verify.calls"] == 3
+    assert values["formulas.eval_formula.calls"] == 3

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hahnsat import formulas
+from hahnsat import engine, formulas
 from hahnsat.engine import (
     Budgets,
     CutOracle,
@@ -1074,6 +1074,40 @@ class TestAtomTable:
         tau, env = _generated_type(seed)
         realize_type(tau, env, mode=mode, budgets=self.BUDGETS)
         assert solved and max(solved.values()) == 1
+
+    @pytest.mark.parametrize("mode", ["group", "field"])
+    @pytest.mark.parametrize("seed", [1001, 1025, 1031])
+    def test_each_term_is_evaluated_once_per_model(self, monkeypatch, seed,
+                                                   mode):
+        """The table's model and the witness model each evaluate a term at
+        most once, and the verification's dict of term values starts empty:
+        no value of the table reaches the check of the witness."""
+        tau, env = _generated_type(seed)
+        evaluated = {"table": Counter(), "witness": Counter()}
+        term_series = formulas._term_series
+
+        def counting(t, tenv, dim, values=None):
+            if values is None:  # an evaluation, not a look-up
+                evaluated["witness" if tau.var in tenv else "table"][t] += 1
+            return term_series(t, tenv, dim, values)
+
+        dicts = []  # (dict, its size on entry) per verification call
+        verify = engine.eval_formula
+
+        def recording(f, fenv, dim=None, values=None):
+            if tau.var in fenv:
+                dicts.append((values, len(values)))
+            return verify(f, fenv, dim, values)
+
+        monkeypatch.setattr(formulas, "_term_series", counting)
+        monkeypatch.setattr(engine, "eval_formula", recording)
+        realize_type(tau, env, mode=mode, budgets=self.BUDGETS)
+        for model in ("table", "witness"):
+            assert evaluated[model] and max(evaluated[model].values()) == 1
+        values = dicts[0][0]
+        assert dicts[0][1] == 0
+        assert all(d is values for d, _ in dicts)
+        assert set(values) == set(evaluated["witness"])
 
     def test_atoms_hold_only_their_fields_and_hash(self):
         # a solve, store or negation kept on the shared atoms would outlive

@@ -20,6 +20,7 @@ from hahnsat.scalars import (
     compare,
     scalar_add,
     scalar_inv,
+    scalar_is_one,
     scalar_mul,
     scalar_neg,
 )
@@ -129,6 +130,14 @@ def test_order_kernels_match_fraction():
         assert (first is None) == (x == y), (x, y)
         if first is not None:
             assert first[1:] == (x, y), (x, y)
+
+
+def test_unit_test_matches_fraction():
+    rng = random.Random(31)
+    ones = (Fraction(1), Fraction(BIG, BIG), SubFraction(1), 1)
+    for x in ones + tuple(x for pair in _pairs(rng) for x in pair):
+        assert scalar_is_one(x) == (x == 1), x
+    assert not scalar_is_one(SubFraction(2))
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ from hahnsat.errors import (
 )
 from hahnsat.scalars import (
     OracleReal,
+    _int_primitive,
     _make_algebraic,
     _ralg_affine,
     _sympy_factors,
@@ -177,6 +178,45 @@ class TestAffineMap:
                 ref = _make_algebraic(b.coeffs, *b.interval())
                 assert (b.coeffs, b.index) == (ref.coeffs, ref.index)
                 checked += 1
+
+    @staticmethod
+    def _expanded(a, s, q):
+        """s*a + q through the Fraction expansion of s^n * p((y - q) / s)
+        for every s and q, as the map was computed before pure scalings
+        went to integers."""
+        n = len(a.coeffs) - 1
+        out = [Fraction(0)] * (n + 1)
+        for i, c in enumerate(a.coeffs):
+            w = c * s ** (n - i)
+            for k in range(i + 1):
+                out[k] += w * math.comb(i, k) * (-q) ** (i - k)
+        lo, hi = a.interval()
+        if s > 0:
+            return RealAlgebraic(_int_primitive(out), a.index, s * lo + q,
+                                 s * hi + q)
+        return _make_algebraic(_int_primitive(out), s * hi + q, s * lo + q)
+
+    def test_integer_scaling_matches_the_expansion(self):
+        rng = random.Random(23)
+        roots = []
+        while len(roots) < 12:
+            cs = [rng.randint(-9, 9) for _ in range(rng.randint(3, 5))]
+            cs[-1] = cs[-1] or 1
+            if [len(f) for f in _sympy_factors(cs)] != [len(cs)]:
+                continue  # not irreducible of degree len(cs) - 1
+            roots += [real_algebraic(cs, lo, hi)
+                      for lo, hi in isolate_real_roots(cs)]
+        assert {len(a.coeffs) - 1 for a in roots} == {2, 3, 4}
+        magnitudes = [Fraction(1, 3), Fraction(2)] + \
+            [Fraction(2) ** k for k in (5, 17, 31, 60)] + \
+            [Fraction(rng.randint(2, 99), rng.randint(2, 99)) for _ in range(3)]
+        for a in roots:
+            for s in magnitudes + [-m for m in magnitudes]:
+                for q in (Fraction(0), Fraction(rng.randint(-20, 20) or 1,
+                                                rng.randint(1, 9))):
+                    got, want = _ralg_affine(a, s, q), self._expanded(a, s, q)
+                    assert (got.coeffs, got.index, got.interval()) == \
+                        (want.coeffs, want.index, want.interval())
 
     def test_negation_keeps_the_canonical_pair(self):
         neg = _ralg_affine(SQRT2, Fraction(-1), Fraction(0))
