@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from functools import cache
 from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterable, Optional, Sequence
@@ -115,8 +116,9 @@ class CutOracle:
 
     def side(self, d: Series) -> Side:
         key = d
-        if key in self._memo:
-            return self._memo[key]
+        s = self._memo.get(key)
+        if s is not None:
+            return s
         s = self._side(d)
         if not isinstance(s, Side):
             raise OracleFailure(f"oracle returned {s!r}, not a Side")
@@ -149,10 +151,11 @@ def oracle_from_value(x0: Series,
     return CutOracle(lambda d: Side(compare_series(d, x0)), height_enum)
 
 
-def _rationals_of_height(h: int):
+@cache
+def _rationals_of_height(h: int) -> tuple:
     """All p/q with max(|p|, q) <= h, ascending."""
-    return sorted({Fraction(num, den) for den in range(1, h + 1)
-                   for num in range(-h, h + 1)})
+    return tuple(sorted({Fraction(num, den) for den in range(1, h + 1)
+                         for num in range(-h, h + 1)}))
 
 
 def standard_height_enum(generators: Sequence[Series],

@@ -50,7 +50,6 @@ from .errors import (
 )
 from .scalars import (
     format_rational,
-    parse_rational,
     scalar_inv,
     scalar_mul,
     scalar_neg,
@@ -79,10 +78,6 @@ def _summed(*pair_lists) -> dict:
         for k, v in pairs:
             out[k] = out[k] + v if k in out else v
     return out
-
-
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(sorted(_summed(a, b).items()))
 
 
 @dataclass(frozen=True)
@@ -130,19 +125,6 @@ class Term:
     def plus(self, other: "Term") -> "Term":
         return Term.build(_summed(self.syms, other.syms),
                           _summed(self.lits, other.lits))
-
-    def times(self, other: "Term") -> "Term":
-        self_const = not self.lits and all(m == CONST for m, _ in self.syms)
-        other_const = not other.lits and all(m == CONST for m, _ in other.syms)
-        if self_const:
-            return other.scaled(self.sym_dict().get(CONST, Fraction(0)))
-        if other_const:
-            return self.scaled(other.sym_dict().get(CONST, Fraction(0)))
-        if self.lits or other.lits:
-            raise ParseError("literal t-powers may only be scaled or added", 1)
-        return Term.build(_summed((_mono_mul(m1, m2), c1 * c2)
-                                  for m1, c1 in self.syms
-                                  for m2, c2 in other.syms), {})
 
     def free_symbols(self) -> set:
         out = set()
@@ -260,23 +242,28 @@ def make_atom(rel: str, left: Term, right: Term):
     """Canonicalize left REL right; returns Atom, TrueF, or FalseF."""
     if rel == ">":
         rel, left, right = "<", right, left
-    diff = left.plus(right.scaled(Fraction(-1)))
-    if diff.is_zero():
-        return TrueF() if rel == "=" else FalseF()
-    if not diff.lits and all(m == CONST for m, _ in diff.syms):
-        c = diff.sym_dict()[CONST]
+    diffs = []  # the nonzero (key, coefficient) pairs of left - right
+    for pairs, minus in ((left.syms, right.syms), (left.lits, right.lits)):
+        diff = dict(pairs)
+        for k, q in minus:
+            diff[k] = diff[k] - q if k in diff else -q
+        diffs.append([(k, q) for k, q in diff.items() if q])
+    syms, lits = diffs
+    if not lits and all(m == CONST for m, _ in syms):
+        c = syms[0][1] if syms else 0
         if rel == "=":
             return TrueF() if c == 0 else FalseF()
         return TrueF() if c < 0 else FalseF()
-    coeffs = [q for _, q in diff.syms + diff.lits]
-    lcm = math.lcm(*(q.denominator for q in coeffs))
-    g = math.gcd(*(q.numerator * (lcm // q.denominator) for q in coeffs))
-    diff = diff.scaled(Fraction(lcm, g))
-    pos_s, neg_s, pos_l, neg_l = {}, {}, {}, {}
-    for m, q in diff.syms:
-        (pos_s if q > 0 else neg_s)[m] = abs(q)
-    for e, q in diff.lits:
-        (pos_l if q > 0 else neg_l)[e] = abs(q)
+    # scale to primitive integers: lcm of the denominators, then the gcd
+    lcm = math.lcm(*(q.denominator for _, q in syms + lits))
+    g = math.gcd(*(q.numerator * (lcm // q.denominator)
+                   for _, q in syms + lits))
+    halves = ({}, {}), ({}, {})  # (positive, negative) syms, then lits
+    for (pos, neg), pairs in zip(halves, diffs):
+        for k, q in pairs:
+            n = q.numerator * (lcm // q.denominator) // g
+            (pos if n > 0 else neg)[k] = Fraction(abs(n))
+    (pos_s, neg_s), (pos_l, neg_l) = halves
     pos = Term.build(pos_s, pos_l)
     neg = Term.build(neg_s, neg_l)
     if rel == "=":
@@ -339,13 +326,13 @@ class _Tokens:
                 i += 1
                 continue
             col = i + 1
-            if ch.isdigit():
+            if ch.isdecimal():  # the digits int() reads
                 j = i
-                while j < n and self.text[j].isdigit():
+                while j < n and self.text[j].isdecimal():
                     j += 1
                 if j < n and self.text[j] == "/":
                     k = j + 1
-                    while k < n and self.text[k].isdigit():
+                    while k < n and self.text[k].isdecimal():
                         k += 1
                     if k > j + 1:
                         self.toks.append(("num", self.text[i:k], col))
@@ -430,10 +417,10 @@ def _first_nonlinear(f: Formula, text: str, var: str):
             continue  # not the first factor of a product
         toks.pos = i
         try:
-            product = _parse_product(toks)
+            c, m, lit = _parse_product(toks)
         except ParseError:
             continue
-        if mono in product.sym_dict():
+        if c and lit is None and m == mono:
             return _format_mono(mono), col
     return _format_mono(mono), 1
 
@@ -496,30 +483,52 @@ def _parse_atom(toks) -> Formula:
 
 
 def _parse_term(toks) -> Term:
-    products = []
-    while not products or toks.peek()[1] in ("+", "-"):
-        sign = Fraction(1)
+    """Signed products, added in one pass into one symbol dict and one
+    literal dict."""
+    syms, lits = {}, {}
+    while True:
+        negate = False
         while toks.peek()[1] in ("+", "-"):
-            if toks.next()[1] == "-":
-                sign = -sign
-        products.append(_parse_product(toks).scaled(sign))
-    return reduce(Term.plus, products)
+            negate ^= toks.next()[1] == "-"
+        c, mono, lit = _parse_product(toks)
+        if c:
+            acc, key = (syms, mono) if lit is None else (lits, lit)
+            c = scalar_neg(c) if negate else c
+            acc[key] = acc[key] + c if key in acc else c
+        if toks.peek()[1] not in ("+", "-"):
+            return Term.build(syms, lits)
 
 
-def _parse_product(toks) -> Term:
-    return _parse_chain(toks, "*", _parse_factor, Term.times)
+def _parse_product(toks) -> tuple:
+    """(coefficient, monomial, literal exponent or None) of factor (*
+    factor)*.  A constant factor scales the rest, so a zero absorbs it; a
+    literal times anything else is an error."""
+    c, mono, lit = _parse_factor(toks)
+    while toks.peek()[1] == "*":
+        toks.next()
+        c2, mono2, lit2 = _parse_factor(toks)
+        if not c or (lit is None and mono == CONST):
+            c, mono, lit = scalar_mul(c, c2), mono2, lit2
+        elif lit2 is None and mono2 == CONST:
+            c = scalar_mul(c, c2)
+        elif lit is not None or lit2 is not None:
+            raise ParseError("literal t-powers may only be scaled or added", 1)
+        else:
+            c = scalar_mul(c, c2)
+            mono = tuple(sorted(_summed(mono, mono2).items()))
+    return c, mono, lit
 
 
-def _parse_factor(toks) -> Term:
+def _parse_factor(toks) -> tuple:
     kind, val, col = toks.next()
     if kind == "num":
-        return Term.build({CONST: parse_rational(val, col - 1)}, {})
+        return _number(val, col), CONST, None
     if kind == "t":
-        exp = (Fraction(1),)
+        exp = (_ONE,)
         if toks.peek()[1] == "^":
             toks.next()
             exp = _parse_lit_exponent(toks)
-        return Term.build({}, {_strip_exp(exp): Fraction(1)})
+        return _ONE, CONST, _strip_exp(exp)
     if kind == "ident":
         power = 1
         if toks.peek()[1] == "^":
@@ -530,8 +539,17 @@ def _parse_factor(toks) -> Term:
             power = int(pval)
             if power < 1:
                 raise ParseError("powers must be positive", pcol)
-        return Term.build({((val, power),): Fraction(1)}, {})
+        return _ONE, ((val, power),), None
     raise ParseError(f"unexpected {val!r} in term", col)
+
+
+def _number(val: str, col: int) -> Fraction:
+    """The value of the number token `val` (n or n/d) at column `col`."""
+    n, _, d = val.partition("/")
+    try:
+        return Fraction(int(n), int(d)) if d else Fraction(int(n))
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"bad rational {val!r}", col) from None
 
 
 def _parse_lit_exponent(toks) -> tuple:
@@ -557,7 +575,7 @@ def _parse_signed_rational(toks, message: str) -> Fraction:
         kind, val, col = toks.next()
     if kind != "num":
         raise ParseError(message, col)
-    q = parse_rational(val, col - 1)
+    q = _number(val, col)
     return -q if negate else q
 
 

@@ -1,22 +1,24 @@
 """The traced benchmark's wrappers still fit the package: every stage and
 kernel that `bench/tracer.py` names exists, and a realization under the
-installed tracer records its calls and restores every original."""
+installed tracer records its calls and restores every original.  The
+probes of the traced cli-fixtures run still find what they time."""
 
 import importlib.util
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("_bench_tracer", TRACER)
+def _load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}",
+                                                  BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_traced_quickstart_realization():
-    tracer = _load_tracer()
+    tracer = _load_bench("tracer")
     import hahnsat.cli  # noqa: F401  (the tracer wraps cli.main)
     from hahnsat import engine
     from hahnsat.formulas import PartialType, parse_formula
@@ -41,3 +43,11 @@ def test_traced_quickstart_realization():
     # eval_formula, which the tracer times as engine.verify
     assert values["engine.verify.calls"] == 3
     assert values["formulas.eval_formula.calls"] == 3
+
+
+def test_cli_probes_time_the_import_and_sympy():
+    # the traced cli-fixtures run calls cli_probes, which raises when the
+    # realize child does not import sympy
+    run, workloads = _load_bench("run"), _load_bench("workloads")
+    import_s, sympy_s = run.cli_probes(workloads.CliFixtures(run.ROOT, 0))
+    assert import_s > 0 and sympy_s > 0

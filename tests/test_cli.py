@@ -520,6 +520,12 @@ class TestInputErrors:
         assert rc == 1 and out == ""
         assert f"error: bad rational '1/0' (column {column})" in err
 
+    def test_qe_non_decimal_digit_is_located(self, capsys):
+        # '²' is a digit to str.isdigit but not to int()
+        rc, out, err = run(capsys, "qe", "exists x (x < a^2²)")
+        assert rc == 1 and out == ""
+        assert err == "error: unexpected character '²' (column 18)\n"
+
     @pytest.mark.parametrize("argv", [
         ("realize",), ("eval", "--at", "t")])
     def test_type_file_zero_denominator_exits_one(self, capsys, tmp_path,

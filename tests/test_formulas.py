@@ -1,10 +1,13 @@
 """Formula layer: parsing, canonical printing, evaluation, quantifier
 elimination, cut extraction, and the atomic-fragment enumeration."""
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from itertools import islice, product
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -42,6 +45,7 @@ from hahnsat.formulas import (CONST, _ENUM_COEFF_CAP, AtomTable, Term,
                               _eval_qf, _format_mono, _fragment, _infer_dim,
                               _nnf, _nonlinear, _sides_of_length, _solve_for,
                               _term_series, _worlds, make_atom)
+from hahnsat.scalars import parse_rational
 from hahnsat.series import (
     compare_series,
     format_series,
@@ -99,6 +103,11 @@ class TestParsePrint:
         assert roundtrip("-a < b") == "0 < a + b"
         assert roundtrip("a - b < 0") == "a < b"
         assert roundtrip("2*a - 2*b = 0") == "a = b"
+        # a zero factor absorbs the rest of its product
+        assert roundtrip("x < g1*0*t") == "x < 0"
+        assert roundtrip("x < 0*g1*t") == "x < 0"
+        assert roundtrip("g1*g1 < x") == "g1^2 < x"
+        assert roundtrip("2*t*3 < x") == "6*t^(1) < x"
 
     def test_equality_orientation_is_print_minimal(self):
         assert roundtrip("x = 1") == "1 = x"
@@ -122,6 +131,9 @@ class TestParsePrint:
             parse_formula("t*a < b")
         with pytest.raises(ParseError):
             parse_formula("t^(1/2)*t^(1/2) < b")
+        with pytest.raises(ParseError) as ei:
+            parse_formula("x < g1*t*0")
+        assert ei.value.column == 1  # fixed, not the product's column
         # scaling by a rational is fine
         assert roundtrip("3*t^(1/2) < b") == "3*t^(1/2) < b"
 
@@ -159,6 +171,16 @@ class TestParsePrint:
     def test_zero_denominator_is_a_bad_rational(self, text, column):
         with pytest.raises(ParseError,
                            match=r"bad rational '1/0' \(column") as ei:
+            parse_formula(text)
+        assert ei.value.column == column
+
+    @pytest.mark.parametrize("text, column", [("x < a^2²", 8),
+                                              ("x < 2²", 6)])
+    def test_non_decimal_digit_is_an_unexpected_character(self, text,
+                                                          column):
+        # '²' is a digit to str.isdigit but not to int()
+        with pytest.raises(ParseError,
+                           match="unexpected character '²'") as ei:
             parse_formula(text)
         assert ei.value.column == column
 
@@ -563,6 +585,271 @@ class TestSolveFor:
         assert min(seen[k, r] for k in ("nonlinear", "absent", "solved")
                    for r in "<=") > 0
         assert seen["literal"] and seen["constant"]
+
+
+def _reference_make_atom(rel, left, right):
+    """make_atom through Term arithmetic, before it subtracted and scaled
+    the sides on integers: left - right by plus/scaled, then scaled by
+    lcm/gcd as a Fraction."""
+    if rel == ">":
+        rel, left, right = "<", right, left
+    diff = left.plus(right.scaled(Fraction(-1)))
+    if diff.is_zero():
+        return TrueF() if rel == "=" else FalseF()
+    if not diff.lits and all(m == CONST for m, _ in diff.syms):
+        c = diff.sym_dict()[CONST]
+        if rel == "=":
+            return TrueF() if c == 0 else FalseF()
+        return TrueF() if c < 0 else FalseF()
+    coeffs = [q for _, q in diff.syms + diff.lits]
+    lcm = math.lcm(*(q.denominator for q in coeffs))
+    g = math.gcd(*(q.numerator * (lcm // q.denominator) for q in coeffs))
+    diff = diff.scaled(Fraction(lcm, g))
+    pos_s, neg_s, pos_l, neg_l = {}, {}, {}, {}
+    for m, q in diff.syms:
+        (pos_s if q > 0 else neg_s)[m] = abs(q)
+    for e, q in diff.lits:
+        (pos_l if q > 0 else neg_l)[e] = abs(q)
+    pos, neg = Term.build(pos_s, pos_l), Term.build(neg_s, neg_l)
+    return formulas_mod._equation(pos, neg) if rel == "=" \
+        else Atom(rel, pos, neg)
+
+
+def _reference_times(a, b):
+    """The product of two Terms, as Term.times computed it."""
+    a_const = not a.lits and all(m == CONST for m, _ in a.syms)
+    b_const = not b.lits and all(m == CONST for m, _ in b.syms)
+    if a_const:
+        return b.scaled(a.sym_dict().get(CONST, Fraction(0)))
+    if b_const:
+        return a.scaled(b.sym_dict().get(CONST, Fraction(0)))
+    if a.lits or b.lits:
+        raise ParseError("literal t-powers may only be scaled or added", 1)
+    return Term.build(formulas_mod._summed(
+        (tuple(sorted(formulas_mod._summed(m1, m2).items())), c1 * c2)
+        for m1, c1 in a.syms for m2, c2 in b.syms), {})
+
+
+def _reference_signed_rational(toks, message):
+    kind, val, col = toks.next()
+    negate = val == "-"
+    if negate:
+        kind, val, col = toks.next()
+    if kind != "num":
+        raise ParseError(message, col)
+    q = parse_rational(val, col - 1)
+    return -q if negate else q
+
+
+def _reference_lit_exponent(toks):
+    if toks.peek()[1] != "(":
+        return (_reference_signed_rational(toks, "expected an exponent"),)
+    toks.next()
+    coords = []
+    while True:
+        coords.append(_reference_signed_rational(
+            toks, "expected an exponent coordinate"))
+        kind, val, col = toks.next()
+        if val == ")":
+            return tuple(coords)
+        if val != ",":
+            raise ParseError("expected ',' or ')'", col)
+
+
+def _reference_factor(toks):
+    kind, val, col = toks.next()
+    if kind == "num":
+        return Term.build({CONST: parse_rational(val, col - 1)}, {})
+    if kind == "t":
+        exp = (Fraction(1),)
+        if toks.peek()[1] == "^":
+            toks.next()
+            exp = _reference_lit_exponent(toks)
+        return Term.build({}, {series_mod._strip_exp(exp): Fraction(1)})
+    if kind == "ident":
+        power = 1
+        if toks.peek()[1] == "^":
+            toks.next()
+            pkind, pval, pcol = toks.next()
+            if pkind != "num" or "/" in pval:
+                raise ParseError("expected an integer power", pcol)
+            power = int(pval)
+            if power < 1:
+                raise ParseError("powers must be positive", pcol)
+        return Term.build({((val, power),): Fraction(1)}, {})
+    raise ParseError(f"unexpected {val!r} in term", col)
+
+
+def _reference_term(toks):
+    products = []
+    while not products or toks.peek()[1] in ("+", "-"):
+        sign = Fraction(1)
+        while toks.peek()[1] in ("+", "-"):
+            if toks.next()[1] == "-":
+                sign = -sign
+        product = formulas_mod._parse_chain(toks, "*", _reference_factor,
+                                            _reference_times)
+        products.append(product.scaled(sign))
+    return reduce(Term.plus, products)
+
+
+def _reference_atom(toks):
+    left = _reference_term(toks)
+    kind, val, col = toks.peek()
+    if val not in ("<", "=", ">"):
+        raise ParseError("expected a relation (<, =, >)", col)
+    toks.next()
+    return _reference_make_atom(val, left, _reference_term(toks))
+
+
+def _reference_parse_formula(text):
+    """parse_formula with the term layer it had before terms were read in
+    one pass: a Term per factor and per product, products folded by
+    Term.plus, numbers read by parse_rational, and _reference_make_atom."""
+    with patch.object(formulas_mod, "_parse_atom", _reference_atom):
+        return parse_formula(text)
+
+
+def _parse_outcome(parse, text):
+    try:
+        f = parse(text)
+    except ParseError as e:
+        return "error", e.message, e.column
+    return f, str(f)
+
+
+def _corpus_text(rng, depth=0):
+    """A seeded formula text: sums of 1-40 products of numbers (zero
+    included), repeated symbols, powers and literals, under not, and, or,
+    exists and forall."""
+    if depth < 3 and rng.random() < 0.35:
+        pick = rng.randrange(6)
+        if pick == 0:
+            return f"not {_corpus_text(rng, depth + 1)}"
+        if pick in (1, 2):
+            join = " and " if pick == 1 else " or "
+            return f"({_corpus_text(rng, depth + 1)}{join}" \
+                   f"{_corpus_text(rng, depth + 1)})"
+        binder = rng.choice(("exists", "forall"))
+        return f"{binder} {rng.choice('xyz')} ({_corpus_text(rng, depth + 1)})"
+    if rng.random() < 0.05:
+        return rng.choice(("true", "false"))
+    return f"{_corpus_term(rng)} {rng.choice('<>=')} {_corpus_term(rng)}"
+
+
+def _corpus_term(rng):
+    out = []
+    for i in range(rng.randint(1, 40)):
+        sign = rng.choice(("", "", "-", "- -", "+"))
+        out.append(f"{' + ' if i else ''}{sign}{_corpus_product(rng)}")
+    return "".join(out)
+
+
+def _corpus_product(rng):
+    """Numbers times symbols, or numbers times one literal; one product
+    in fifty mixes a literal with a symbol, which is an error."""
+    factors = [rng.choice(("0", "1", "2", "12", "3/4", "0/3", "5/2"))
+               for _ in range(rng.choice((0, 0, 1, 1, 2)))]
+    literal = rng.random() < 0.35
+    if not literal or rng.random() < 0.02:
+        factors += [f"{sym}^{rng.randint(1, 3)}" if rng.random() < 0.2
+                    else sym for sym in rng.choices(("a", "b", "g1", "x"),
+                                                    k=rng.randint(0, 3))]
+    if literal:
+        coords = [f"{rng.choice(('', '-'))}{rng.randint(0, 5)}"
+                  f"/{rng.randint(1, 3)}" for _ in range(rng.randint(1, 3))]
+        factors.append(rng.choice(("t", f"t^{rng.randint(0, 4)}",
+                                   f"t^({','.join(coords)})")))
+    rng.shuffle(factors)
+    return "*".join(factors or ["1"])
+
+
+def _malformed(rng, text):
+    """`text` with one character deleted, inserted or the tail cut."""
+    i = rng.randrange(len(text) + 1)
+    pick = rng.randrange(3)
+    if pick == 0:
+        return text[:i] + text[i + 1:]
+    if pick == 1:
+        return text[:i] + rng.choice(("*", "^", "/", "/0", "(", ")", "0", ",",
+                                      "-", "<", "#", "²", "t")) + text[i:]
+    return text[:i]
+
+
+class TestParserAgainstReference:
+    """parse_formula, which reads each term in one pass, against the Term
+    arithmetic above: equal formulas and prints, and equal ParseErrors."""
+
+    EDGES = ("1/0 < x", "x < t^(1/0)", "x < 3*1/0*g1", "x < 0*t^(2/0)",
+             "x < 0*g1*t", "x < g1*t*0", "x < a^2²", "x < 2²", "x^0 < a",
+             "x < a^1/2", "x < 007/014*a", "x = 3*t^(1,0) - t^1",
+             f"x < {'9' * 5000}", f"x < {'9' * 5000}/2")
+
+    def test_grammar_corpus(self):
+        for text in self.EDGES:
+            assert _parse_outcome(parse_formula, text) == \
+                _parse_outcome(_reference_parse_formula, text), text
+        rng = random.Random(30)
+        kinds = Counter()
+        for _ in range(600):
+            text = _corpus_text(rng)
+            for t in (text, _malformed(rng, text)):
+                want = _parse_outcome(_reference_parse_formula, t)
+                assert _parse_outcome(parse_formula, t) == want, t
+                kinds[want[0] == "error"] += 1
+        assert kinds[True] > 400 and kinds[False] > 500
+
+    def test_c8_types_and_cli_generators(self, monkeypatch):
+        import test_acceptance
+        from hahnsat import cli
+
+        texts = []
+
+        def recorded(text):
+            texts.append(text)
+            return parse_formula(text)
+
+        monkeypatch.setattr(test_acceptance, "parse_formula", recorded)
+        monkeypatch.setattr(cli, "parse_formula", recorded)
+        for seed in range(1000, 1050):
+            test_acceptance._generated_type(seed)
+        for gen in (cli._beta_generator("g1", "g2"),
+                    cli._scalar_cut_generator("alg[-2,0,1;1,2]", "g1"),
+                    cli._immediate_tail_generator()):
+            for i in range(100):
+                gen(i)
+        assert len(texts) == 5300
+        for text in texts:
+            assert _parse_outcome(parse_formula, text) == \
+                _parse_outcome(_reference_parse_formula, text), text
+
+    def test_make_atom_on_rational_terms(self):
+        term = TestSolveFor()._term
+        rng = random.Random(34)
+        for _ in range(2000):
+            rel, left, right = rng.choice("<=>"), term(rng), term(rng)
+            want = _reference_make_atom(rel, left, right)
+            got = make_atom(rel, left, right)
+            assert got == want and str(got) == str(want)
+
+    def test_parsing_builds_a_fixed_number_of_terms(self, monkeypatch):
+        # one Term per side, then make_atom's two, whatever the length
+        build = Term.build.__func__
+        calls = []
+
+        def counted(cls, syms, lits):
+            calls.append(1)
+            return build(cls, syms, lits)
+
+        monkeypatch.setattr(Term, "build", classmethod(counted))
+        counts = []
+        for n in (4, 40, 400):
+            side = " + ".join(f"{k % 5 + 1}*t^({k}/{n + 1})"
+                              for k in range(1, n + 1))
+            calls.clear()
+            parse_formula(f"{side} < x + 2*{side.replace('/', '/1')}")
+            counts.append(len(calls))
+        assert counts == [4, 4, 4]
 
 
 def _store_or_error(world, env):
