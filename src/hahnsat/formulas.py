@@ -177,6 +177,7 @@ class Atom:
 @dataclass(frozen=True)
 class Not:
     body: object
+    _quantified = None  # not a field: set by _has_quantifier
 
     def __str__(self):
         return f"not ({self.body})"
@@ -186,6 +187,7 @@ class Not:
 class And:
     left: object
     right: object
+    _quantified = None  # not a field: set by _has_quantifier
 
     def __str__(self):
         return f"({self.left} and {self.right})"
@@ -195,6 +197,7 @@ class And:
 class Or:
     left: object
     right: object
+    _quantified = None  # not a field: set by _has_quantifier
 
     def __str__(self):
         return f"({self.left} or {self.right})"
@@ -536,7 +539,7 @@ def _parse_factor(toks) -> tuple:
             pkind, pval, pcol = toks.next()
             if pkind != "num" or "/" in pval:
                 raise ParseError("expected an integer power", pcol)
-            power = int(pval)
+            power = _number(pval, pcol).numerator
             if power < 1:
                 raise ParseError("powers must be positive", pcol)
         return _ONE, ((val, power),), None
@@ -657,15 +660,24 @@ def eval_formula(f: Formula, env: dict, dim: Optional[int] = None,
                  values: Optional[dict] = None) -> bool:
     """Truth of f under compare_series semantics; quantifiers are eliminated
     through the group-fragment procedure first.  `values` is the model's
-    dict of term values (`_term_series`), when the caller keeps one."""
+    dict of term values (`_term_series`) when the caller keeps one;
+    otherwise one dict serves this call, so a term that several atoms share
+    is evaluated once."""
     if _has_quantifier(f):
         f = doag_qe(f)
     d = _infer_dim(f, env, dim)
-    return _eval_qf(f, env, d, values)
+    return _eval_qf(f, env, d, {} if values is None else values)
 
 
 def _has_quantifier(f: Formula) -> bool:
-    return isinstance(f, Exists) or any(map(_has_quantifier, _parts(f)))
+    """Whether f holds an `Exists`; a connective keeps its answer."""
+    if isinstance(f, (Not, And, Or)):
+        q = f._quantified
+        if q is None:
+            q = any(map(_has_quantifier, _parts(f)))
+            object.__setattr__(f, "_quantified", q)
+        return q
+    return isinstance(f, Exists)
 
 
 def _eval_qf(f: Formula, env: dict, dim: int,

@@ -12,7 +12,10 @@ Invariant of every Series: each exponent is an interned `Exp` of exactly
 strictly below `trunc` when a bound is present.  The public constructor
 (`Series(...)`, `parse_series`) normalizes outside input to it;
 arithmetic results preserve it by construction and are built through the
-trusted `Series._raw`, which does not re-check.
+trusted `Series._raw`, which does not re-check.  No series is changed
+after it is built, so `add` returns the other operand of a sum with the
+exact zero series, and `scale` by a rational multiplies the rational
+coefficients on integers.
 
 Every exponent is built by `Exp(coords)`, which keeps one object per value
 in a bounded cache: equal exponents are mostly the same object and carry a
@@ -50,6 +53,7 @@ from .errors import (
 )
 from .scalars import (
     OracleReal,
+    _q_mul,
     compare,
     format_rational,
     format_scalar,
@@ -248,22 +252,23 @@ class Series:
             if trunc is not None and not exp < trunc:
                 continue
             kept[Exp(exp)] = c
-        self._fill(kept, dim, trunc)
+        _set_dim(self, dim)
+        _set_terms(self, kept)
+        _set_trunc(self, trunc)
+        _set_hash(self, None)
+        _set_order(self, None)
 
     @classmethod
     def _raw(cls, terms: dict, dim: int, trunc: Optional[Exp] = None) -> "Series":
         """Trusted constructor for arithmetic results: `terms` already meets
         the module invariant and is owned by the new series."""
         self = object.__new__(cls)
-        self._fill(terms, dim, trunc)
-        return self
-
-    def _fill(self, terms: dict, dim: int, trunc: Optional[Exp]):
         _set_dim(self, dim)
         _set_terms(self, terms)
         _set_trunc(self, trunc)
         _set_hash(self, None)
         _set_order(self, None)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Series is immutable")
@@ -385,8 +390,13 @@ def _below(terms: dict, trunc: Exp) -> dict:
 
 
 def add(x: Series, y: Series) -> Series:
+    """x + y; a sum with the exact zero series is the other operand."""
     if x.dim != y.dim:
         raise ValueError("dimension mismatch")
+    if not x.terms and x.trunc is None:
+        return y
+    if not y.terms and y.trunc is None:
+        return x
     trunc = _min_trunc(x.trunc, y.trunc)
     out = dict(x.terms) if trunc == x.trunc else _below(x.terms, trunc)
     y_cut = trunc is not None and trunc != y.trunc
@@ -484,14 +494,18 @@ def multiply(x: Series, y: Series) -> Series:
 
 def scale(x: Series, c) -> Series:
     """Multiply by an exact scalar; the bound is unaffected.  Scaling by 0
-    gives the exact zero series and scaling by 1 gives x itself."""
+    gives the exact zero series and scaling by 1 gives x itself; a rational
+    times a rational coefficient is taken on integers (`_q_mul`)."""
     if isinstance(c, int):
         c = Fraction(c)
     if scalar_is_zero(c):
         return zero_series(x.dim)
     if scalar_is_one(c):
         return x
-    return _mapped(x, lambda coef: scalar_mul(coef, c))
+    rational = type(c) is Fraction
+    return Series._raw({e: _q_mul(a, c) if rational and type(a) is Fraction
+                        else scalar_mul(a, c) for e, a in x.terms.items()},
+                       x.dim, x.trunc)
 
 
 def with_trunc(x: Series, bound: Optional[Exp]) -> Series:

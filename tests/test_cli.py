@@ -526,6 +526,14 @@ class TestInputErrors:
         assert rc == 1 and out == ""
         assert err == "error: unexpected character '²' (column 18)\n"
 
+    def test_qe_oversized_power_is_located(self, capsys):
+        rc, out, err = run(capsys, "qe",
+                           "exists x (x < a^" + "9" * 5000 + ")")
+        assert rc == 1 and out == ""
+        assert err.startswith("error: bad rational '999")
+        assert err.endswith("' (column 17)\n")
+        assert "Exceeds the limit" not in err
+
     @pytest.mark.parametrize("argv", [
         ("realize",), ("eval", "--at", "t")])
     def test_type_file_zero_denominator_exits_one(self, capsys, tmp_path,

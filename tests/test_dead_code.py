@@ -1,5 +1,7 @@
 """Every module-level private name in the package has a reader, and so
-do every parameter of a private function and every name a module imports."""
+do every parameter of a private function and every name a module imports.
+Every public function and method has a reader in the package or the
+benchmark, or a reason on the allowlist."""
 
 import ast
 from pathlib import Path
@@ -161,3 +163,85 @@ def unoverridden_private_defaults(src: Path) -> list:
 
 def test_no_unoverridden_private_defaults():
     assert unoverridden_private_defaults(SRC) == []
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+# Public names that nothing in src/ or bench/ reads, each kept on purpose.
+UNREAD_PUBLIC_ALLOWED = {
+    "engine.CutOracle.check_monotone":
+        "the oracle's monotonicity self-check; the engine tests call it",
+    "engine.completed_partial_type":
+        "the completed type as a PartialType, a public helper the engine "
+        "tests call",
+    "engine.sequence_is_computable_in":
+        "wraps a generator of a real as a type emission; the engine tests "
+        "call it",
+    "formulas.Term.sym_dict":
+        "only tests call it since the one-pass parser; listed for deletion "
+        "with its tests moved to the dict forms",
+    "formulas.Term.lit_dict":
+        "only tests call it since the one-pass parser; listed for deletion "
+        "with its tests moved to the dict forms",
+    "formulas.Term.plus":
+        "only tests call it since the one-pass parser; listed for deletion "
+        "with its tests moved to the dict forms",
+    "formulas.formula_index":
+        "the inverse of enumerate_formulas, a public helper the tests call",
+    "scalars.set_default_precision":
+        "sets the oracle comparison budget for library callers; the scalar "
+        "tests call it",
+    "scalars.get_default_precision":
+        "reads the oracle comparison budget; the scalar tests call it",
+    "scalars.creal_approx":
+        "an OracleReal's interval at a precision, a public helper the "
+        "scalar tests call",
+    "scalars.oracle_rational":
+        "an OracleReal constructor; the scalar and tree tests call it",
+    "scalars.oracle_algebraic":
+        "an OracleReal constructor; the scalar tests call it",
+    "scalars.oracle_bits":
+        "an OracleReal constructor; the scalar, series and engine tests "
+        "call it",
+    "trees.deinterleave":
+        "the inverse of the trees' join, a public helper the tree tests call",
+    "valbasis.PseudoSequence.generated":
+        "a PseudoSequence from a term generator; the valuation tests call it",
+}
+
+
+def _public_definitions(tree: ast.Module):
+    """(qualified name, name) of each public module-level function and of
+    each public method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node.name
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def unread_public_names(src: Path, bench: Path) -> list:
+    """`module.name` for each public function or method in `src` whose name
+    nothing in `src` or `bench` reads: as a name, an attribute, an import
+    (the package's re-exports count) or a string, such as the tracer's
+    wrapped names."""
+    paths = sorted(src.glob("*.py")) + sorted(bench.glob("*.py"))
+    used = set()
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        used.update(_references(tree))
+        used.update(n.value for n in ast.walk(tree)
+                    if isinstance(n, ast.Constant) and isinstance(n.value, str))
+    return [f"{path.stem}.{qual}" for path in sorted(src.glob("*.py"))
+            for qual, name in _public_definitions(ast.parse(path.read_text()))
+            if not name.startswith("_") and name not in used]
+
+
+def test_no_unread_public_names():
+    """A public name with no reader outside tests/ is deleted or listed
+    above with its reason; a listed name that gains a reader leaves the
+    list."""
+    assert sorted(unread_public_names(SRC, BENCH)) == \
+        sorted(UNREAD_PUBLIC_ALLOWED)

@@ -174,6 +174,14 @@ class TestParsePrint:
             parse_formula(text)
         assert ei.value.column == column
 
+    def test_an_oversized_power_is_a_located_error(self):
+        # past int()'s 4300-digit limit the power token is a bad number at
+        # its column, not a bare ValueError
+        with pytest.raises(ParseError) as ei:
+            parse_formula("exists x (x < a^" + "9" * 5000 + ")")
+        assert ei.value.column == 17
+        assert "Exceeds the limit" not in str(ei.value)
+
     @pytest.mark.parametrize("text, column", [("x < a^2²", 8),
                                               ("x < 2²", 6)])
     def test_non_decimal_digit_is_an_unexpected_character(self, text,
@@ -1261,6 +1269,123 @@ class TestWalks:
 
         assert _has_quantifier(self.f)
         assert not _has_quantifier(parse_formula("not (a < x) or b = x"))
+
+
+def _reference_has_quantifier(f):
+    return isinstance(f, Exists) or any(
+        map(_reference_has_quantifier, formulas_mod._parts(f)))
+
+
+def _reference_eval_formula(f, env, dim=None):
+    """eval_formula without either memo: a fresh quantifier walk, then every
+    atom's terms evaluated on their own."""
+    if _reference_has_quantifier(f):
+        f = doag_qe(f)
+    return _eval_qf(f, env, _infer_dim(f, env, dim))
+
+
+def _nodes(f):
+    yield f
+    for g in formulas_mod._parts(f):
+        yield from _nodes(g)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001  (compared by type)
+        return type(exc)
+
+
+class TestEvaluationMemos:
+    """eval_formula keeps one term memo per call and each connective keeps
+    its quantifier flag: the verdicts are the memo-free evaluation's, and
+    the work is done once."""
+
+    @given(st.integers(0, 10**6), st.integers(1, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_c5_verdicts_match_the_reference(self, seed, dim):
+        from test_acceptance import _random_qe_formula
+
+        rng = random.Random(seed)
+        _, matrix, quantified = _random_qe_formula(rng)
+        env = {s: random_series(rng, dim, max_terms=2) for s in ("a", "b")}
+        for f in (quantified, doag_qe(quantified)):
+            assert eval_formula(f, env) == _reference_eval_formula(f, env)
+        env["x"] = random_series(rng, dim, max_terms=2)
+        assert eval_formula(matrix, env) == \
+            _reference_eval_formula(matrix, env)
+
+    @given(st.data(), st.integers(1, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_random_verdicts_match_the_reference(self, data, dim):
+        f = data.draw(_formula_strategy())
+        rng = random.Random(data.draw(st.integers(0, 10**6)))
+        env = {s: random_series(rng, dim, max_terms=2) for s in "abcx"}
+        assert _outcome(eval_formula, f, env) == \
+            _outcome(_reference_eval_formula, f, env)
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_the_stored_flag_equals_a_fresh_walk(self, data):
+        f = data.draw(_formula_strategy())
+        # f's nodes are shared by quantified and quantifier-free parents
+        parents = [Exists("w", f), Not(f), And(f, TrueF()), Or(FalseF(), f)]
+        for g in data.draw(st.permutations(parents)) + parents:
+            for node in _nodes(g):
+                assert formulas_mod._has_quantifier(node) == \
+                    _reference_has_quantifier(node)
+
+    @pytest.mark.parametrize("quantified_first", [True, False])
+    def test_a_shared_body_keeps_its_own_answer(self, quantified_first):
+        body = parse_formula("a < x and not (b < x)")
+        parents = [(Exists("x", body), True), (Or(body, TrueF()), False)]
+        for g, want in parents if quantified_first else parents[::-1]:
+            assert formulas_mod._has_quantifier(g) is want
+        assert formulas_mod._has_quantifier(body) is False
+        # a quantifier below a connective is found through it
+        assert formulas_mod._has_quantifier(
+            And(parse_formula("a < b"), Not(Exists("y", body)))) is True
+
+    def test_each_distinct_term_is_evaluated_once_per_call(self,
+                                                           monkeypatch):
+        from hahnsat.formulas import iter_atoms
+
+        cases, envs = _c5_cases()
+        eliminated = [doag_qe(quantified) for _, _, quantified in cases]
+        evaluated, looked_up = Counter(), Counter()
+        term_series = formulas_mod._term_series
+
+        def counted(t, env, dim, values=None):
+            (evaluated if values is None else looked_up)[t] += 1
+            return term_series(t, env, dim, values)
+
+        monkeypatch.setattr(formulas_mod, "_term_series", counted)
+        shared = 0
+        for qf in eliminated:
+            terms = {t for a in iter_atoms(qf) for t in (a.pos, a.neg)}
+            for env in envs[:10]:
+                evaluated.clear()
+                looked_up.clear()
+                eval_formula(qf, env)
+                assert set(evaluated) <= terms
+                assert set(evaluated.values()) <= {1}
+                shared += max(looked_up.values(), default=0) > 1
+        assert shared > 0  # some call read a term that two atoms share
+
+    def test_a_second_evaluation_walks_only_the_root(self, monkeypatch):
+        cases, envs = _c5_cases()
+        qf = next(g for g in (doag_qe(q) for _, _, q in cases)
+                  if isinstance(g, (And, Or)))
+        visits = []
+        has_quantifier = formulas_mod._has_quantifier
+        monkeypatch.setattr(formulas_mod, "_has_quantifier",
+                            lambda f: visits.append(f) or has_quantifier(f))
+        eval_formula(qf, envs[0])
+        assert len(visits) > 1
+        visits.clear()
+        eval_formula(qf, envs[1])
+        assert visits == [qf]
 
 
 class TestRationalPaths:

@@ -632,6 +632,71 @@ class TestMappedOrder:
         assert scale(x, 1) is x and scale(x, F(1)) is x
 
 
+@st.composite
+def _any_dim_series(draw, dim):
+    """A series of `dim` coordinates, exact or truncated, with rational and
+    algebraic coefficients; about one in four has no terms."""
+    terms = draw(st.just({}) | st.dictionaries(_exps(dim), _COEFF,
+                                               max_size=4))
+    return Series(terms, dim, draw(st.none() | _exps(dim)))
+
+
+def _same_dim_pairs():
+    return st.integers(1, 3).flatmap(
+        lambda d: st.tuples(_any_dim_series(d), _any_dim_series(d)))
+
+
+class TestSumFastPaths:
+    """`add` returns an operand beside the exact zero and `scale` by a
+    rational multiplies on integers: both agree with the generic sums."""
+
+    @given(_same_dim_pairs())
+    @settings(max_examples=300)
+    def test_add_matches_the_constructor_sum(self, pair):
+        x, y = pair
+        summed = dict(x.terms)
+        for e, c in y.terms.items():
+            summed[e] = scalar_add(summed[e], c) if e in summed else c
+        bounds = [b for b in (x.trunc, y.trunc) if b is not None]
+        want = Series(summed, x.dim, min(bounds) if bounds else None)
+        for got in (add(x, y), add(y, x)):
+            assert (got.terms, got.trunc) == (want.terms, want.trunc)
+            _assert_normal(got)
+
+    @given(st.integers(1, 3).flatmap(_any_dim_series))
+    def test_the_exact_zero_returns_the_other_operand(self, x):
+        zero = zero_series(x.dim)
+        assert add(zero, x) is x
+        assert add(x, zero) is (zero if x.is_zero() else x)
+
+    @given(st.integers(1, 3).flatmap(
+        lambda d: st.tuples(_any_dim_series(d), _exps(d))))
+    def test_a_bounded_zero_is_not_short_circuited(self, case):
+        x, bound = case
+        cut = Series({}, x.dim, bound)
+        for got in (add(cut, x), add(x, cut)):
+            assert got.trunc == min(b for b in (x.trunc, cut.trunc)
+                                    if b is not None)
+            assert got.terms == {e: c for e, c in x.terms.items()
+                                 if e < got.trunc}
+
+    def test_a_dimension_mismatch_with_zero_still_raises(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            add(zero_series(1), t_pow(1))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            add(t_pow(1), zero_series(1))
+
+    @given(st.integers(1, 3).flatmap(_any_dim_series),
+           st.sampled_from([F(-3), F(-1), F(1, 2), F(2), F(-5, 7), 3,
+                            SQRT2, scalar_neg(SQRT2)]))
+    def test_scale_matches_the_mapped_product(self, x, q):
+        got = scale(x, q)
+        want = series_mod._mapped(
+            x, lambda c: scalars.scalar_mul(c, F(q) if type(q) is int else q))
+        assert (got.terms, got.trunc) == (want.terms, want.trunc)
+        _assert_normal(got)
+
+
 # ---------------------------------------------------------------------------
 # interned exponents against plain tuples
 
