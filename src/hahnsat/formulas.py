@@ -65,8 +65,6 @@ from .series import (
     padded_exp,
 )
 
-RESERVED = {"and", "or", "not", "exists", "forall", "true", "false", "t"}
-
 Monomial = tuple  # tuple of (symbol, power) pairs, sorted by symbol
 CONST: Monomial = ()
 
@@ -104,27 +102,6 @@ class Term:
         s = tuple(sorted((m, q) for m, q in syms.items() if q))
         l = tuple(sorted((e, q) for e, q in lits.items() if q))
         return cls(s, l)
-
-    def sym_dict(self) -> dict:
-        return dict(self.syms)
-
-    def lit_dict(self) -> dict:
-        return dict(self.lits)
-
-    def is_zero(self) -> bool:
-        return not self.syms and not self.lits
-
-    def scaled(self, q: Fraction) -> "Term":
-        if q == 0:
-            return Term()
-        return Term.build(
-            {m: c * q for m, c in self.syms},
-            {e: c * q for e, c in self.lits},
-        )
-
-    def plus(self, other: "Term") -> "Term":
-        return Term.build(_summed(self.syms, other.syms),
-                          _summed(self.lits, other.lits))
 
     def free_symbols(self) -> set:
         out = set()
@@ -312,6 +289,7 @@ def format_formula(f: Formula) -> str:
 
 
 _KEYWORDS = {"and", "or", "not", "exists", "forall", "true", "false"}
+RESERVED = _KEYWORDS | {"t"}
 
 
 class _Tokens:
@@ -593,7 +571,9 @@ def _term_series(t: Term, env: dict, dim: int,
                  values: Optional[dict] = None) -> Series:
     """The series of t in the model of env and dim.  `values` is that
     model's dict of term values: a term found there is not evaluated again,
-    and one evaluated is kept there."""
+    and one evaluated is kept there.  A power is taken by repeated squaring;
+    a multi-term value's power keeps the exact support of the repeated
+    product, which grows with the power."""
     if values is not None:
         x = values.get(t)
         if x is None:
@@ -611,8 +591,12 @@ def _term_series(t: Term, env: dict, dim: int,
         for s, p in m:
             if s not in env:
                 raise KeyError(f"symbol {s!r} is not bound")
-            for _ in range(p):
-                acc = env[s] if acc is None else series_multiply(acc, env[s])
+            x = env[s]
+            while p:  # acc times x^p, by repeated squaring
+                if p & 1:
+                    acc = x if acc is None else series_multiply(acc, x)
+                p >>= 1
+                x = series_multiply(x, x) if p else x
         pairs.append((q, acc))
     return linear_combination(
         pairs, dim, {padded_exp(e, dim): q for e, q in t.lits})
@@ -1173,10 +1157,7 @@ class CompiledFragment:
         return self.entries[:n]
 
 
-@cache
-def compiled_fragment(sig: Signature, var: str) -> CompiledFragment:
-    """sig's fragment compiled for `var`, one per process."""
-    return CompiledFragment(sig, var)
+compiled_fragment = cache(CompiledFragment)  # one per (sig, var) and process
 
 
 def enumerate_formulas(i: int, sig: Signature) -> Formula:

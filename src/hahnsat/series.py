@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from functools import total_ordering
 from math import inf
 from typing import Optional
 
@@ -144,33 +145,12 @@ _EXPS: dict = {}
 _TABLE_MAX = 4096
 
 
+@total_ordering
 class _Infinity:
     """Valuation of the zero series; greater than every exponent."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __lt__(self, other):
         return False
-
-    def __le__(self, other):
-        return other is self
-
-    def __gt__(self, other):
-        return other is not self
-
-    def __ge__(self, other):
-        return True
-
-    def __eq__(self, other):
-        return other is self
-
-    def __hash__(self):
-        return hash("hahnsat-infinity")
 
     def __repr__(self):
         return "INFINITY"
@@ -433,12 +413,10 @@ def linear_combination(pairs, dim: int, terms: Optional[dict] = None) -> Series:
     if trunc is not None and out:
         out = _below(out, trunc)
     for q, g in pairs:
-        unit = scalar_is_one(q)
         for e, c in g.terms.items():
             if trunc is not None and not e < trunc:
                 continue
-            if not unit:
-                c = scalar_mul(c, q)
+            c = scalar_mul(c, q)
             prev = out.get(e)
             if prev is None:
                 out[e] = c

@@ -177,15 +177,6 @@ UNREAD_PUBLIC_ALLOWED = {
     "engine.sequence_is_computable_in":
         "wraps a generator of a real as a type emission; the engine tests "
         "call it",
-    "formulas.Term.sym_dict":
-        "only tests call it since the one-pass parser; listed for deletion "
-        "with its tests moved to the dict forms",
-    "formulas.Term.lit_dict":
-        "only tests call it since the one-pass parser; listed for deletion "
-        "with its tests moved to the dict forms",
-    "formulas.Term.plus":
-        "only tests call it since the one-pass parser; listed for deletion "
-        "with its tests moved to the dict forms",
     "formulas.formula_index":
         "the inverse of enumerate_formulas, a public helper the tests call",
     "scalars.set_default_precision":

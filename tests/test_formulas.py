@@ -3,6 +3,7 @@ elimination, cut extraction, and the atomic-fragment enumeration."""
 
 import math
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
@@ -49,16 +50,31 @@ from hahnsat.scalars import parse_rational
 from hahnsat.series import (
     compare_series,
     format_series,
+    make_exp,
     monomial,
     parse_series,
+    with_trunc,
     zero_series,
 )
+from hahnsat.series import multiply as series_multiply
 
 from conftest import random_series
 
 
 def roundtrip(text: str) -> str:
     return format_formula(parse_formula(text))
+
+
+def _plus(a: Term, b: Term) -> Term:
+    """a + b."""
+    return Term.build(formulas_mod._summed(a.syms, b.syms),
+                      formulas_mod._summed(a.lits, b.lits))
+
+
+def _scaled(a: Term, q: Fraction) -> Term:
+    """q * a."""
+    return Term.build({m: c * q for m, c in a.syms},
+                      {e: c * q for e, c in a.lits})
 
 
 class TestParsePrint:
@@ -251,7 +267,7 @@ def _formula_strategy():
     def term_of(items):
         acc = Term()
         for s, q in items:
-            acc = acc.plus(Term.build({((s, 1),): q}, {}))
+            acc = _plus(acc, Term.build({((s, 1),): q}, {}))
         return acc
 
     atoms = st.tuples(
@@ -538,9 +554,9 @@ def _reference_cut_bounds(constraints, env, var="x", dim=2):
 
 def _reference_solve_for(a, var):
     """_solve_for as a Term round trip, before it read the canonical sides
-    directly: pos - neg is built with plus/scaled, then rest/coeff."""
-    diff = a.pos.plus(a.neg.scaled(Fraction(-1)))
-    syms = diff.sym_dict()
+    directly: pos - neg is built with _plus/_scaled, then rest/coeff."""
+    diff = _plus(a.pos, _scaled(a.neg, Fraction(-1)))
+    syms = dict(diff.syms)
     coeff = syms.pop(((var, 1),), None)
     for m in syms:
         if _nonlinear(m, var):
@@ -548,8 +564,8 @@ def _reference_solve_for(a, var):
                 f"atom is not linear in {var}: {_format_mono(m)}")
     if coeff is None:
         return None
-    rest = Term.build(syms, diff.lit_dict())
-    return coeff, rest.scaled(Fraction(-1) / coeff)
+    rest = Term.build(syms, dict(diff.lits))
+    return coeff, _scaled(rest, Fraction(-1) / coeff)
 
 
 class TestSolveFor:
@@ -589,7 +605,7 @@ class TestSolveFor:
             seen[kind, a.rel] += 1
             if kind == "solved":
                 seen["literal"] += bool(want[1].lits)
-                seen["constant"] += CONST in want[1].sym_dict()
+                seen["constant"] += CONST in dict(want[1].syms)
         assert min(seen[k, r] for k in ("nonlinear", "absent", "solved")
                    for r in "<=") > 0
         assert seen["literal"] and seen["constant"]
@@ -597,22 +613,22 @@ class TestSolveFor:
 
 def _reference_make_atom(rel, left, right):
     """make_atom through Term arithmetic, before it subtracted and scaled
-    the sides on integers: left - right by plus/scaled, then scaled by
+    the sides on integers: left - right by _plus/_scaled, then scaled by
     lcm/gcd as a Fraction."""
     if rel == ">":
         rel, left, right = "<", right, left
-    diff = left.plus(right.scaled(Fraction(-1)))
-    if diff.is_zero():
+    diff = _plus(left, _scaled(right, Fraction(-1)))
+    if diff == Term():
         return TrueF() if rel == "=" else FalseF()
     if not diff.lits and all(m == CONST for m, _ in diff.syms):
-        c = diff.sym_dict()[CONST]
+        c = dict(diff.syms)[CONST]
         if rel == "=":
             return TrueF() if c == 0 else FalseF()
         return TrueF() if c < 0 else FalseF()
     coeffs = [q for _, q in diff.syms + diff.lits]
     lcm = math.lcm(*(q.denominator for q in coeffs))
     g = math.gcd(*(q.numerator * (lcm // q.denominator) for q in coeffs))
-    diff = diff.scaled(Fraction(lcm, g))
+    diff = _scaled(diff, Fraction(lcm, g))
     pos_s, neg_s, pos_l, neg_l = {}, {}, {}, {}
     for m, q in diff.syms:
         (pos_s if q > 0 else neg_s)[m] = abs(q)
@@ -628,9 +644,9 @@ def _reference_times(a, b):
     a_const = not a.lits and all(m == CONST for m, _ in a.syms)
     b_const = not b.lits and all(m == CONST for m, _ in b.syms)
     if a_const:
-        return b.scaled(a.sym_dict().get(CONST, Fraction(0)))
+        return _scaled(b, dict(a.syms).get(CONST, Fraction(0)))
     if b_const:
-        return a.scaled(b.sym_dict().get(CONST, Fraction(0)))
+        return _scaled(a, dict(b.syms).get(CONST, Fraction(0)))
     if a.lits or b.lits:
         raise ParseError("literal t-powers may only be scaled or added", 1)
     return Term.build(formulas_mod._summed(
@@ -697,8 +713,8 @@ def _reference_term(toks):
                 sign = -sign
         product = formulas_mod._parse_chain(toks, "*", _reference_factor,
                                             _reference_times)
-        products.append(product.scaled(sign))
-    return reduce(Term.plus, products)
+        products.append(_scaled(product, sign))
+    return reduce(_plus, products)
 
 
 def _reference_atom(toks):
@@ -713,7 +729,7 @@ def _reference_atom(toks):
 def _reference_parse_formula(text):
     """parse_formula with the term layer it had before terms were read in
     one pass: a Term per factor and per product, products folded by
-    Term.plus, numbers read by parse_rational, and _reference_make_atom."""
+    _plus, numbers read by parse_rational, and _reference_make_atom."""
     with patch.object(formulas_mod, "_parse_atom", _reference_atom):
         return parse_formula(text)
 
@@ -858,6 +874,94 @@ class TestParserAgainstReference:
             parse_formula(f"{side} < x + 2*{side.replace('/', '/1')}")
             counts.append(len(calls))
         assert counts == [4, 4, 4]
+
+
+class TestParserBoundary:
+    """User text raises nothing but a ParseError with a column >= 1:
+    seeded formula texts, series literals and type files, mutated and with
+    characters from outside ASCII inserted (digits that `int` reads or
+    not, a fraction, a numeral letter, fullwidth and mathematical digits,
+    spaces, a line separator and a combining mark)."""
+
+    POOL = ("\u00b2", "\u0663", "\u00bd", "\u2167", "\U0001d7ce", "\uff11",
+            "\u00a0", "\u2028", "\u0301")
+    SERIES = ("alg[-2,0,1;1,2]*t + 1", "3 - alg[-3,0,1;1,2]*t^(1/2)",
+              "t^(1,-2) + 5/3*t^(0,1)", "-t^-1 + t^(1/2, 1, 2)", "0")
+    GENERATORS = ("generator beta g1 g2", "generator immediate-tail",
+                  "generator scalar_cut alg[-2,0,1;1,2] g1")
+
+    def _spliced(self, rng, text):
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(text) + 1)
+            text = text[:i] + rng.choice(self.POOL) + text[i:]
+        return text
+
+    def _variants(self, rng, text):
+        return (text, self._spliced(rng, text),
+                self._spliced(rng, _malformed(rng, text)))
+
+    def _located(self, call, text):
+        try:
+            call(text)
+        except ParseError as e:
+            assert type(e.column) is int and e.column >= 1, (text, e.column)
+            return True
+        except Exception as e:  # noqa: BLE001 - the property under test
+            pytest.fail(f"{type(e).__name__} on {text!r}: {e}")
+        return False
+
+    def test_formula_texts(self):
+        rng = random.Random(32)
+        errors = Counter()
+        for _ in range(250):
+            for text in self._variants(rng, _corpus_text(rng)):
+                errors[self._located(parse_formula, text)] += 1
+        assert errors[True] > 300 and errors[False] > 150
+
+    def test_series_literals(self):
+        rng = random.Random(33)
+        texts = [format_series(random_series(rng, rng.randint(1, 3)))
+                 for _ in range(150)]
+        texts += [rng.choice(self.SERIES[2:]) for _ in range(30)]
+        texts += self.SERIES[:2]  # each alg[ literal factors through sympy
+        errors = Counter()
+        for text in texts:
+            for variant in self._variants(rng, text):
+                for dim in (1, 2, 3):
+                    errors[self._located(
+                        lambda t: parse_series(t, dim), variant)] += 1
+        assert errors[True] > 500 and errors[False] > 200
+
+    def test_type_files(self, tmp_path):
+        from hahnsat import cli
+
+        rng = random.Random(34)
+        path = tmp_path / "fuzz.type"
+
+        def load(text):
+            path.write_text(text, encoding="utf-8")
+            cli.load_type_file(str(path), 2)
+
+        errors = Counter()
+        for _ in range(150):
+            lines = [f"param {name} = "
+                     + format_series(random_series(rng, 2, allow_zero=False))
+                     for name in ("a", "b", "g1", "g2")]
+            if rng.random() < 0.3:
+                lines.append(f"formula {_corpus_text(rng)}")
+            lines += [f"formula {rng.randint(1, 5)}*x {rng.choice('<>=')} "
+                      f"{rng.choice(('a', 'g1 - b', '1/2*g2'))} + t^(1/2)"
+                      for _ in range(rng.randint(0, 3))]
+            if rng.random() < 0.3:
+                lines.append(rng.choice(self.GENERATORS[:2]))
+            rng.shuffle(lines)
+            text = "\n".join(["# seeded"] + lines) + "\n"
+            if rng.random() < 0.6:
+                text = self._spliced(rng, _malformed(rng, text))
+            errors[self._located(load, text)] += 1
+        scalar_cut = f"param g1 = t\n{self.GENERATORS[2]}\n"
+        errors[self._located(load, scalar_cut)] += 1
+        assert errors[True] > 50 and errors[False] > 20
 
 
 def _store_or_error(world, env):
@@ -1414,7 +1518,7 @@ class TestRationalPaths:
                           for k in range(1, 17))
         a = parse_formula(f"{lits} + 2 < x")
         side = a.pos if a.pos.lits else a.neg
-        assert len(side.lits) == 16 and side.sym_dict()[CONST]
+        assert len(side.lits) == 16 and dict(side.syms)[CONST]
         want = _term_series(side, {}, 3)
         calls = []
         make_exp = series_mod.make_exp
@@ -1423,3 +1527,41 @@ class TestRationalPaths:
                 args) or make_exp(*args), raising=False)
         assert _term_series(side, {}, 3) == want
         assert calls == []
+
+
+class TestSymbolPowers:
+    """_term_series raises a symbol to its power by repeated squaring."""
+
+    def test_a_ten_digit_power_is_fast(self):
+        p = 10 ** 9
+        f = parse_formula(f"g1^{p} < x")
+        env = {"g1": parse_series("t", 1), "x": parse_series("1", 1)}
+        term = Term.build({(("g1", p),): Fraction(1)}, {})
+        start = time.perf_counter()
+        assert eval_formula(f, env)
+        got = _term_series(term, env, 1)
+        assert time.perf_counter() - start < 1
+        assert format_series(got) == f"t^({p})"
+
+    @pytest.mark.parametrize("bounded", [False, True])
+    def test_squared_power_equals_the_repeated_product(self, bounded):
+        rng = random.Random(35 + bounded)
+        multi = 0
+        for p in range(1, 13):
+            for _ in range(5):
+                dim = rng.randint(1, 3)
+                env = {}
+                for name in ("g1", "g2"):
+                    x = random_series(rng, dim, 3 + bounded,
+                                      allow_zero=not bounded)
+                    if bounded:  # above the least term, or above all
+                        x = with_trunc(x, rng.choice(
+                            sorted(x.terms)[1:] + [make_exp([4], dim)]))
+                    env[name] = x
+                multi += len(env["g1"].terms) > 1
+                r = rng.randint(1, 3)
+                term = Term.build({(("g1", p), ("g2", r)): Fraction(1)}, {})
+                want = reduce(series_multiply,
+                              [env["g1"]] * p + [env["g2"]] * r)
+                assert _term_series(term, env, dim) == want, (p, r, env)
+        assert multi > 20
