@@ -13,6 +13,7 @@ All conclusions are budget-relative and reported as such.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cache
@@ -44,12 +45,13 @@ from .formulas import (
 )
 from .scalars import (
     OracleReal,
+    _fraction,
+    _make_algebraic,
     _nullspace_of_rows,
     format_scalar,
     isolate_real_roots,
     rational_height,
     compare,
-    real_algebraic,
     simplest_between,
 )
 from .series import (
@@ -58,6 +60,7 @@ from .series import (
     _first_difference,
     _format_exp,
     add,
+    add_scaled,
     compare_series,
     diff_valuation,
     exp_add,
@@ -316,28 +319,26 @@ def _resolve_level(oracle: CutOracle, state: _ClassifyState, u: Series,
 
         # this round's d0: a returned bisection oracle keeps probing with it
         def at(q: Fraction) -> Series:
-            return add(d0, scale(u, q)) if q else d0
+            return add_scaled(d0, u, q)
 
         def probe(q: Fraction) -> Side:
             return oracle.side(at(q))
 
         # exponential scan in the working direction until the side flips
-        hi_q = None
         for j in range(pb + 1):
-            q = Fraction(direction * 2 ** j)
+            q = _fraction(direction << j, 1)
             s = probe(q)
             if s == Side.EQUAL:
                 return Realized(at(q))
             if s != _effective_side(direction):
-                hi_q = q
                 break
-        if hi_q is None:
+        else:
             state.cap_level(gamma)
             return None
-        lo_q = Fraction(0) if abs(hi_q) == 1 else hi_q / 2
         # orient as a real interval: below-side endpoint first, then bisect
         # to the precision budget; a probe testing EQUAL closes the interval
-        lo, hi = (lo_q, hi_q) if direction > 0 else (hi_q, lo_q)
+        near = direction << (j - 1) if j else 0
+        lo, hi = (near, q) if direction > 0 else (q, near)
         lo, hi = _bisection_oracle(probe, lo, hi).interval(pb)
         if lo == hi:
             return Realized(at(lo))
@@ -382,74 +383,137 @@ def _pick_candidate(lo: Fraction, hi: Fraction):
     """Minimal-height value in [lo, hi]: the first of lo, hi and the
     simplest rational strictly inside that has the least height, unless an
     irrational root of an integer polynomial of degree 2-3 has lower height
-    still (scanned by height, degree, then coefficient order)."""
+    still (scanned by height, degree, then coefficient order).
+
+    Only polynomials without a rational root are tried: at degree <= 3
+    they are the irreducible ones, so each root is built without
+    factoring.  A multiple of an earlier polynomial (a common factor, or
+    the negation of one that comes first in sorted order, c0 < 0) has its
+    roots and cells, so its roots would fail as the earlier ones did."""
     best = min((lo, hi, simplest_between(lo, hi)), key=rational_height)
-
-    # p(a/b) has the sign of b^d * p(a/b) = sum c_i * a^i * b^(d-i) (b > 0),
-    # so the sign-change filter runs on integer dot products
-    def weights(x: Fraction, degree: int):
-        a, b = x.numerator, x.denominator
-        return [a ** i * b ** (degree - i) for i in range(degree + 1)]
-
-    def sign_changes(height: int, degree: int) -> list:
-        """The tuples (c0, ..., cd) of height exactly `height` with cd != 0
-        and at_lo * at_hi <= 0, in `product` order.  at(c0) = c0 * w[0] + r
-        rises with c0 (w[0] = b^d > 0), so the product is <= 0 exactly for
-        c0 between the zeros -r_lo / w_lo[0] and -r_hi / w_hi[0]."""
-        w_lo, w_hi = weights(lo, degree), weights(hi, degree)
-        span = range(-height, height + 1)
-        linear = [(c1, c1 * w_lo[1], c1 * w_hi[1]) for c1 in span]
-        found = []
-        for tail in product(span, repeat=degree - 1):  # (c2, ..., cd)
-            if tail[-1] == 0:
-                continue
-            tail_lo = sum(c * w for c, w in zip(tail, w_lo[2:]))
-            tail_hi = sum(c * w for c, w in zip(tail, w_hi[2:]))
-            tail_height = max(abs(c) for c in tail)
-            for c1, one_lo, one_hi in linear:
-                r_lo, r_hi = tail_lo + one_lo, tail_hi + one_hi
-                first = max(-height,
-                            min(-(r_lo // w_lo[0]), -(r_hi // w_hi[0])))
-                last = min(height, max(-r_lo // w_lo[0], -r_hi // w_hi[0]))
-                if first > last:
-                    continue
-                if abs(c1) == height or tail_height == height:
-                    found.extend((c0, c1) + tail
-                                 for c0 in range(first, last + 1))
-                else:  # (c1, ..., cd) inside the shell: only c0 = ±height
-                    found.extend((c0, c1) + tail for c0 in (-height, height)
-                                 if first <= c0 <= last)
-        return sorted(found)
-
     cap = min(_ALG_HEIGHT_CAP, rational_height(best) - 1)
-    for height in range(1, cap + 1):
-        for degree in (2, 3):
-            for coeffs in sign_changes(height, degree):
+    searches = [_sign_changes(lo, hi, degree, cap) for degree in (2, 3)]
+    for _ in range(cap):  # heights 1, ..., cap
+        for search in searches:
+            for coeffs in next(search):
+                if coeffs[0] > 0 or math.gcd(*coeffs) > 1 or \
+                        _has_rational_root(coeffs):
+                    continue
+                primitive = coeffs if coeffs[-1] > 0 else \
+                    tuple(-c for c in coeffs)
                 for cell_lo, cell_hi in isolate_real_roots(list(coeffs)):
-                    root = real_algebraic(list(coeffs), cell_lo, cell_hi)
-                    if isinstance(root, Fraction):
-                        continue  # rational roots belong to the rational lane
+                    root = _make_algebraic(primitive, cell_lo, cell_hi)
                     if _inside_after_refining(root, lo, hi):
                         return root
     return best
 
 
-def _bisection_oracle(probe, lo: Fraction, hi: Fraction) -> OracleReal:
-    state = {"lo": lo, "hi": hi}
+def _weights(x: Fraction, degree: int) -> list:
+    a, b = x.numerator, x.denominator
+    return [a ** i * b ** (degree - i) for i in range(degree + 1)]
+
+
+def _shell(height: int, length: int):
+    """The integer tuples of `length` entries, the last one nonzero, whose
+    largest |entry| is exactly `height`: over heights 1, 2, ... each tuple
+    of a box once.  Split by the first entry of absolute value `height`:
+    the entries before it are smaller, those after it anything."""
+    smaller, span = range(1 - height, height), range(-height, height + 1)
+    for k in range(length):
+        for head in product(smaller, repeat=k):
+            for edge in (-height, height):
+                for rest in product(span, repeat=length - k - 1):
+                    if rest[-1] if rest else edge:
+                        yield head + (edge,) + rest
+
+
+def _sign_changes(lo: Fraction, hi: Fraction, degree: int, cap: int):
+    """For height 1, ..., cap in turn, the tuples (c0, ..., cd) of exactly
+    that height with cd != 0 and p(lo) * p(hi) < 0, sorted (`product`
+    order).  A p with p(lo) = 0 or p(hi) = 0 has a rational root, so the
+    candidate search would skip it anyway.
+
+    p(a/b) has the sign of b^d * p(a/b) = sum c_i * a^i * b^(d-i) (b > 0),
+    so the test runs on integer dot products.  at(c0) = c0 * w[0] - s
+    rises with c0 (w[0] = b^d > 0), so the product is < 0 exactly for c0
+    strictly between the zeros s_lo / w_lo[0] and s_hi / w_hi[0]; when
+    their floors agree there is none.  Each (c1, ..., cd) is visited once,
+    at its own height h: its c0 range gives the tuples of height h, and
+    files each c0 with h < |c0| <= cap under height |c0|.  Each tail (c2,
+    ..., cd) is summed once, and meets every c1 at its own height and
+    c1 = +-h at each later height h."""
+    w_lo, w_hi = _weights(lo, degree), _weights(hi, degree)
+    wl, wh = w_lo[0], w_hi[0]
+    later: dict = {}  # height -> tuples filed there by lower heights
+    tails: list = []  # (tail, -its dot products) of the heights done
+    for height in range(1, cap + 1):
+        fresh = [(tail, -sum(map(operator.mul, tail, w_lo[2:])),
+                  -sum(map(operator.mul, tail, w_hi[2:])))
+                 for tail in _shell(height, degree - 1)]
+        found = later.pop(height, [])
+        for group, c1s in ((fresh, range(-height, height + 1)),
+                           (tails, (-height, height))):
+            ones = [(c1, -c1 * w_lo[1], -c1 * w_hi[1]) for c1 in c1s]
+            for tail, tail_lo, tail_hi in group:
+                for c1, one_lo, one_hi in ones:
+                    s_lo, s_hi = tail_lo + one_lo, tail_hi + one_hi
+                    f_lo, f_hi = s_lo // wl, s_hi // wh
+                    if f_lo == f_hi:
+                        continue
+                    # from past the lesser zero to before the greater one
+                    first = max(-cap, min(f_lo, f_hi) + 1)
+                    last = min(cap, max((s_lo - 1) // wl, (s_hi - 1) // wh))
+                    for c0 in range(first, last + 1):
+                        if -height <= c0 <= height:
+                            found.append((c0, c1) + tail)
+                        else:
+                            later.setdefault(abs(c0), []).append(
+                                (c0, c1) + tail)
+        tails += fresh
+        yield sorted(found)
+
+
+def _has_rational_root(coeffs: tuple) -> bool:
+    """Whether the integer polynomial (ascending, cd != 0) has a rational
+    root: p/q in lowest terms has p | c0 and q | cd (rational root
+    theorem)."""
+    c0, cd, d = coeffs[0], coeffs[-1], len(coeffs) - 1
+    return not c0 or any(
+        sum(c * p ** i * q ** (d - i) for i, c in enumerate(coeffs)) == 0
+        for p in range(-abs(c0), abs(c0) + 1) if p and c0 % p == 0
+        for q in range(1, abs(cd) + 1) if cd % q == 0)
+
+
+def _bisection_oracle(probe, lo, hi) -> OracleReal:
+    """The real in [lo, hi] (rationals) that `probe` places, bisected on
+    demand.  The interval is kept as integer numerators over one
+    denominator, which doubles at each step, and each midpoint's Fraction
+    is built once, for its probe; a probe testing EQUAL closes the
+    interval there."""
+    den = math.lcm(lo.denominator, hi.denominator)
+    state = [lo.numerator * (den // lo.denominator),
+             hi.numerator * (den // hi.denominator), den]
 
     def approx(n: int):
-        while state["hi"] - state["lo"] > Fraction(1, 2 ** n):
-            mid = (state["lo"] + state["hi"]) / 2
-            s = probe(mid)
+        a, b, den = state
+        while (b - a) << n > den:  # wider than 2^-n
+            mid, a, b, den = a + b, a << 1, b << 1, den << 1
+            s = probe(_ratio(mid, den))
             if s == Side.BELOW:
-                state["lo"] = mid
+                a = mid
             elif s == Side.ABOVE:
-                state["hi"] = mid
+                b = mid
             else:
-                state["lo"] = state["hi"] = mid
-        return state["lo"], state["hi"]
+                a = b = mid
+        state[:] = a, b, den
+        return _ratio(a, den), _ratio(b, den)
 
     return OracleReal(approx, name="residue")
+
+
+def _ratio(n: int, den: int) -> Fraction:
+    g = math.gcd(n, den)
+    return _fraction(n // g, den // g)
 
 
 @dataclass
@@ -565,7 +629,8 @@ def _adopt_from_enum(oracle: CutOracle, state: _ClassifyState, known: list,
     """Adopt enumerated elements strictly beyond d0 on its own side whose
     difference valuation improves the achieved level, certified by a
     coefficient-scaled straddle probe."""
-    big = Fraction(2 ** budgets.precision_budget)
+    big = _fraction(1 << budgets.precision_budget, 1)
+    minus_big = -big
     while True:
         candidates = []
         mine = _effective_side(state.direction)
@@ -587,10 +652,10 @@ def _adopt_from_enum(oracle: CutOracle, state: _ClassifyState, known: list,
         candidates.sort(key=lambda c: (c[0], c[1]))
         for gamma, _, e in candidates:
             probe_unit = monomial(gamma, 1, e.dim)
-            lo = oracle.side(subtract(e, scale(probe_unit, big)))
+            lo = oracle.side(add_scaled(e, probe_unit, minus_big))
             if lo == Side.EQUAL:
                 return
-            hi = oracle.side(add(e, scale(probe_unit, big)))
+            hi = oracle.side(add_scaled(e, probe_unit, big))
             if hi == Side.EQUAL:
                 return
             if lo == Side.BELOW and hi == Side.ABOVE:
@@ -661,7 +726,7 @@ def _scan_levels(oracle: CutOracle, state: _ClassifyState, grid: list,
 def _stable_conclusion(state: _ClassifyState, grid: list, oracle: CutOracle):
     lower = state.achieved
     upper = state.window_hi
-    _, gamma_hi, _ = _observed_bounds(oracle, state)
+    gamma_lo, gamma_hi, _ = _observed_bounds(oracle, state)
     if gamma_hi is not None and (upper is None or gamma_hi < upper):
         upper = gamma_hi  # an unadopted same-side element caps the gap
     if lower is not None and upper is not None:
@@ -675,7 +740,16 @@ def _stable_conclusion(state: _ClassifyState, grid: list, oracle: CutOracle):
             raise BudgetExhausted(
                 f"stable cut with unresolved grid level {_format_exp(gamma)}",
                 stage="classify")
-    return GroupTranscendental(state.d0, lower, upper, state.direction)
+    cls = GroupTranscendental(state.d0, lower, upper, state.direction)
+    if gamma_lo is None or (lower is not None and not lower < gamma_lo):
+        return cls
+    try:
+        _verify_against_log(_gap_witness(cls), oracle)
+    except OracleFailure:
+        # the witness sits on a logged element of the opposite side, whose
+        # level bounds the gap from below too (a literal outside the span)
+        cls = GroupTranscendental(state.d0, gamma_lo, upper, state.direction)
+    return cls
 
 
 def _field_rank_guard(state: _ClassifyState, basis: SpanBasis):
@@ -713,13 +787,17 @@ def realize_cut_group(cls: object, oracle: CutOracle,
     if isinstance(cls, ResidueTranscendental):
         witness = _install_residue(cls)
     elif isinstance(cls, GroupTranscendental):
-        witness = add(cls.d0, monomial(_gap_exponent(cls.lower, cls.upper),
-                                       cls.direction, basis.generators[0].dim))
+        witness = _gap_witness(cls)
     else:
         raise ValueError(
             "group cuts have finite rank: no immediate-transcendental case")
     _verify_against_log(witness, oracle)
     return witness
+
+
+def _gap_witness(cls: GroupTranscendental) -> Series:
+    return add(cls.d0, monomial(_gap_exponent(cls.lower, cls.upper),
+                                cls.direction, cls.d0.dim))
 
 
 def realize_cut_field(cls: object, oracle: CutOracle,
@@ -744,7 +822,7 @@ def _install_residue(cls: ResidueTranscendental) -> Series:
             "residue was not certified within the candidate rounds; "
             "raise the candidate budget to pin it to an exact scalar",
             stage="realize")
-    return add(cls.d0, scale(cls.scale, cls.residue))
+    return add_scaled(cls.d0, cls.scale, cls.residue)
 
 
 def _realize_residue_field(cls: ResidueTranscendental, oracle: CutOracle,

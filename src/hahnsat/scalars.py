@@ -279,8 +279,9 @@ _new_object = object.__new__
 def _fraction(n: int, d: int) -> Fraction:
     """Trusted constructor of n/d, for coprime n and d > 0 (zero is 0/1).
 
-    Only the rational kernels below call it: any other pair would break
-    `==` and `hash`."""
+    The rational kernels below and the engine's digit scan and bisection,
+    which pass integers or gcd-reduced pairs, call it: any other pair would
+    break `==` and `hash`."""
     q = _new_object(Fraction)
     q._numerator = n
     q._denominator = d

@@ -15,7 +15,10 @@ arithmetic results preserve it by construction and are built through the
 trusted `Series._raw`, which does not re-check.  No series is changed
 after it is built, so `add` returns the other operand of a sum with the
 exact zero series, and `scale` by a rational multiplies the rational
-coefficients on integers.
+coefficients on integers.  `Series._raw` also takes a result's kept
+order when the builder already has it: `add_scaled`, which builds the
+engine's probes d + q*u, places the scaled terms of u into the kept order
+of d instead of scaling a copy, adding it and sorting again.
 
 Every exponent is built by `Exp(coords)`, which keeps one object per value
 in a bounded cache: equal exponents are mostly the same object and carry a
@@ -41,6 +44,7 @@ comparisons.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from fractions import Fraction
 from functools import total_ordering
 from math import inf
@@ -239,15 +243,17 @@ class Series:
         _set_order(self, None)
 
     @classmethod
-    def _raw(cls, terms: dict, dim: int, trunc: Optional[Exp] = None) -> "Series":
+    def _raw(cls, terms: dict, dim: int, trunc: Optional[Exp] = None,
+             order: Optional[tuple] = None) -> "Series":
         """Trusted constructor for arithmetic results: `terms` already meets
-        the module invariant and is owned by the new series."""
+        the module invariant and is owned by the new series; `order`, when
+        given, is its `sorted_terms()`."""
         self = object.__new__(cls)
         _set_dim(self, dim)
         _set_terms(self, terms)
         _set_trunc(self, trunc)
         _set_hash(self, None)
-        _set_order(self, None)
+        _set_order(self, order)
         return self
 
     def __setattr__(self, name, value):
@@ -484,6 +490,46 @@ def scale(x: Series, c) -> Series:
     return Series._raw({e: _q_mul(a, c) if rational and type(a) is Fraction
                         else scalar_mul(a, c) for e, a in x.terms.items()},
                        x.dim, x.trunc)
+
+
+def add_scaled(x: Series, y: Series, c) -> Series:
+    """add(x, scale(y, c)) for an exact scalar c, keeping its order: each
+    term of y, scaled as `scale` scales it, is placed into the kept order
+    of x (`sorted_terms`) by bisection, or added to an equal exponent's
+    coefficient and dropped when that cancels.  The result keeps that
+    order, so no scaled copy is built and nothing is sorted again.  An
+    operand with a bound takes `add`'s own path."""
+    if x.trunc is not None or y.trunc is not None:
+        return add(x, scale(y, c))
+    if x.dim != y.dim:
+        raise ValueError("dimension mismatch")
+    if isinstance(c, int):
+        c = Fraction(c)
+    if scalar_is_zero(c) or not y.terms:
+        return x
+    if not x.terms:
+        return scale(y, c)
+    one, rational = scalar_is_one(c), type(c) is Fraction
+    terms, order = dict(x.terms), list(x.sorted_terms())
+    ys = y.sorted_terms()
+    k = 0
+    for j in range(0, len(ys), 2):
+        e, a = ys[j], ys[j + 1]
+        if not one:
+            a = _q_mul(a, c) if rational and type(a) is Fraction \
+                else scalar_mul(a, c)
+        k += 2 * bisect_left(range(k, len(order), 2), e._key,
+                             key=lambda i: order[i]._key)
+        if k < len(order) and order[k] == e:
+            e, a = order[k], scalar_add(order[k + 1], a)
+            if scalar_is_zero(a):
+                del terms[e], order[k:k + 2]
+                continue
+            order[k + 1] = a
+        else:
+            order[k:k] = e, a
+        terms[e] = a
+    return Series._raw(terms, x.dim, None, tuple(order))
 
 
 def with_trunc(x: Series, bound: Optional[Exp]) -> Series:

@@ -7,7 +7,7 @@ import pytest
 from hahnsat.cli import load_type_file, main
 from hahnsat.engine import Budgets, realize_type
 from hahnsat.errors import (BudgetExhausted, NotFinitelySatisfiable,
-                            OracleFailure, ParseError)
+                            ParseError)
 from hahnsat.formulas import eval_formula, format_formula
 from hahnsat.series import parse_series
 from test_acceptance import _generated_type
@@ -286,11 +286,6 @@ class TestExitCodes:
         assert outs[0][0] == 0
         assert outs[0] == outs[1]
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "known crash: the algebraic candidate search hands a reducible "
-        "polynomial to real_algebraic ('interval isolates 2 roots, need "
-        "exactly 1'); ROADMAP item 4 is its fix, and item 3's seeded "
-        "corpus covers it"))
     def test_residue_at_finer_precision_exits_with_a_documented_code(
             self, capsys):
         rc, _, err = run(capsys, "realize",
@@ -306,10 +301,6 @@ class TestExitCodes:
         p.write_text("param g1 = t^(3/2)\nformula -1 < x\n")
         return str(p)
 
-    @pytest.mark.xfail(strict=True, raises=OracleFailure, reason=(
-        "known crash, ROADMAP item 2: group mode builds its grid from the "
-        "parameters alone, so the witness lands on the literal bound -1 "
-        "and verification raises 'witness contradicts BELOW query -1'"))
     def test_group_mode_realizes_a_literal_outside_the_span(
             self, capsys, literal_outside_span):
         rc, out, err = run(capsys, "realize", literal_outside_span)
@@ -585,8 +576,8 @@ class TestInputErrors:
 class TestBudgetSweep:
     """Within its budgets every fixture realizes with all checks PASS or
     exits with a documented code, and prints the same bytes twice.  The
-    residue fixture at --prefix 100 --precision 24 crashes (the strict xfail
-    in TestExitCodes), so the grid stays off that combination."""
+    residue fixture at --prefix 100 --precision 24 has its own test in
+    TestExitCodes; the grid stays off precision 24."""
 
     GRID = [(height, precision, prefix) for height in (1, 4)
             for precision in (8, 16) for prefix in (8, 48)]

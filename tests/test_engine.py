@@ -413,12 +413,13 @@ class TestClassifyStateMoves:
 
 def _reference_pick_candidate(lo, hi):
     """The box scan that _pick_candidate must match: every coefficient
-    tuple of each height, one at a time, in `product` order."""
+    tuple of each height, one at a time, in `product` order, skipping the
+    polynomials that sympy factors over Q."""
     from itertools import product
 
     from hahnsat.engine import _ALG_HEIGHT_CAP, _inside_after_refining
-    from hahnsat.scalars import (isolate_real_roots, rational_height,
-                                 simplest_between)
+    from hahnsat.scalars import (_sympy_factors, isolate_real_roots,
+                                 rational_height, simplest_between)
 
     best = min((lo, hi, simplest_between(lo, hi)), key=rational_height)
 
@@ -440,6 +441,8 @@ def _reference_pick_candidate(lo, hi):
                 at_hi = sum(c * w for c, w in zip(coeffs, w_hi))
                 if at_lo * at_hi > 0:
                     continue
+                if [len(f) for f in _sympy_factors(coeffs)] != [degree + 1]:
+                    continue  # reducible
                 for cell_lo, cell_hi in isolate_real_roots(list(coeffs)):
                     root = real_algebraic(list(coeffs), cell_lo, cell_hi)
                     if isinstance(root, F):
@@ -524,6 +527,116 @@ class TestPickCandidate:
             assert got == want, (lo, hi)
             kinds.add(got[0])
         assert {"rational", "root"} <= kinds
+
+
+class TestOneVisitPerTuple:
+    """The candidate search sums each tail (c2, ..., cd) once, at its own
+    height, and meets each (c1, ..., cd) once: a tuple of a lower height
+    only with c1 = +-h at a later height h, and each c0 past its own
+    height is filed there instead of being searched again."""
+
+    def test_each_tail_is_visited_once(self, monkeypatch):
+        from itertools import product
+
+        seen = []
+        shell = engine._shell
+
+        def recording(height, length):
+            for tail in shell(height, length):
+                seen.append((length, tail))
+                yield tail
+
+        monkeypatch.setattr(engine, "_shell", recording)
+        # c8's residue interval: the search runs to height 12
+        root = engine._pick_candidate(F(-5623, 65536), F(-2811, 32768))
+        assert format_scalar(root) == "alg[1,12,4;-1,0]"
+        assert len(seen) == len(set(seen))
+        for length in (1, 2):
+            tails = {tail for n, tail in seen if n == length}
+            top = 12 if length == 1 else 11  # degree 3 was not reached at 12
+            assert tails == {t for t in product(range(-top, top + 1),
+                                                repeat=length) if t[-1]}
+
+    @pytest.mark.parametrize("degree", [2, 3])
+    def test_the_heights_partition_the_sign_changes(self, degree):
+        # each (c0, ..., cd) of height <= cap is found once, at its height
+        from itertools import product
+
+        lo, hi = F(-21, 8), F(-5, 2)
+
+        def at(cs, x):
+            return sum(c * x ** i for i, c in enumerate(cs))
+
+        cap, got = 6, []
+        for height, found in enumerate(
+                engine._sign_changes(lo, hi, degree, cap), 1):
+            assert found == sorted(found)
+            assert all(max(map(abs, cs)) == height for cs in found)
+            got += found
+        want = [cs for cs in product(range(-cap, cap + 1), repeat=degree + 1)
+                if cs[-1] and at(cs, lo) * at(cs, hi) < 0]
+        assert sorted(got) == sorted(want) and len(got) == len(set(got))
+
+
+def _reference_bisection(probe, lo, hi):
+    """_bisection_oracle's approximation on Fractions: the midpoint of the
+    interval, probed, until it is at most 2^-n wide."""
+    state = {"lo": F(lo), "hi": F(hi)}
+
+    def approx(n):
+        while state["hi"] - state["lo"] > F(1, 2 ** n):
+            mid = (state["lo"] + state["hi"]) / 2
+            s = probe(mid)
+            if s == Side.BELOW:
+                state["lo"] = mid
+            elif s == Side.ABOVE:
+                state["hi"] = mid
+            else:
+                state["lo"] = state["hi"] = mid
+        return state["lo"], state["hi"]
+
+    return approx
+
+
+class TestIntegerBisection:
+    """_bisection_oracle bisects on integer numerators; it probes the same
+    points in the same order as the Fraction bisection and returns the
+    same intervals, an EQUAL probe closing the interval included."""
+
+    def test_probes_and_intervals_match_the_fraction_reference(self):
+        rng = random.Random(33)
+        closed = 0
+        for case in range(300):
+            if case % 3 == 0:  # the digit scan's integer ends
+                j = rng.randint(0, 6)
+                lo, hi = (0, 1) if j == 0 else (2 ** (j - 1), 2 ** j)
+                if rng.random() < 0.5:
+                    lo, hi = -hi, -lo
+            else:  # a candidate round's rational ends
+                lo = F(rng.randint(-500, 500), rng.randint(1, 60))
+                hi = lo + F(rng.randint(0, 90), rng.randint(1, 60))
+            width = F(hi) - F(lo)
+            if rng.random() < 0.4:  # a dyadic point of the interval
+                k = rng.randint(1, 12)
+                target = lo + width * F(rng.randint(0, 2 ** k), 2 ** k)
+            else:
+                target = lo + width * F(rng.randint(0, 10 ** 6), 10 ** 6)
+            probes = ([], [])
+
+            def probe_with(log):
+                def probe(q):
+                    log.append(q)
+                    return Side((q > target) - (q < target))
+                return probe
+
+            got = engine._bisection_oracle(probe_with(probes[0]), lo, hi)
+            want = _reference_bisection(probe_with(probes[1]), lo, hi)
+            for n in sorted(rng.sample(range(0, 40), 4)) + [50, 50]:
+                assert got.interval(n) == want(n), (lo, hi, target, n)
+            assert probes[0] == probes[1]
+            assert all(type(q) is F for q in probes[0])
+            closed += got.interval(50)[0] == got.interval(50)[1]
+        assert closed > 20
 
 
 class TestClassifyField:

@@ -932,17 +932,8 @@ class TestParserBoundary:
                         lambda t: parse_series(t, dim), variant)] += 1
         assert errors[True] > 500 and errors[False] > 200
 
-    def test_type_files(self, tmp_path):
-        from hahnsat import cli
-
+    def _type_file_texts(self):
         rng = random.Random(34)
-        path = tmp_path / "fuzz.type"
-
-        def load(text):
-            path.write_text(text, encoding="utf-8")
-            cli.load_type_file(str(path), 2)
-
-        errors = Counter()
         for _ in range(150):
             lines = [f"param {name} = "
                      + format_series(random_series(rng, 2, allow_zero=False))
@@ -958,10 +949,42 @@ class TestParserBoundary:
             text = "\n".join(["# seeded"] + lines) + "\n"
             if rng.random() < 0.6:
                 text = self._spliced(rng, _malformed(rng, text))
+            yield text
+        yield f"param g1 = t\n{self.GENERATORS[2]}\n"
+
+    def test_type_files(self, tmp_path):
+        from hahnsat import cli
+
+        path = tmp_path / "fuzz.type"
+
+        def load(text):
+            path.write_text(text, encoding="utf-8")
+            cli.load_type_file(str(path), 2)
+
+        errors = Counter()
+        for text in self._type_file_texts():
             errors[self._located(load, text)] += 1
-        scalar_cut = f"param g1 = t\n{self.GENERATORS[2]}\n"
-        errors[self._located(load, scalar_cut)] += 1
         assert errors[True] > 50 and errors[False] > 20
+
+    def test_cli_main_exits_with_a_documented_code(self, tmp_path, capsys):
+        # cli.main returns 0-3 on every text, raising nothing.  Height 2:
+        # at the default 4, the four types whose four parameters all reach
+        # the level scan enumerate 23^4 span elements and take 9-13 s each
+        from hahnsat import cli
+
+        path = tmp_path / "fuzz.type"
+        codes = Counter()
+        for text in self._type_file_texts():
+            path.write_text(text, encoding="utf-8")
+            try:
+                code = cli.main(["realize", str(path), "--prefix", "8",
+                                 "--height", "2"])
+            except Exception as e:  # noqa: BLE001 - the property under test
+                pytest.fail(f"{type(e).__name__} on {text!r}: {e}")
+            assert code in (0, 1, 2, 3), text
+            codes[code] += 1
+        capsys.readouterr()
+        assert min(codes[0], codes[2], codes[3]) > 3 and codes[1] > 100
 
 
 def _store_or_error(world, env):

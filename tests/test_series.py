@@ -31,6 +31,7 @@ from hahnsat.series import (
     Series,
     _format_exp,
     add,
+    add_scaled,
     arch_ratio,
     compare_series,
     diff_valuation,
@@ -695,6 +696,62 @@ class TestSumFastPaths:
             x, lambda c: scalars.scalar_mul(c, F(q) if type(q) is int else q))
         assert (got.terms, got.trunc) == (want.terms, want.trunc)
         _assert_normal(got)
+
+
+class TestAddScaled:
+    """`add_scaled(d, u, q)`, which builds the engine's probes d + q*u,
+    equals add(d, scale(u, q)), and the order it keeps equals a fresh
+    sort of its terms."""
+
+    def _check(self, d, u, q):
+        got = add_scaled(d, u, q)
+        want = add(d, scale(u, q))
+        assert (got.dim, got.terms, got.trunc) == \
+            (want.dim, want.terms, want.trunc)
+        assert got == want and hash(got) == hash(want)
+        fresh = Series._raw(dict(got.terms), got.dim, got.trunc)
+        assert got.sorted_terms() == fresh.sorted_terms()
+        return got
+
+    @given(_same_dim_pairs(),
+           st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(-5, 7), 3,
+                            SQRT2, scalar_neg(SQRT2)]))
+    @settings(max_examples=400)
+    def test_matches_add_of_scale(self, pair, q):
+        self._check(*pair, q)
+
+    @pytest.mark.parametrize("where", [0, 2, 4])
+    def test_one_term_before_inside_or_after_the_support(self, where):
+        d = add(t_pow(1, 3), t_pow(3, -1))
+        got = self._check(d, t_pow(where), F(1, 2))
+        assert [e[0] for e in got.sorted_terms()[::2]] == \
+            sorted([1, 3, where])
+
+    def test_multi_term_interleaves(self):
+        d = add(t_pow(1), t_pow(3))
+        u = add(add(t_pow(0), t_pow(2, 5)), t_pow(4, -2))
+        got = self._check(d, u, F(-3))
+        assert [e[0] for e in got.sorted_terms()[::2]] == [0, 1, 2, 3, 4]
+
+    def test_a_cancelling_term_is_dropped(self):
+        d = add(t_pow(1), t_pow(2, 2))
+        got = self._check(d, add(t_pow(2), t_pow(3)), F(-2))
+        assert got.sorted_terms() == (Exp((1, 0)), F(1), Exp((3, 0)), F(-2))
+        assert self._check(t_pow(2, 2), t_pow(2), F(-2)).terms == {}
+
+    def test_a_bound_cuts_the_merge(self):
+        d = Series({(F(0), F(0)): F(1), (F(2), F(0)): F(1)}, DIM, (F(3), 0))
+        got = self._check(d, add(t_pow(1), t_pow(5)), F(1, 3))
+        assert got.trunc == Exp((3, 0)) and len(got.terms) == 3
+
+    def test_an_equal_but_distinct_exponent_adds(self):
+        d = add(t_pow(1), t_pow(2))
+        series_mod._EXPS.clear()
+        u = add(t_pow(2, 3), t_pow(4))
+        mine, theirs = Exp((2, 0)), next(e for e in d.terms if e[0] == 2)
+        assert mine == theirs and mine is not theirs
+        got = self._check(d, u, F(1, 3))
+        assert got.terms[mine] == F(2)
 
 
 # ---------------------------------------------------------------------------
