@@ -32,8 +32,9 @@ from .errors import (
     NotFinitelySatisfiable,
     ParseError,
 )
-from .formulas import PartialType, _Tokens, _first_free, _first_nonlinear, \
-    doag_qe, eval_formula, format_formula, free_symbols, parse_formula
+from .formulas import PartialType, _Tokens, _binders, _first_free, \
+    _first_nonlinear, doag_qe, eval_formula, format_formula, free_symbols, \
+    parse_formula
 from .scalars import approx_interval, parse_rational, parse_scalar
 from .series import _top_level, format_series, parse_series
 from .trees import find_path_bounded, node_interval, path_from_real, \
@@ -142,7 +143,8 @@ def _columns_from(offset: int):
 def load_type_file(path: str, dim: int):
     """Parse a type file into (PartialType, parameter environment).  A
     formula line naming an undeclared symbol, or with an atom that is not
-    linear in the type variable, is a located ParseError."""
+    linear in the type variable or in a variable that binds it, is a
+    located ParseError."""
     params: dict = {}
     formulas: list = []
     generator = None
@@ -194,11 +196,12 @@ def load_type_file(path: str, dim: int):
             name, col = _first_free(raw[start:], unknown)
             raise ParseError(f"{path}:{lineno}: unknown symbol {name!r}",
                              start + col)
-        nonlinear = _first_nonlinear(f, raw[start:], TYPE_VAR)
-        if nonlinear:
-            mono, col = nonlinear
-            raise ParseError(f"{path}:{lineno}: atom is not linear in "
-                             f"{TYPE_VAR}: {mono}", start + col)
+        for var, scope in ((TYPE_VAR, f), *_binders(f)):
+            nonlinear = _first_nonlinear(scope, raw[start:], var)
+            if nonlinear:
+                mono, col = nonlinear
+                raise ParseError(f"{path}:{lineno}: atom is not linear in "
+                                 f"{var}: {mono}", start + col)
 
     head = [f for f, *_ in formulas]
 

@@ -1016,16 +1016,16 @@ def complete_type(tau: PartialType, env: dict, mode: str = "group",
     finite fragment is decided whole.  The parameters' dimension overrides
     `dim`.
 
-    The formulas, their negations, the DNF worlds of both and the solves of
-    their atoms come from `compiled_fragment`, kept once per process,
-    signature and variable.  The type is completed in the model of
-    `table`: the calling realization's, or else one built here over env,
-    the type's variable and dim.  Either borrows the compiled solves, and
-    the table keeps every atom's store; nothing else is written to it."""
+    The formulas, their negations and the units that keep the DNF worlds
+    of both come from `compiled_fragment`, once per process, signature and
+    variable.  The type is completed in the model of `table`: the calling
+    realization's, or else one built here over env, the type's variable
+    and dim.  A unit keeps the solves of its own formula's atoms; the table
+    keeps every atom's store, and solves an emission's atoms itself."""
     compiled = compiled_fragment(
         Signature(mode, (tau.var,) + tuple(tau.params)), tau.var)
     if table is None:
-        table = AtomTable(env, tau.var, dim, compiled.solves)
+        table = AtomTable(env, tau.var, dim)
     thetas = _materialize(tau, table.env, table.dim, budgets)
     entries = compiled.prefix(budgets.formula_prefix_budget)
     states = _check_prefix_satisfiable(thetas, table)
@@ -1033,8 +1033,8 @@ def complete_type(tau: PartialType, env: dict, mode: str = "group",
     # each value of a (nonempty) store satisfies f or not f, so one branch
     # keeps a store: the leftmost consistent branch never backtracks
     for branches in entries:
-        for bit, (constraint, worlds) in zip("01", branches):
-            extended = table.conjoin(states, worlds)
+        for bit, (constraint, worlds, unit) in zip("01", branches):
+            extended = table.conjoin(states, worlds, unit)
             if extended:
                 break
         else:
@@ -1103,8 +1103,7 @@ def realize_type(tau: PartialType, env: dict, mode: str = "group",
     against every emission.  The parameters' dimension overrides `dim`."""
     # each atom's store, solved once for the whole realization; the
     # verification below re-evaluates the emissions without it
-    table = AtomTable(env, tau.var, dim, compiled_fragment(
-        Signature(mode, (tau.var,) + tuple(tau.params)), tau.var).solves)
+    table = AtomTable(env, tau.var, dim)
     dim = table.dim
     completion = complete_type(tau, env, mode, budgets, dim, table)
     # a zero parameter spans nothing

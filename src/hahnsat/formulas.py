@@ -15,20 +15,19 @@ inside its bounds or, without a point, when the open interval is nonempty.
 An `AtomTable` is one model: the parameters' series `env`, the variable
 `var` and the dimension `dim`.  It keeps the store of every atom read in it,
 and the series of every term evaluated in it (`values`), for one
-realization, and it borrows a compiled fragment's solves and never writes
-them.  `AtomTable.store` gives the store of one atom, and the store
+realization.  `AtomTable.store` gives the store of one atom, and the store
 of a DNF world is the fold of `_merge_store`, the one intersection of
 stores, over its atoms' stores (`AtomTable.fold`): `cut_bounds` builds it
 and rejects an inconsistent one, `satisfiable` scans the stores of a
 formula's worlds, and `conjoin` intersects a disjunction of stores with a
 further formula through `AtomTable.conjoin`, the one merge loop.  Atoms are
-solved for the variable by `_solve_for`, and each solve is kept only as
-long as it is shared: `compiled_fragment` keeps the solves of the
-fragment's atoms, with their worlds, once per process, signature and
-variable; a realization's table keeps the solve of each of the type's own
-atoms, through its store, once per realization; `_compiled` keeps the worlds
-and solves of the 64 formulas last given to `satisfiable` or `conjoin`; no
-store or series outlives the realization or call that made it.
+solved for the variable by `_solve_for` under one rule: a unit keeps the
+solves of its own formula's atoms; a table keeps stores.  A unit
+(`_Compiled`) is one formula's DNF worlds and the solves of the atoms read
+through them: `_compiled` keeps those of the 64 formulas last given to
+`satisfiable` or `conjoin`, `compiled_fragment` those of the fragment per
+process, signature and variable.  An emission's atoms are solved once per
+table.  No store or series outlives the realization or call that made it.
 """
 
 from __future__ import annotations
@@ -404,6 +403,12 @@ def _first_nonlinear(f: Formula, text: str, var: str):
         if c and lit is None and m == mono:
             return _format_mono(mono), col
     return _format_mono(mono), 1
+
+
+def _binders(f: Formula):
+    """(y, body) of each subformula `exists y (body)` of f, outermost first."""
+    here = [(f.var, f.body)] if isinstance(f, Exists) else []
+    return here + [b for g in _parts(f) for b in _binders(g)]
 
 
 def _parse_chain(toks, op: str, operand, join):
@@ -847,30 +852,24 @@ class AtomTable(dict):
     """One model: the series `env`, the variable `var` and the dimension
     `dim` (env's own when it has series).  It keeps the store of every atom
     read in it, and in `values` the series of every term evaluated in it,
-    for as long as one realization lasts, and borrows `solves`: a compiled
-    fragment's, never written, or a self-filling `_Compiled`."""
+    for as long as one realization lasts; it keeps no solve."""
 
-    __slots__ = ("env", "var", "dim", "solves", "values")
+    __slots__ = ("env", "var", "dim", "values")
 
-    def __init__(self, env: dict, var: str, dim: int,
-                 solves: Optional[dict] = None):
+    def __init__(self, env: dict, var: str, dim: int):
         self.env, self.var = env, var
         self.dim = _infer_dim(None, env, dim)
-        self.solves = {} if solves is None else solves
         self.values: dict = {}  # term -> its series in this model
 
-    def store(self, a: Atom):
+    def store(self, a: Atom, unit=None):
         """The one-atom store of `a`: the bound it puts on `var`, (None,
         None, None) for a true atom without `var`, None for a false one.
-        Raises NonlinearUnsupported when `a` is not linear in `var`; an atom
-        of `solves` is not solved again."""
+        Raises NonlinearUnsupported when `a` is not linear in `var`.  Given
+        `unit`, a compiled formula with `a` in a world, the unit solves `a`."""
         store = self.get(a, _UNSOLVED)
         if store is not _UNSOLVED:
             return store
-        try:
-            solved = self.solves[a]
-        except KeyError:
-            solved = _solve_for(a, self.var)
+        solved = _solve_for(a, self.var) if unit is None else unit[a]
         if solved is None:
             store = (None, None, None) \
                 if _eval_qf(a, self.env, self.dim, self.values) else None
@@ -884,24 +883,25 @@ class AtomTable(dict):
         self[a] = store
         return store
 
-    def fold(self, atoms: Iterable[Atom]):
+    def fold(self, atoms: Iterable[Atom], unit=None):
         """The store of a conjunction of atoms, their one-atom stores
         intersected in order; None at the first atom that leaves no value,
         before any later atom is read."""
         store = (None, None, None)
         for a in atoms:
-            one = self.store(a)
+            one = self.store(a, unit)
             store = None if one is None else _merge_store(store, one)
             if store is None:
                 return None
         return store
 
-    def conjoin(self, states: list, worlds: Iterable) -> list:
+    def conjoin(self, states: list, worlds: Iterable, unit=None) -> list:
         """Conjoin a disjunction of worlds (atom sequences) onto a
         disjunction of stores: the distinct consistent intersections of each
         store with each world's store, in order.  Raises BudgetExhausted
         past _STATE_CAP stores."""
-        world_stores = [st for st in map(self.fold, worlds) if st is not None]
+        world_stores = [st for world in worlds
+                        if (st := self.fold(world, unit)) is not None]
         out: list = []
         seen: set = set()
         for st in states:
@@ -917,18 +917,18 @@ class AtomTable(dict):
                         stage="worlds")
         return out
 
-    def satisfiable(self, worlds: Iterable, world_cap: int = 64) -> bool:
+    def satisfiable(self, worlds: Iterable, world_cap: int = 64,
+                    unit=None) -> bool:
         """Whether some value of `var` satisfies a disjunction of worlds
         (atom sequences): scan them in order, short-circuiting on the first
         satisfiable one.  Raises BudgetExhausted if no world within the cap
         is satisfiable and some remain unexamined."""
-        for checked, store in enumerate(map(self.fold, worlds)):
+        for checked, world in enumerate(worlds):
             if checked >= world_cap:
                 raise BudgetExhausted(
                     f"satisfiability scan exceeded {world_cap} worlds",
-                    stage="worlds",
-                )
-            if store is not None:
+                    stage="worlds")
+            if self.fold(world, unit) is not None:
                 return True
         return False
 
@@ -992,6 +992,8 @@ class _Compiled(dict):
     atom a fold has read, and `kept`, f's DNF worlds (atom tuples) as far as
     a scan has read them.  It holds no series and no store."""
 
+    __slots__ = ("var", "kept", "_rest")
+
     def __init__(self, f: Formula, var: str):
         self.var, self.kept, self._rest = var, [], map(tuple, _worlds(f))
 
@@ -1004,6 +1006,7 @@ class _Compiled(dict):
         for world in self._rest:  # one scan at a time extends the list
             self.kept.append(world)
             yield world
+        self._rest = ()  # all kept: the spent iterator goes
 
 
 _compiled = lru_cache(maxsize=64)(_Compiled)  # a formula recurs in runs
@@ -1014,7 +1017,7 @@ def satisfiable(f: Formula, env: dict, var: str = "x", world_cap: int = 64,
     """`AtomTable.satisfiable` with f's compiled worlds, quantifiers
     eliminated first, in the model of env, var and dim."""
     unit = _compiled(f, var)
-    return AtomTable(env, var, dim, unit).satisfiable(unit.worlds(), world_cap)
+    return AtomTable(env, var, dim).satisfiable(unit.worlds(), world_cap, unit)
 
 
 def _merge_store(a: tuple, b: tuple):
@@ -1040,7 +1043,7 @@ def conjoin(states: list, f: Formula, env: dict, var: str = "x",
     """`AtomTable.conjoin` with f's compiled worlds, quantifiers eliminated
     first, in the model of env, var and dim."""
     unit = _compiled(f, var)
-    return AtomTable(env, var, dim, unit).conjoin(states, unit.worlds())
+    return AtomTable(env, var, dim).conjoin(states, unit.worlds(), unit)
 
 
 # ---------------------------------------------------------------------------
@@ -1132,28 +1135,22 @@ class CompiledFragment:
     """What deciding sig's fragment for `var` takes that no env changes:
     for each enumerated formula f, in order, its two branches `Not(f)` and
     `f`, each with its DNF worlds as atom tuples in the order `iter_worlds`
-    yields them, and the `_solve_for` result of every atom of those worlds.
-    It holds no series and no store, and grows as far as the longest prefix
-    asked of it."""
+    yields them and its unit (`_Compiled`), which keeps the solves of the
+    atoms that tables have read through those worlds.  It holds no series
+    and no store, and grows as far as the longest prefix asked of it."""
 
     def __init__(self, sig: Signature, var: str):
         self.var = var
-        self.entries: list = []  # ((Not(f), worlds), (f, worlds)) per f
-        self.solves: dict = {}  # atom -> _solve_for(atom, var)
+        self.entries: list = []  # (Not(f) branch, f branch) per f
         self._rest = _fragment(sig)
 
     def prefix(self, n: int) -> list:
         """The entries of the first n formulas, or of the whole fragment
-        when it is smaller."""
+        when it is smaller: per branch, (constraint, worlds, unit)."""
         for f in islice(self._rest, max(0, n - len(self.entries))):
-            branches = []
-            for constraint in (Not(f), f):
-                worlds = tuple(map(tuple, _worlds(constraint)))
-                for a in (a for world in worlds for a in world):
-                    if a not in self.solves:
-                        self.solves[a] = _solve_for(a, self.var)
-                branches.append((constraint, worlds))
-            self.entries.append(tuple(branches))
+            units = [(c, _Compiled(c, self.var)) for c in (Not(f), f)]
+            self.entries.append(tuple((c, tuple(unit.worlds()), unit)
+                                      for c, unit in units))
         return self.entries[:n]
 
 

@@ -364,6 +364,25 @@ class TestExitCodes:
         assert rc == 1 and out == ""
         assert f"bad.type:2: {message}" in err
 
+    @pytest.mark.parametrize("formula, message", [
+        ("exists y (y*y < x)", "atom is not linear in y: y^2 (column 19)"),
+        ("forall y (x < y or g1*y < 1)",
+         "atom is not linear in y: g1*y (column 28)"),
+        ("exists y (y < x and exists z (z < y or z*z < g1))",
+         "atom is not linear in z: z^2 (column 48)"),
+    ])
+    @pytest.mark.parametrize("argv", [
+        ("realize",), ("eval", "--at", "t")])
+    def test_formula_nonlinear_in_a_bound_variable_exits_one_with_its_place(
+            self, capsys, tmp_path, argv, formula, message):
+        # quantifier elimination solves each atom of the scope for its
+        # variable, so the file is refused before the type is realized
+        p = tmp_path / "bad.type"
+        p.write_text(f"param g1 = t\nformula {formula}\n")
+        rc, out, err = run(capsys, argv[0], str(p), *argv[1:])
+        assert rc == 1 and out == ""
+        assert f"bad.type:2: {message}" in err
+
     @pytest.mark.parametrize("argv", [
         ("path", "full", "1/3", "-2"), ("search", "full", "-1"),
         ("search", "single:1011", "-1"), ("search", "seeded:3", "-1")])

@@ -1298,6 +1298,11 @@ class TestCompiledFragment:
                              for name in o.__dataclass_fields__)
         return out
 
+    @staticmethod
+    def _units(compiled):
+        return [unit for branches in compiled.entries
+                for _, _, unit in branches]
+
     def test_second_realization_solves_no_fragment_atom(self, monkeypatch):
         budgets = Budgets(formula_prefix_budget=100)
         tau, env = _generated_type(1027)
@@ -1306,25 +1311,39 @@ class TestCompiledFragment:
             Signature("group", (tau.var,) + tuple(tau.params)), tau.var)
         assert len(compiled.entries) >= 100
 
-        held = self._reachable((compiled.entries, compiled.solves))
+        units = self._units(compiled)
+        held = self._reachable((compiled.entries,
+                                [(unit.kept, dict(unit)) for unit in units]))
         assert not any(isinstance(o, Series) for o in held)
         assert (None, None, None) not in held  # the store of a true atom
 
-        solved = []
-        solve = formulas._solve_for
+        known = {a for unit in units for a in unit}
+        missed = []
+        missing = formulas._Compiled.__missing__
 
-        def recording(a, var):
-            solved.append(a)
-            return solve(a, var)
+        def recording(unit, a):
+            missed.append(a)
+            return missing(unit, a)
 
-        monkeypatch.setattr(formulas, "_solve_for", recording)
+        monkeypatch.setattr(formulas._Compiled, "__missing__", recording)
         tau, env = _generated_type(1031)  # the same signature
         assert formulas.compiled_fragment(
             Signature("group", (tau.var,) + tuple(tau.params)),
             tau.var) is compiled
         realize_type(tau, env, mode="group", budgets=budgets)
-        assert solved  # the type's own atoms
-        assert not any(a in compiled.solves for a in solved)
+        assert not any(a in known for a in missed)
+
+    def test_units_solve_only_their_own_atoms(self):
+        budgets = Budgets(formula_prefix_budget=100)
+        for seed in (1027, 1031):
+            tau, env = _generated_type(seed)
+            realize_type(tau, env, mode="group", budgets=budgets)
+        compiled = formulas.compiled_fragment(
+            Signature("group", (tau.var,) + tuple(tau.params)), tau.var)
+        units = self._units(compiled)
+        assert any(units)
+        for unit in units:
+            assert set(unit) <= {a for world in unit.kept for a in world}
 
     def test_generic_callers_solve_lazily(self):
         # the false atom ends the world before the nonlinear one is solved

@@ -1197,6 +1197,25 @@ class TestCompiledFormula:
             assert len(_compiled(f, "x").kept) > 64
         assert satisfiable(f, env, world_cap=128) is False
 
+    @pytest.mark.parametrize("last", ["x*x < 1", "x < 1"])
+    def test_world_past_the_cap_stays_unexamined(self, last):
+        # 64 unsatisfiable worlds fill the cap; the next is never folded,
+        # so its nonlinear atom is never solved
+        worlds = [f"(x < {k}*g1 and {k}*g1 < x)" for k in range(1, 65)]
+        f = parse_formula(" or ".join(worlds + [last]))
+        with pytest.raises(BudgetExhausted):
+            satisfiable(f, {"g1": parse_series("t")})
+
+    def test_units_solve_only_their_own_atoms(self):
+        cases, envs = _c5_cases()
+        for _, matrix, _ in cases:
+            for f in (matrix, Not(matrix)):
+                for env in envs:
+                    satisfiable(f, env)
+                    conjoin([(None, None, None)], f, env)
+                unit = _compiled(f, "x")
+                assert set(unit) <= {a for world in unit.kept for a in world}
+
     def test_nonlinear_atom_raises_on_every_call(self):
         f = parse_formula("x*x < 1 and g1 < 0")
         for _ in range(2):
