@@ -29,6 +29,7 @@ from .engine import (
 )
 from .errors import (
     BudgetExhausted,
+    NonlinearUnsupported,
     NotFinitelySatisfiable,
     ParseError,
 )
@@ -255,7 +256,16 @@ def cmd_realize(args) -> int:
 
 def cmd_qe(args) -> int:
     f = parse_formula(args.formula)
-    _emit_output(format_formula(doag_qe(f)) + "\n", args.out)
+    try:
+        qf = doag_qe(f)
+    except NonlinearUnsupported as e:
+        # placed in the first binder of the variable elimination solved for
+        mono, col = next(filter(None, (
+            _first_nonlinear(body, args.formula, var)
+            for var, body in _binders(f) if var == e.var)))
+        raise ParseError(f"atom is not linear in {e.var}: {mono}",
+                         col) from None
+    _emit_output(format_formula(qf) + "\n", args.out)
     return 0
 
 

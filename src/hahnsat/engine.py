@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cache
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
@@ -45,8 +45,8 @@ from .formulas import (
 )
 from .scalars import (
     OracleReal,
+    RealAlgebraic,
     _fraction,
-    _make_algebraic,
     _nullspace_of_rows,
     format_scalar,
     isolate_real_roots,
@@ -105,43 +105,36 @@ class Budgets:
 class CutOracle:
     """side: element -> Side, queried against a hidden cut; height_enum:
     generation -> new comparison elements.  Answers must be monotone in the
-    queried element: a larger element never gets a lower side.  The wrapper
-    memoizes, logs every query in order, and enforces that at most one
-    element tests EQUAL."""
+    queried element: a larger element never gets a lower side.  `log`, also
+    the memo, maps each distinct queried element to its Side in query
+    order; at most one element may test EQUAL."""
 
     def __init__(self, side: Callable[[Series], Side],
                  height_enum: Callable[[int], Iterable[Series]]):
         self._side = side
         self.height_enum = height_enum
-        self._memo: dict = {}
-        self.log: list = []
-        self._equal_key = None
+        self.log: dict = {}
 
     def side(self, d: Series) -> Side:
-        key = d
-        s = self._memo.get(key)
+        s = self.log.get(d)
         if s is not None:
             return s
         s = self._side(d)
         if not isinstance(s, Side):
             raise OracleFailure(f"oracle returned {s!r}, not a Side")
-        if s == Side.EQUAL:
-            if self._equal_key is not None and self._equal_key != key:
-                raise OracleFailure("oracle reported two distinct EQUAL elements")
-            self._equal_key = key
-        self._memo[key] = s
-        self.log.append((d, s))
+        if s == Side.EQUAL and Side.EQUAL in self.log.values():
+            raise OracleFailure("oracle reported two distinct EQUAL elements")
+        self.log[d] = s
         return s
 
     def check_monotone(self) -> bool:
         """Spot-check the monotonicity invariant over the query log."""
-        for i, (d, s) in enumerate(self.log):
-            for d2, s2 in self.log[i + 1:]:
-                c = compare_series(d, d2)
-                if c <= 0 and s == Side.ABOVE and s2 == Side.BELOW:
-                    return False
-                if c >= 0 and s == Side.BELOW and s2 == Side.ABOVE:
-                    return False
+        for (d, s), (d2, s2) in combinations(self.log.items(), 2):
+            c = compare_series(d, d2)
+            if c <= 0 and s == Side.ABOVE and s2 == Side.BELOW:
+                return False
+            if c >= 0 and s == Side.BELOW and s2 == Side.ABOVE:
+                return False
         return True
 
 
@@ -386,10 +379,11 @@ def _pick_candidate(lo: Fraction, hi: Fraction):
     still (scanned by height, degree, then coefficient order).
 
     Only polynomials without a rational root are tried: at degree <= 3
-    they are the irreducible ones, so each root is built without
-    factoring.  A multiple of an earlier polynomial (a common factor, or
-    the negation of one that comes first in sorted order, c0 < 0) has its
-    roots and cells, so its roots would fail as the earlier ones did."""
+    they are the irreducible ones, so the root in the i-th isolating cell
+    is built with index i, without factoring or counting roots.  A
+    multiple of an earlier polynomial (a common factor, or the negation of
+    one that comes first in sorted order, c0 < 0) has its roots and cells,
+    so its roots would fail as the earlier ones did."""
     best = min((lo, hi, simplest_between(lo, hi)), key=rational_height)
     cap = min(_ALG_HEIGHT_CAP, rational_height(best) - 1)
     searches = [_sign_changes(lo, hi, degree, cap) for degree in (2, 3)]
@@ -401,8 +395,8 @@ def _pick_candidate(lo: Fraction, hi: Fraction):
                     continue
                 primitive = coeffs if coeffs[-1] > 0 else \
                     tuple(-c for c in coeffs)
-                for cell_lo, cell_hi in isolate_real_roots(list(coeffs)):
-                    root = _make_algebraic(primitive, cell_lo, cell_hi)
+                for i, cell in enumerate(isolate_real_roots(list(coeffs))):
+                    root = RealAlgebraic(primitive, i, *cell)
                     if _inside_after_refining(root, lo, hi):
                         return root
     return best
@@ -520,16 +514,15 @@ def _ratio(n: int, den: int) -> Fraction:
 class _ClassifyState:
     """The approximation d0 and the window known for v(hidden - d0).
 
-    The hidden element lies on the `direction` side of d0 (+1: above).  Its
-    level v(hidden - d0) is at least `achieved`, or strictly above it when
-    `achieved_strict` (that level's digit resolved to zero), and strictly
-    below `window_hi` (an unbounded digit scan there).  The level scan also
-    caps the level at the least v(e - d0) over logged same-side elements e
-    beyond d0, inclusively.  Only `start`, `adopt`, `cap_level` and
-    `skip_zero_digit` assign d0, direction and the window.
+    d0 is `chain[-1]`.  The hidden element lies on the `direction` side of
+    d0 (+1: above).  Its level v(hidden - d0) is at least `achieved`, or
+    strictly above it when `achieved_strict` (that level's digit resolved
+    to zero), and strictly below `window_hi` (an unbounded digit scan
+    there).  The level scan also caps the level at the least v(e - d0) over
+    logged same-side elements e beyond d0, inclusively.  Only `start`,
+    `adopt`, `cap_level` and `skip_zero_digit` move d0 and the window.
     """
 
-    d0: Series
     direction: int
     achieved: Optional[tuple] = None
     achieved_strict: bool = False
@@ -537,14 +530,17 @@ class _ClassifyState:
     chain: list = field(default_factory=list)  # adopted approximations
     improved: bool = False  # moved since the caller last cleared it
 
+    @property
+    def d0(self) -> Series:
+        return self.chain[-1]
+
     @classmethod
     def start(cls, d0: Series, side: Side,
               achieved: Optional[tuple] = None) -> "_ClassifyState":
-        return cls(d0, _direction(side), achieved, chain=[d0])
+        return cls(_direction(side), achieved, chain=[d0])
 
     def adopt(self, d0: Series, side: Side, gamma: tuple):
         """Move to the closer approximation d0 with v(hidden - d0) >= gamma."""
-        self.d0 = d0
         self.direction = _direction(side)
         self.achieved = gamma
         self.achieved_strict = False
@@ -589,19 +585,17 @@ def classify_cut(oracle: CutOracle, basis: SpanBasis, budgets: Budgets,
         return Realized(zero)
     state = _ClassifyState.start(zero, s0)
     grid, unit = _levels(basis, budgets, mode)
-    known: list = []
-    known_set: set = set()
+    known: dict = {}  # enumerated element -> its side, in order
 
     for h in range(1, budgets.height_budget + 1):
         state.improved = False
         for e in oracle.height_enum(h):
-            if e in known_set:
+            if e in known:
                 continue
-            known_set.add(e)
             s = oracle.side(e)
             if s == Side.EQUAL:
                 return Realized(e)
-            known.append(e)
+            known[e] = s
         _adopt_from_enum(oracle, state, known, budgets)
         result = _scan_levels(oracle, state, grid, unit, budgets)
         if result is not None:
@@ -624,18 +618,17 @@ def _effective_side(direction: int) -> Side:
     return Side.BELOW if direction > 0 else Side.ABOVE
 
 
-def _adopt_from_enum(oracle: CutOracle, state: _ClassifyState, known: list,
+def _adopt_from_enum(oracle: CutOracle, state: _ClassifyState, known: dict,
                      budgets: Budgets):
-    """Adopt enumerated elements strictly beyond d0 on its own side whose
-    difference valuation improves the achieved level, certified by a
-    coefficient-scaled straddle probe."""
+    """Adopt `known` elements (element -> side) strictly beyond d0 on its
+    own side whose difference valuation improves the achieved level,
+    certified by a coefficient-scaled straddle probe."""
     big = _fraction(1 << budgets.precision_budget, 1)
     minus_big = -big
     while True:
         candidates = []
         mine = _effective_side(state.direction)
-        for e in known:
-            s = oracle.side(e)
+        for e, s in known.items():
             if s != mine:
                 continue
             first = _first_difference(e, state.d0)
@@ -674,7 +667,7 @@ def _observed_bounds(oracle: CutOracle, state: _ClassifyState):
     gamma_lo = None
     gamma_hi = None
     levels = set()
-    for e, s in oracle.log:
+    for e, s in oracle.log.items():
         first = _first_difference(e, state.d0)
         if first is None:
             continue
@@ -774,7 +767,7 @@ def _field_rank_guard(state: _ClassifyState, basis: SpanBasis):
 def _verify_against_log(witness: Series, oracle: CutOracle):
     """Every logged query must sit on the same side of the witness that the
     oracle reported for the hidden element."""
-    for d, s in oracle.log:
+    for d, s in oracle.log.items():
         if Side(compare_series(d, witness)) != s:
             raise OracleFailure(
                 f"witness contradicts {s.name} query {format_series(d)}")
@@ -926,7 +919,7 @@ def _witness_past_records(oracle: CutOracle, marks: list, gammas: list,
                           want: Side, dim: int) -> Series:
     base = marks[-1]
     opposite = None
-    for e, s in oracle.log:
+    for e, s in oracle.log.items():
         if s == want:
             if _cmp_toward(e, base, want) > 0:
                 base = e
@@ -1070,7 +1063,6 @@ def _theta_bound_elements(thetas: list, table: AtomTable) -> list:
     """Concrete bound series named by the type's own atoms, batched two
     emissions per generation; these seed the comparison enumeration."""
     batches: list = []
-    seen = set()
     for pos, (_, f) in enumerate(thetas):
         if pos % _PACE_EMISSIONS == 0:
             batches.append([])
@@ -1081,8 +1073,7 @@ def _theta_bound_elements(thetas: list, table: AtomTable) -> list:
                 continue
             # a one-atom store holds that atom's bound, if it names one
             bound = next((b for b in store if b is not None), None)
-            if bound is not None and bound not in seen:
-                seen.add(bound)
+            if bound is not None:
                 batches[-1].append(bound)
     return batches
 
@@ -1140,7 +1131,7 @@ def realize_type(tau: PartialType, env: dict, mode: str = "group",
     for _, f in completion.thetas:
         verification.append(
             (format_formula(f), eval_formula(f, wenv, dim, values)))
-    free = sum(_inside(lo, up, d) for d, _ in oracle.log)
+    free = sum(_inside(lo, up, d) for d in oracle.log)
     report = _render_report(completion, classification, witness,
                             verification, oracle, free, budgets, mode,
                             clamped)

@@ -53,9 +53,13 @@ class Unsatisfiable(ValueError):
 
 
 class NonlinearUnsupported(ValueError):
-    """An atom is not linear in the variable it is solved for: raised by
-    _solve_for, and so by quantifier elimination, cut_bounds, satisfiable,
-    conjoin and type completion."""
+    """An atom is not linear in the variable `var` it is solved for: raised
+    by _solve_for, and so by quantifier elimination, cut_bounds,
+    satisfiable, conjoin and type completion."""
+
+    def __init__(self, message: str, var: str = ""):
+        super().__init__(message)
+        self.var = var
 
 
 class BoundaryUndecided(RuntimeError):

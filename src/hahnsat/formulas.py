@@ -362,14 +362,13 @@ def parse_formula(text: str) -> Formula:
     return f
 
 
-def _first_free(text: str, names: set) -> tuple:
-    """(name, column) of the first symbol of the formula `text` that is in
-    `names` and lies outside every exists/forall binding it; a binder's
-    scope is the parenthesis after its variable, as `_parse_not` reads it."""
-    toks = _Tokens(text).toks
+def _bound_names(toks: list) -> list:
+    """The names bound at each token of a formula; a binder's scope is the
+    parenthesis after its variable, as `_parse_not` reads it."""
     scopes = []  # (bound name, depth of the parenthesis its binder opens)
     depth = 0
-    for i, (_kind, val, col) in enumerate(toks):
+    out = []
+    for i, (_kind, val, _col) in enumerate(toks):
         if val == "(":
             depth += 1
         elif val == ")":
@@ -378,7 +377,16 @@ def _first_free(text: str, names: set) -> tuple:
                 scopes.pop()
         elif val in ("exists", "forall"):
             scopes.append((toks[i + 1][1], depth + 1))
-        elif val in names and all(val != bound for bound, _ in scopes):
+        out.append([name for name, _ in scopes])
+    return out
+
+
+def _first_free(text: str, names: set) -> tuple:
+    """(name, column) of the first symbol of the formula `text` that is in
+    `names` and lies outside every exists/forall binding it."""
+    toks = _Tokens(text).toks
+    for (_kind, val, col), bound in zip(toks, _bound_names(toks)):
+        if val in names and val not in bound:
             return val, col
 
 
@@ -386,15 +394,19 @@ def _first_nonlinear(f: Formula, text: str, var: str):
     """(print, column) of the first monomial of f, the formula parsed from
     `text`, that makes an atom nonlinear in `var`, or None when every atom
     is linear in `var`; the column is that of the first product of `text`
-    holding the monomial."""
+    holding the monomial, inside an exists/forall of `var` if `text` has
+    one."""
     mono = next((m for a in iter_atoms(f) for m, _ in a.pos.syms + a.neg.syms
                  if _nonlinear(m, var)), None)
     if mono is None:
         return None
     toks = _Tokens(text)
+    names = _bound_names(toks.toks)
+    bound = any(var in here for here in names)
     for i, (kind, _val, col) in enumerate(toks.toks):
-        if kind == "op" or i and toks.toks[i - 1][1] in ("*", "^"):
-            continue  # not the first factor of a product
+        if kind == "op" or i and toks.toks[i - 1][1] in ("*", "^") \
+                or bound and var not in names[i]:
+            continue  # not the first factor of a product, or out of scope
         toks.pos = i
         try:
             c, m, lit = _parse_product(toks)
@@ -757,7 +769,7 @@ def _solve_for(a: Atom, var: str):
     bad = [m for m, _ in a.pos.syms + a.neg.syms if _nonlinear(m, var)]
     if bad:
         raise NonlinearUnsupported(
-            f"atom is not linear in {var}: {_format_mono(min(bad))}")
+            f"atom is not linear in {var}: {_format_mono(min(bad))}", var)
     coeff = dict(a.pos.syms).get(x)
     if coeff is None:
         coeff = dict(a.neg.syms).get(x)

@@ -18,8 +18,10 @@ Two rationals are combined on their integer pairs: `_q_mul`, `_q_add`,
 `_add`, so each result is already normalized, and build it with the one
 trusted constructor `_fraction`, which fills the two slots of a `Fraction`
 without a further gcd.  The `scalar_*` functions take this path first when
-both operands are exactly `Fraction`s; they alone decide which kinds take
-it, and the series and solve kernels reach it through them.
+both operands are exactly `Fraction`s, and the solve kernels reach it
+through them.  `series.scale` and `series.add_scaled` decide it for
+themselves: they call `_q_mul` directly when the scalar and a coefficient
+are both exactly `Fraction`s.
 """
 
 from __future__ import annotations

@@ -370,6 +370,9 @@ class TestExitCodes:
          "atom is not linear in y: g1*y (column 28)"),
         ("exists y (y < x and exists z (z < y or z*z < g1))",
          "atom is not linear in z: z^2 (column 48)"),
+        # the parameter's own product, outside the binder, is no place
+        ("g1*g1 < x or exists g1 (g1*g1 < x)",
+         "atom is not linear in g1: g1^2 (column 33)"),
     ])
     @pytest.mark.parametrize("argv", [
         ("realize",), ("eval", "--at", "t")])
@@ -543,6 +546,27 @@ class TestInputErrors:
         assert err.startswith("error: bad rational '999")
         assert err.endswith("' (column 17)\n")
         assert "Exceeds the limit" not in err
+
+    @pytest.mark.parametrize("formula, message", [
+        ("exists y (y*y < a)", "y: y^2 (column 11)"),
+        ("forall y (y*a < 1)", "y: a*y (column 11)"),
+        # the variable elimination failed on, not the first binder that
+        # holds a nonlinear product: z's elimination drops y*y
+        ("exists y (exists z (z < y*y)) and exists w (w*w < a)",
+         "w: w^2 (column 45)"),
+        # a free y is not solved for: the place is inside y's binder
+        ("y*y < 1 and exists y (y*y < a)", "y: y^2 (column 23)"),
+    ])
+    def test_qe_nonlinear_bound_variable_is_located(self, capsys, formula,
+                                                    message):
+        rc, out, err = run(capsys, "qe", formula)
+        assert rc == 1 and out == ""
+        assert err == f"error: atom is not linear in {message}\n"
+
+    def test_qe_nonlinear_atom_that_elimination_drops_stays_accepted(
+            self, capsys):
+        rc, out, _ = run(capsys, "qe", "exists y (exists z (z < y*y))")
+        assert (rc, out) == (0, "true\n")
 
     @pytest.mark.parametrize("argv", [
         ("realize",), ("eval", "--at", "t")])

@@ -202,6 +202,9 @@ UNREAD_PUBLIC_ALLOWED = {
         "call it",
     "formulas.formula_index":
         "the inverse of enumerate_formulas, a public helper the tests call",
+    "formulas.conjoin":
+        "AtomTable.conjoin for one formula in a fresh model, a public helper "
+        "the formula and engine tests call",
     "scalars.set_default_precision":
         "sets the oracle comparison budget for library callers; the scalar "
         "tests call it",
@@ -214,11 +217,17 @@ UNREAD_PUBLIC_ALLOWED = {
         "an OracleReal constructor; the scalar and tree tests call it",
     "scalars.oracle_algebraic":
         "an OracleReal constructor; the scalar tests call it",
+    "series.residue":
+        "the coefficient at exponent zero, a public helper the series tests "
+        "call",
     "scalars.oracle_bits":
         "an OracleReal constructor; the scalar, series and engine tests "
         "call it",
     "trees.deinterleave":
         "the inverse of the trees' join, a public helper the tree tests call",
+    "trees.join":
+        "interleaves two reals' binary expansions, a public helper the tree "
+        "tests call",
     "valbasis.PseudoSequence.generated":
         "a PseudoSequence from a term generator; the valuation tests call it",
 }
@@ -236,21 +245,44 @@ def _public_definitions(tree: ast.Module):
                     yield f"{node.name}.{item.name}", item.name
 
 
+def _module_readers(tree: ast.Module, stem: str):
+    """(module, name) of each module-qualified read in the module `stem`:
+    an import from a module, `module.name`, a bare name (of `stem` itself)
+    and a pair of strings, such as the tracer's (module, function)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            mod = node.module.rsplit(".", 1)[-1]
+            yield from ((mod, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Attribute) and \
+                isinstance(node.value, ast.Name):
+            yield node.value.id, node.attr
+        elif isinstance(node, ast.Name):
+            yield stem, node.id
+        elif isinstance(node, ast.Tuple) and len(node.elts) >= 2 and all(
+                isinstance(e, ast.Constant) and isinstance(e.value, str)
+                for e in node.elts[:2]):
+            yield node.elts[0].value, node.elts[1].value
+
+
 def unread_public_names(src: Path, bench: Path) -> list:
-    """`module.name` for each public function or method in `src` whose name
-    nothing in `src` or `bench` reads: as a name, an attribute, an import
-    (the package's re-exports count) or a string, such as the tracer's
-    wrapped names."""
+    """`module.name` for each public function or method in `src` that
+    nothing in `src` or `bench` reads.  A method is read by any name,
+    attribute, import or string that spells it; a module-level function
+    only by a module-qualified read (`_module_readers`), so a same-named
+    attribute of another object, such as `str.join`, does not count."""
     paths = sorted(src.glob("*.py")) + sorted(bench.glob("*.py"))
-    used = set()
+    used, qualified = set(), set()
     for path in paths:
         tree = ast.parse(path.read_text())
         used.update(_references(tree))
         used.update(n.value for n in ast.walk(tree)
                     if isinstance(n, ast.Constant) and isinstance(n.value, str))
+        qualified.update(_module_readers(tree, path.stem))
     return [f"{path.stem}.{qual}" for path in sorted(src.glob("*.py"))
             for qual, name in _public_definitions(ast.parse(path.read_text()))
-            if not name.startswith("_") and name not in used]
+            if not name.startswith("_")
+            and ((path.stem, name) not in qualified if qual == name
+                 else name not in used)]
 
 
 def test_no_unread_public_names():
@@ -259,3 +291,26 @@ def test_no_unread_public_names():
     list."""
     assert sorted(unread_public_names(SRC, BENCH)) == \
         sorted(UNREAD_PUBLIC_ALLOWED)
+
+
+def test_a_same_named_attribute_is_no_reader(tmp_path):
+    """A public module-level function read only as another object's
+    attribute, here `str.join`, has no reader; one imported from its
+    module, read as `module.name` or named in its own module has one."""
+    src, bench = tmp_path / "pkg", tmp_path / "bench"
+    src.mkdir()
+    bench.mkdir()
+    (src / "trees.py").write_text(
+        "def join(a, b):\n    return a + b\n\n\n"
+        "def spell(parts):\n    return ''.join(parts)\n")
+    assert unread_public_names(src, bench) == ["trees.join", "trees.spell"]
+    for reader in ("from pkg.trees import join\n",
+                   "from pkg import trees\ntrees.join(1, 2)\n",
+                   "STAGES = (('trees', 'join'),)\n"):
+        (bench / "run.py").write_text(reader)
+        assert unread_public_names(src, bench) == ["trees.spell"]
+    (bench / "run.py").unlink()
+    (src / "trees.py").write_text(
+        "def join(a, b):\n    return a + b\n\n\n"
+        "def spell(parts):\n    return join(*parts)\n")
+    assert unread_public_names(src, bench) == ["trees.spell"]

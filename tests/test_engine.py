@@ -127,7 +127,7 @@ class TestCutOracle:
         oracle.side(t_pow(1, 2))
         oracle.side(t_pow(2))
         assert len(oracle.log) == 2
-        assert [s for _, s in oracle.log] == [Side.ABOVE, Side.BELOW]
+        assert list(oracle.log.values()) == [Side.ABOVE, Side.BELOW]
 
     def test_second_distinct_equal_rejected(self):
         oracle = CutOracle(lambda e: Side.EQUAL, standard_height_enum([T]))
@@ -664,8 +664,8 @@ class TestClassifyField:
         assert format_series(cls.scale) == "t^(2)"
         assert format_scalar(cls.residue) == "alg[-2,0,1;1,2]"
         w = realize_cut_field(cls, oracle, basis, Budgets())
-        assert oracle.log[-1] == (w, Side.EQUAL)
-        assert oracle.log[-1][0] is w
+        assert list(oracle.log.items())[-1] == (w, Side.EQUAL)
+        assert next(reversed(oracle.log)) is w
         assert format_series(w) == "t^(1) + alg[-2,0,1;1,2]*t^(2)"
 
     def test_cube_root_exponent_needs_denominator_budget(self):
@@ -933,7 +933,7 @@ class TestFieldRankGuard:
 
     @staticmethod
     def chain_state(*chain):
-        return _ClassifyState(d0=chain[-1], direction=1, chain=list(chain))
+        return _ClassifyState(direction=1, chain=list(chain))
 
     def test_rank_equal_to_generator_count_passes(self):
         # differences t and t^2: valuations (1,0), (2,0) have rank 1

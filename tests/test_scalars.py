@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hahnsat.engine import _has_rational_root
 from hahnsat.errors import (
     ComparisonUndecidedAtPrecision,
     MalformedAlgebraic,
@@ -85,6 +86,21 @@ class TestConstruction:
     def test_isolation_integer_grid_first(self):
         cells = isolate_real_roots((-2, 0, 1))
         assert cells == [(Fraction(-2), Fraction(-1)), (Fraction(1), Fraction(2))]
+
+    def test_the_ith_isolating_cell_holds_the_ith_root(self):
+        """The candidate search builds the root of the i-th cell with index
+        i and counts no roots: the cells ascend and isolate one root each,
+        as the trusted constructor's Sturm count confirms."""
+        rng = random.Random(29)
+        drawn = 0
+        while drawn < 200:
+            cs = [rng.randint(-9, 9) for _ in range(rng.randint(3, 4))]
+            cs[-1] = cs[-1] or 1
+            if _has_rational_root(tuple(cs)):
+                continue
+            drawn += 1
+            for i, cell in enumerate(isolate_real_roots(cs)):
+                assert _make_algebraic(_int_primitive(cs), *cell).index == i
 
 
 class TestSign:
