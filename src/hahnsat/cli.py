@@ -33,9 +33,9 @@ from .errors import (
     NotFinitelySatisfiable,
     ParseError,
 )
-from .formulas import PartialType, _Tokens, _binders, _first_free, \
-    _first_nonlinear, doag_qe, eval_formula, format_formula, free_symbols, \
-    parse_formula
+from .formulas import Exists, PartialType, _Tokens, _binder_spans, \
+    _binders, _first_free, _first_nonlinear, doag_qe, eval_formula, \
+    format_formula, free_symbols, parse_formula
 from .scalars import approx_interval, parse_rational, parse_scalar
 from .series import _top_level, format_series, parse_series
 from .trees import find_path_bounded, node_interval, path_from_real, \
@@ -258,13 +258,20 @@ def cmd_qe(args) -> int:
     f = parse_formula(args.formula)
     try:
         qf = doag_qe(f)
-    except NonlinearUnsupported as e:
-        # placed in the first binder of the variable elimination solved for
-        mono, col = next(filter(None, (
-            _first_nonlinear(body, args.formula, var)
-            for var, body in _binders(f) if var == e.var)))
-        raise ParseError(f"atom is not linear in {e.var}: {mono}",
-                         col) from None
+    except NonlinearUnsupported:
+        # placed in the binder whose own elimination raised: doag_qe
+        # eliminates each binder as its scope closes, so the first one, by
+        # the end of its scope, that does not eliminate alone
+        for (start, end), (var, body) in sorted(
+                zip(_binder_spans(args.formula), _binders(f)),
+                key=lambda binder: binder[0][1]):
+            try:
+                doag_qe(Exists(var, body))
+            except NonlinearUnsupported:
+                break
+        mono, col = _first_nonlinear(body, args.formula[start:end], var)
+        raise ParseError(f"atom is not linear in {var}: {mono}",
+                         start + col) from None
     _emit_output(format_formula(qf) + "\n", args.out)
     return 0
 

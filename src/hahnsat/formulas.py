@@ -381,6 +381,26 @@ def _bound_names(toks: list) -> list:
     return out
 
 
+def _binder_spans(text: str) -> list:
+    """[start, end] of each exists/forall of the formula `text`, in text
+    order: the 0-based offset of its keyword and the end of the
+    parenthesis that closes its scope."""
+    toks = _Tokens(text).toks
+    spans, scopes = [], []  # scopes: (span, depth of the parenthesis)
+    depth = 0
+    for _kind, val, col in toks:
+        if val == "(":
+            depth += 1
+        elif val == ")":
+            depth -= 1
+            while scopes and scopes[-1][1] > depth:
+                scopes.pop()[0][1] = col
+        elif val in ("exists", "forall"):
+            spans.append([col - 1, None])
+            scopes.append((spans[-1], depth + 1))
+    return spans
+
+
 def _first_free(text: str, names: set) -> tuple:
     """(name, column) of the first symbol of the formula `text` that is in
     `names` and lies outside every exists/forall binding it."""

@@ -284,14 +284,16 @@ class Series:
         )
 
     def __hash__(self):
-        """Hashes each exponent by its stored hash and each rational
-        coefficient by its (numerator, denominator), so no `Fraction` is
-        hashed; equal series have equal terms, hence equal hashes."""
+        """hash((dim, trunc)) plus one `_term_hash` per term, modulo 2^61.
+
+        The sum does not depend on the terms' order, so equal series have
+        equal hashes, and a sum that changes a few terms changes only
+        their shares: `add_scaled` carries the hash of a hashed operand
+        into its result instead of leaving it to be computed again."""
         if self._hash is None:
-            terms = frozenset([
-                (e, c.as_integer_ratio() if isinstance(c, Fraction) else c)
-                for e, c in self.terms.items()])
-            _set_hash(self, hash((self.dim, self.trunc, terms)))
+            terms = self.terms
+            _set_hash(self, (hash((self.dim, self.trunc)) + sum(
+                map(_term_hash, terms, terms.values()))) % _HASH_MOD)
         return self._hash
 
     def __repr__(self):
@@ -306,8 +308,26 @@ _set_dim, _set_terms, _set_trunc, _set_hash, _set_order = (
     getattr(Series, name).__set__ for name in Series.__slots__)
 
 
+_HASH_MOD = 1 << 61  # a Series hash is the sum of its shares modulo this
+
+
+def _term_hash(e, c) -> int:
+    """A term's share of its series' hash: the exponent by its stored hash
+    (a plain tuple's own hash is the same value) and a rational coefficient
+    by its numerator and denominator, so no `Fraction` is hashed."""
+    eh = e._hash if type(e) is Exp else hash(e)
+    if isinstance(c, Fraction):
+        return hash((eh, c._numerator, c._denominator))
+    return hash((eh, c))
+
+
+def _exp_key(e) -> tuple:
+    """The order key of an exponent, computed for a plain tuple."""
+    return e._key if type(e) is Exp else _order_key(e)
+
+
 def _term_key(term) -> tuple:
-    """The order key of a term's exponent, computed for a plain tuple."""
+    """`_exp_key` of a term's exponent, inlined for `sorted_terms`."""
     e = term[0]
     return e._key if type(e) is Exp else _order_key(e)
 
@@ -497,8 +517,11 @@ def add_scaled(x: Series, y: Series, c) -> Series:
     term of y, scaled as `scale` scales it, is placed into the kept order
     of x (`sorted_terms`) by bisection, or added to an equal exponent's
     coefficient and dropped when that cancels.  The result keeps that
-    order, so no scaled copy is built and nothing is sorted again.  An
-    operand with a bound takes `add`'s own path."""
+    order, so no scaled copy is built and nothing is sorted again.  When x
+    is already hashed, the result's hash is carried too: at each exponent
+    it touches, the old term's share is taken out and the new term's put
+    in, so hashing the engine's probes d + q*u costs the terms of u, not
+    those of d.  An operand with a bound takes `add`'s own path."""
     if x.trunc is not None or y.trunc is not None:
         return add(x, scale(y, c))
     if x.dim != y.dim:
@@ -512,16 +535,20 @@ def add_scaled(x: Series, y: Series, c) -> Series:
     one, rational = scalar_is_one(c), type(c) is Fraction
     terms, order = dict(x.terms), list(x.sorted_terms())
     ys = y.sorted_terms()
+    h = x._hash
     k = 0
     for j in range(0, len(ys), 2):
         e, a = ys[j], ys[j + 1]
         if not one:
             a = _q_mul(a, c) if rational and type(a) is Fraction \
                 else scalar_mul(a, c)
-        k += 2 * bisect_left(range(k, len(order), 2), e._key,
-                             key=lambda i: order[i]._key)
+        k += 2 * bisect_left(range(k, len(order), 2), _exp_key(e),
+                             key=lambda i: _exp_key(order[i]))
         if k < len(order) and order[k] == e:
-            e, a = order[k], scalar_add(order[k + 1], a)
+            e, old = order[k], order[k + 1]
+            a = scalar_add(old, a)
+            if h is not None:
+                h -= _term_hash(e, old)
             if scalar_is_zero(a):
                 del terms[e], order[k:k + 2]
                 continue
@@ -529,7 +556,12 @@ def add_scaled(x: Series, y: Series, c) -> Series:
         else:
             order[k:k] = e, a
         terms[e] = a
-    return Series._raw(terms, x.dim, None, tuple(order))
+        if h is not None:
+            h += _term_hash(e, a)
+    out = Series._raw(terms, x.dim, None, tuple(order))
+    if h is not None:
+        _set_hash(out, h % _HASH_MOD)
+    return out
 
 
 def with_trunc(x: Series, bound: Optional[Exp]) -> Series:
@@ -690,8 +722,14 @@ def arch_ratio(y: Series, x: Series):
 
 
 def _format_exp(exp) -> str:
-    """`(q1,...,qk)` without trailing zero coordinates; `(0)` for zero."""
-    return "(" + (",".join(map(format_rational, _strip_exp(exp))) or "0") + ")"
+    """`(q1,...,qk)` without trailing zero coordinates; `(0)` for zero.
+
+    The coordinates are read where they stand, so printing builds no
+    `Exp` and leaves the intern table as it was."""
+    n = len(exp)
+    while n and not exp[n - 1]:
+        n -= 1
+    return "(" + (",".join(map(format_rational, exp[:n])) or "0") + ")"
 
 
 def format_series(x: Series) -> str:

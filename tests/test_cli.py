@@ -554,6 +554,10 @@ class TestInputErrors:
         # holds a nonlinear product: z's elimination drops y*y
         ("exists y (exists z (z < y*y)) and exists w (w*w < a)",
          "w: w^2 (column 45)"),
+        # the same with one name for both binders: the first w eliminates
+        # (z's elimination drops w*w), the second does not
+        ("exists w (exists z (z < w*w)) and exists w (w*w < a)",
+         "w: w^2 (column 45)"),
         # a free y is not solved for: the place is inside y's binder
         ("y*y < 1 and exists y (y*y < a)", "y: y^2 (column 23)"),
     ])

@@ -1,6 +1,7 @@
 """Hahn-series core: valuation, arithmetic, truncation, literals."""
 
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -17,6 +18,7 @@ from hahnsat.errors import (
     ParseError,
     TruncationInsufficient,
 )
+from hahnsat.formulas import format_formula, parse_formula
 from hahnsat.scalars import (
     oracle_bits,
     real_algebraic,
@@ -409,6 +411,39 @@ class TestLiterals:
         assert v == make_exp([F(1, 2)], DIM)
         assert c == F(3)
 
+    def test_format_exp_matches_the_stripped_exponent(self):
+        def stripped(exp):
+            coords = series_mod._strip_exp(exp)
+            return "(" + (",".join(map(scalars.format_rational, coords))
+                          or "0") + ")"
+
+        rng = random.Random(36)
+        grid = [0, 0, 1, -2, F(1, 3), F(-5, 2)]
+        zeros = trailing = 0
+        for _ in range(2000):
+            coords = [rng.choice(grid) for _ in range(rng.randint(0, 4))]
+            zeros += not any(coords)
+            trailing += bool(coords) and coords[-1] == 0 and any(coords)
+            for exp in (tuple(coords), tuple(map(F, coords)), Exp(coords)):
+                assert _format_exp(exp) == stripped(exp)
+        assert zeros and trailing
+        assert _format_exp(Exp((0, 0))) == _format_exp(()) == "(0)"
+        assert _format_exp(Exp((F(1, 2), 0, 0))) == "(1/2)"
+
+    def test_printing_leaves_the_intern_table_alone(self):
+        f = parse_formula("x < 2*t^(1/7,0) + t^(0,-3/11) and 5/9*t^(13/5) < x")
+        x = parse_series("1 - 2*t^(1/7,0) + alg[-2,0,1;1,2]*t^(0,-3/11)",
+                         DIM)
+        cut = with_trunc(x, make_exp([F(1, 19), 0], DIM))
+        series_mod._EXPS.clear()  # every exponent above is fresh now
+        printed = (str(f), format_formula(f), format_series(x), repr(cut))
+        assert series_mod._EXPS == {}
+        assert printed == (
+            "(x < t^(0,-3/11) + 2*t^(1/7) and 5*t^(13/5) < 9*x)",
+            "(x < t^(0,-3/11) + 2*t^(1/7) and 5*t^(13/5) < 9*x)",
+            "alg[-2,0,1;1,2]*t^(0,-3/11) + 1 - 2*t^(1/7)",
+            "<alg[-2,0,1;1,2]*t^(0,-3/11) + 1 (below (1/19))>")
+
 
 # ---------------------------------------------------------------------------
 # the trusted construction path
@@ -752,6 +787,61 @@ class TestAddScaled:
         assert mine == theirs and mine is not theirs
         got = self._check(d, u, F(1, 3))
         assert got.terms[mine] == F(2)
+
+    GRID = [F(-1), F(0), F(1, 3), F(1), F(2)]
+    COEFFS = [F(-2), F(-1), F(-1, 2), F(1, 3), F(1), F(2), SQRT2,
+              scalar_neg(SQRT2)]
+    WEIGHTS = [F(1), F(-1), F(1, 2), F(-5, 7), 3, SQRT2, scalar_neg(SQRT2)]
+
+    def _operand(self, rng):
+        terms = {tuple(rng.choice(self.GRID) for _ in range(DIM)):
+                 rng.choice(self.COEFFS) for _ in range(rng.randint(0, 6))}
+        trunc = None
+        if rng.random() < 0.1:
+            trunc = tuple(rng.choice(self.GRID) for _ in range(DIM))
+        return Series(terms, DIM, trunc)
+
+    def test_the_carried_hash_is_the_fresh_hash(self):
+        rng = random.Random(36)
+        seen = Counter()
+        for _ in range(1500):
+            d, u, q = self._operand(rng), self._operand(rng), \
+                rng.choice(self.WEIGHTS)
+            if d.terms and rng.random() < 0.4:
+                # u takes some terms of d times -1/q: they cancel
+                picked = rng.sample(sorted(d.terms), rng.randint(1, 2)
+                                    if len(d.terms) > 1 else 1)
+                back = scalars.scalar_inv(scalar_neg(F(q) if type(q) is int
+                                                     else q))
+                u = add(u, Series({e: scalars.scalar_mul(d.terms[e], back)
+                                   for e in picked}, DIM))
+            if rng.random() < 0.3:
+                d = _plain_series(d)
+            if rng.random() < 0.3:
+                u = _plain_series(u)
+            hashed = rng.random() < 0.6
+            if hashed:
+                d_hash = hash(d)
+            got = add_scaled(d, u, q)
+            want = add(d, scale(u, q))
+            assert (got.dim, got.terms, got.trunc) == \
+                (want.dim, want.terms, want.trunc)
+            carried = got._hash is not None and got is not d
+            seen["unhashed"] += not hashed and got._hash is None
+            fresh = Series(dict(got.terms), got.dim, got.trunc)
+            assert hash(got) == hash(fresh) == hash(want)
+            assert {fresh: 1}[got] == {got: 1}[fresh] == 1
+            if hashed:
+                assert hash(d) == d_hash
+            seen["carried"] += carried
+            seen["cancelled"] += carried and \
+                len(got.terms) < len(d.terms.keys() | u.terms.keys())
+            seen["algebraic"] += carried and any(
+                not isinstance(c, F) for c in got.terms.values())
+            seen["plain"] += carried and any(
+                type(e) is not Exp for e in got.terms)
+            seen["bounded"] += d.trunc is not None or u.trunc is not None
+        assert min(seen.values()) > 25, seen
 
 
 # ---------------------------------------------------------------------------
