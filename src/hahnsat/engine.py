@@ -590,8 +590,6 @@ def classify_cut(oracle: CutOracle, basis: SpanBasis, budgets: Budgets,
     for h in range(1, budgets.height_budget + 1):
         state.improved = False
         for e in oracle.height_enum(h):
-            if e in known:
-                continue
             s = oracle.side(e)
             if s == Side.EQUAL:
                 return Realized(e)
@@ -1117,7 +1115,7 @@ def realize_type(tau: PartialType, env: dict, mode: str = "group",
         witness = realize_cut_group(classification, oracle, basis, budgets)
     else:
         witness = realize_cut_field(classification, oracle, basis, budgets)
-    # a witness built from a height-truncated probe chain can lag behind
+    # a witness from a chain the height budget cut short can lag behind
     # theta bounds the enumeration never reached: fold the store back in
     clamped = not (_inside(lo, up, witness)
                    or compare_series(witness, hidden) == 0)

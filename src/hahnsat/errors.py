@@ -26,10 +26,6 @@ class ComparisonUndecidedAtPrecision(RuntimeError):
         self.budget = budget
 
 
-class TruncationInsufficient(RuntimeError):
-    """A truncated series does not carry enough terms to answer the query."""
-
-
 class NegativeValuation(ValueError):
     """Residue requested for a series with valuation below zero."""
 

@@ -5,7 +5,7 @@ A coefficient is one of three things: a `fractions.Fraction`, a
 with a sign change), or an `OracleReal` (a checked nested-interval
 approximation function).  Rationals and algebraics compare decidably;
 comparisons that involve a genuine oracle may raise
-`ComparisonUndecidedAtPrecision` once the precision budget is spent.
+`ComparisonUndecidedAtPrecision` once `_PRECISION` bits are spent.
 
 `compare` is the one order rule, and `scalar_sign` is `compare` against
 zero.  Negating an algebraic number, or adding or multiplying it by a
@@ -37,19 +37,8 @@ from .errors import (
     ParseError,
 )
 
-_DEFAULT_PRECISION = 64
-
-
-def set_default_precision(bits: int) -> None:
-    """Set the global comparison precision budget (bits of interval width)."""
-    global _DEFAULT_PRECISION
-    if bits < 1:
-        raise ValueError("precision budget must be positive")
-    _DEFAULT_PRECISION = bits
-
-
-def get_default_precision() -> int:
-    return _DEFAULT_PRECISION
+# bits of interval width at which an oracle real's comparison gives up
+_PRECISION = 64
 
 
 # ---------------------------------------------------------------------------
@@ -449,13 +438,13 @@ def scalar_inv(a):
         return 1 / a
     if isinstance(a, RealAlgebraic):
         return _ralg_inv(a)
-    for n in range(1, _DEFAULT_PRECISION + 1):
+    for n in range(1, _PRECISION + 1):
         lo, hi = a.interval(n)
         if lo > 0 or hi < 0:
             return _oracle_from((a,), _inverse_interval, f"1/({a.name})",
                                 n, 0)
     raise OracleFailure(
-        f"{a.name}: not separated from zero within precision {_DEFAULT_PRECISION}"
+        f"{a.name}: not separated from zero within precision {_PRECISION}"
     )
 
 
@@ -581,13 +570,14 @@ def approx_interval(x, n: int) -> tuple[Fraction, Fraction]:
 # comparison
 
 
-def compare(a, b, precision_budget: int | None = None) -> int:
+def compare(a, b) -> int:
     """Sign of a - b.
 
     Decides outright for rational/algebraic operands, two Fractions by
     integer cross-multiplication.  When an oracle real is involved,
     identical objects compare equal, interval separation decides, and
-    otherwise ComparisonUndecidedAtPrecision is raised at the budget.
+    otherwise ComparisonUndecidedAtPrecision is raised at `_PRECISION`
+    bits.
     """
     if type(a) is type(b) is Fraction:
         left = a._numerator * b._denominator
@@ -598,8 +588,7 @@ def compare(a, b, precision_budget: int | None = None) -> int:
     oracle = isinstance(a, OracleReal) or isinstance(b, OracleReal)
     if not oracle:
         return _compare_exact(a, b)
-    budget = precision_budget if precision_budget is not None else _DEFAULT_PRECISION
-    for n in range(1, budget + 1):
+    for n in range(1, _PRECISION + 1):
         alo, ahi = approx_interval(a, n)
         blo, bhi = approx_interval(b, n)
         if alo > bhi:
@@ -609,7 +598,8 @@ def compare(a, b, precision_budget: int | None = None) -> int:
         if alo == ahi == blo == bhi:
             return 0
     raise ComparisonUndecidedAtPrecision(
-        f"intervals still overlap at precision budget {budget}", budget=budget
+        f"intervals still overlap at precision budget {_PRECISION}",
+        budget=_PRECISION
     )
 
 
@@ -645,8 +635,8 @@ def _ralg_vs_rational(a: RealAlgebraic, q: Fraction) -> int:
     return -1 if sq != slo else 1
 
 
-def scalar_sign(a, precision_budget: int | None = None) -> int:
-    return compare(a, Fraction(0), precision_budget)
+def scalar_sign(a) -> int:
+    return compare(a, Fraction(0))
 
 
 # ---------------------------------------------------------------------------

@@ -2,19 +2,16 @@
 
 A series is a finite sum of terms c * t^gamma with exact coefficients
 (Fraction, RealAlgebraic, or OracleReal) and exponents in Q^n under the
-lexicographic order; t^gamma for gamma > 0 is a positive infinitesimal.  A
-series may carry a truncation bound: stored exponents are all strictly below
-it, and nothing is known at or beyond it.  Arithmetic propagates bounds so
-that every stored term of a result is genuine.
+lexicographic order; t^gamma for gamma > 0 is a positive infinitesimal.
+Every series is exact: its stored terms are the whole series.
 
 Invariant of every Series: each exponent is an interned `Exp` of exactly
-`dim` Fractions, each coefficient is nonzero, and each stored exponent lies
-strictly below `trunc` when a bound is present.  The public constructor
+`dim` Fractions and each coefficient is nonzero.  The public constructor
 (`Series(...)`, `parse_series`) normalizes outside input to it;
 arithmetic results preserve it by construction and are built through the
 trusted `Series._raw`, which does not re-check.  No series is changed
 after it is built, so `add` returns the other operand of a sum with the
-exact zero series, and `scale` by a rational multiplies the rational
+zero series, and `scale` by a rational multiplies the rational
 coefficients on integers.  `Series._raw` also takes a result's kept
 order when the builder already has it: `add_scaled`, which builds the
 engine's probes d + q*u, places the scaled terms of u into the kept order
@@ -50,12 +47,7 @@ from functools import total_ordering
 from math import inf
 from typing import Optional
 
-from .errors import (
-    ClassMismatch,
-    NegativeValuation,
-    ParseError,
-    TruncationInsufficient,
-)
+from .errors import ClassMismatch, NegativeValuation, ParseError
 from .scalars import (
     OracleReal,
     _q_mul,
@@ -215,35 +207,28 @@ def padded_exp(exp: tuple, dim: int) -> Exp:
 class Series:
     """Finite-support Hahn series; structurally immutable.
 
-    `terms` maps exponents to nonzero coefficients, all strictly below
-    `trunc` when a bound is present.  Equality and hashing are structural.
-    `_order` caches `sorted_terms()`.
+    `terms` maps exponents to nonzero coefficients.  Equality and hashing
+    are structural.  `_order` caches `sorted_terms()`.
     """
 
-    __slots__ = ("dim", "terms", "trunc", "_hash", "_order")
+    __slots__ = ("dim", "terms", "_hash", "_order")
 
-    def __init__(self, terms: dict, dim: int, trunc: Optional[Exp] = None):
-        if trunc is not None:
-            trunc = Exp(trunc)
+    def __init__(self, terms: dict, dim: int):
         kept = {}
         for exp, c in terms.items():
             if len(exp) != dim:
                 raise ValueError(f"exponent {exp} does not match dimension {dim}")
             if isinstance(c, int):
                 c = Fraction(c)
-            if scalar_is_zero(c):
-                continue
-            if trunc is not None and not exp < trunc:
-                continue
-            kept[Exp(exp)] = c
+            if not scalar_is_zero(c):
+                kept[Exp(exp)] = c
         _set_dim(self, dim)
         _set_terms(self, kept)
-        _set_trunc(self, trunc)
         _set_hash(self, None)
         _set_order(self, None)
 
     @classmethod
-    def _raw(cls, terms: dict, dim: int, trunc: Optional[Exp] = None,
+    def _raw(cls, terms: dict, dim: int,
              order: Optional[tuple] = None) -> "Series":
         """Trusted constructor for arithmetic results: `terms` already meets
         the module invariant and is owned by the new series; `order`, when
@@ -251,7 +236,6 @@ class Series:
         self = object.__new__(cls)
         _set_dim(self, dim)
         _set_terms(self, terms)
-        _set_trunc(self, trunc)
         _set_hash(self, None)
         _set_order(self, order)
         return self
@@ -271,20 +255,15 @@ class Series:
         return self._order
 
     def is_zero(self) -> bool:
-        """True only for the exact zero series."""
-        return not self.terms and self.trunc is None
+        return not self.terms
 
     def __eq__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
-        return (
-            self.dim == other.dim
-            and self.trunc == other.trunc
-            and self.terms == other.terms
-        )
+        return self.dim == other.dim and self.terms == other.terms
 
     def __hash__(self):
-        """hash((dim, trunc)) plus one `_term_hash` per term, modulo 2^61.
+        """hash(dim) plus one `_term_hash` per term, modulo 2^61.
 
         The sum does not depend on the terms' order, so equal series have
         equal hashes, and a sum that changes a few terms changes only
@@ -292,19 +271,16 @@ class Series:
         into its result instead of leaving it to be computed again."""
         if self._hash is None:
             terms = self.terms
-            _set_hash(self, (hash((self.dim, self.trunc)) + sum(
+            _set_hash(self, (hash(self.dim) + sum(
                 map(_term_hash, terms, terms.values()))) % _HASH_MOD)
         return self._hash
 
     def __repr__(self):
-        body = format_series(self)
-        if self.trunc is not None:
-            return f"<{body} (below {_format_exp(self.trunc)})>"
-        return f"<{body}>"
+        return f"<{format_series(self)}>"
 
 
 # The slot setters of Series, which bypass its refusing __setattr__.
-_set_dim, _set_terms, _set_trunc, _set_hash, _set_order = (
+_set_dim, _set_terms, _set_hash, _set_order = (
     getattr(Series, name).__set__ for name in Series.__slots__)
 
 
@@ -352,63 +328,23 @@ def from_scalar(c, dim: int) -> Series:
 
 
 _ZERO = Fraction(0)  # the coefficient of a missing term
-_VALUATION_UNKNOWN = "no terms below the bound {}; valuation unknown"
-_SIGN_UNKNOWN = "difference has no terms below {}; sign unknown"
 
 
 def valuation(x: Series):
-    """Least exponent in the support; INFINITY for the exact zero series.
-
-    A series with no stored terms but a truncation bound has unknown
-    valuation, so TruncationInsufficient is raised.
-    """
-    if x.terms:
-        return x.sorted_terms()[0]
-    if x.trunc is None:
-        return INFINITY
-    raise TruncationInsufficient(
-        _VALUATION_UNKNOWN.format(_format_exp(x.trunc)))
-
-
-def _valuation_floor(x: Series):
-    """A certified lower bound on the valuation (INFINITY for exact zero)."""
-    if x.terms:
-        return x.sorted_terms()[0]
-    return INFINITY if x.trunc is None else x.trunc
-
-
-def leading_term(x: Series):
-    if valuation(x) is INFINITY:
-        raise ValueError("zero series has no leading term")
-    return x.sorted_terms()[:2]
-
-
-def _min_trunc(a: Optional[Exp], b: Optional[Exp]) -> Optional[Exp]:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
-
-
-def _below(terms: dict, trunc: Exp) -> dict:
-    return {e: c for e, c in terms.items() if e < trunc}
+    """Least exponent in the support; INFINITY for the zero series."""
+    return x.sorted_terms()[0] if x.terms else INFINITY
 
 
 def add(x: Series, y: Series) -> Series:
-    """x + y; a sum with the exact zero series is the other operand."""
+    """x + y; a sum with the zero series is the other operand."""
     if x.dim != y.dim:
         raise ValueError("dimension mismatch")
-    if not x.terms and x.trunc is None:
+    if not x.terms:
         return y
-    if not y.terms and y.trunc is None:
+    if not y.terms:
         return x
-    trunc = _min_trunc(x.trunc, y.trunc)
-    out = dict(x.terms) if trunc == x.trunc else _below(x.terms, trunc)
-    y_cut = trunc is not None and trunc != y.trunc
+    out = dict(x.terms)
     for exp, c in y.terms.items():
-        if y_cut and not exp < trunc:
-            continue
         prev = out.get(exp)
         if prev is None:
             out[exp] = c
@@ -418,7 +354,7 @@ def add(x: Series, y: Series) -> Series:
             del out[exp]
         else:
             out[exp] = c
-    return Series._raw(out, x.dim, trunc)
+    return Series._raw(out, x.dim)
 
 
 def linear_combination(pairs, dim: int, terms: Optional[dict] = None) -> Series:
@@ -426,22 +362,15 @@ def linear_combination(pairs, dim: int, terms: Optional[dict] = None) -> Series:
     dict that meets the module invariant and is owned by the result.
 
     Equal to the fold of `add` over `scale(g, q)`, built in one dict: pairs
-    with q = 0 drop out, the bound is the least bound of the others, terms
-    at or above it are never formed, and coefficients that cancel are
+    with q = 0 drop out unread, and coefficients that cancel are
     dropped."""
-    pairs = [(q, g) for q, g in pairs if not scalar_is_zero(q)]
-    trunc = None
-    for _, g in pairs:
+    out = {} if terms is None else terms
+    for q, g in pairs:
+        if scalar_is_zero(q):
+            continue
         if g.dim != dim:
             raise ValueError("dimension mismatch")
-        trunc = _min_trunc(trunc, g.trunc)
-    out = {} if terms is None else terms
-    if trunc is not None and out:
-        out = _below(out, trunc)
-    for q, g in pairs:
         for e, c in g.terms.items():
-            if trunc is not None and not e < trunc:
-                continue
             c = scalar_mul(c, q)
             prev = out.get(e)
             if prev is None:
@@ -452,12 +381,12 @@ def linear_combination(pairs, dim: int, terms: Optional[dict] = None) -> Series:
                 del out[e]
             else:
                 out[e] = c
-    return Series._raw(out, dim, trunc)
+    return Series._raw(out, dim)
 
 
 def _mapped(x: Series, f) -> Series:
     """x with each coefficient c replaced by the nonzero f(c)."""
-    return Series._raw({e: f(c) for e, c in x.terms.items()}, x.dim, x.trunc)
+    return Series._raw({e: f(c) for e, c in x.terms.items()}, x.dim)
 
 
 def negate(x: Series) -> Series:
@@ -471,21 +400,10 @@ def subtract(x: Series, y: Series) -> Series:
 def multiply(x: Series, y: Series) -> Series:
     if x.dim != y.dim:
         raise ValueError("dimension mismatch")
-    if (x.is_zero() or y.is_zero()):
-        return zero_series(x.dim)
-    trunc = None
-    if x.trunc is not None:
-        vy = _valuation_floor(y)
-        trunc = _min_trunc(trunc, None if vy is INFINITY else exp_add(x.trunc, vy))
-    if y.trunc is not None:
-        vx = _valuation_floor(x)
-        trunc = _min_trunc(trunc, None if vx is INFINITY else exp_add(y.trunc, vx))
     out: dict = {}
     for e1, c1 in x.terms.items():
         for e2, c2 in y.terms.items():
             e = exp_add(e1, e2)
-            if trunc is not None and not e < trunc:
-                continue
             p = scalar_mul(c1, c2)
             if e in out:
                 out[e] = scalar_add(out[e], p)
@@ -493,13 +411,13 @@ def multiply(x: Series, y: Series) -> Series:
                 out[e] = p
     for e in [e for e, c in out.items() if scalar_is_zero(c)]:
         del out[e]
-    return Series._raw(out, x.dim, trunc)
+    return Series._raw(out, x.dim)
 
 
 def scale(x: Series, c) -> Series:
-    """Multiply by an exact scalar; the bound is unaffected.  Scaling by 0
-    gives the exact zero series and scaling by 1 gives x itself; a rational
-    times a rational coefficient is taken on integers (`_q_mul`)."""
+    """Multiply by an exact scalar.  Scaling by 0 gives the zero series and
+    scaling by 1 gives x itself; a rational times a rational coefficient is
+    taken on integers (`_q_mul`)."""
     if isinstance(c, int):
         c = Fraction(c)
     if scalar_is_zero(c):
@@ -509,7 +427,7 @@ def scale(x: Series, c) -> Series:
     rational = type(c) is Fraction
     return Series._raw({e: _q_mul(a, c) if rational and type(a) is Fraction
                         else scalar_mul(a, c) for e, a in x.terms.items()},
-                       x.dim, x.trunc)
+                       x.dim)
 
 
 def add_scaled(x: Series, y: Series, c) -> Series:
@@ -521,9 +439,7 @@ def add_scaled(x: Series, y: Series, c) -> Series:
     is already hashed, the result's hash is carried too: at each exponent
     it touches, the old term's share is taken out and the new term's put
     in, so hashing the engine's probes d + q*u costs the terms of u, not
-    those of d.  An operand with a bound takes `add`'s own path."""
-    if x.trunc is not None or y.trunc is not None:
-        return add(x, scale(y, c))
+    those of d."""
     if x.dim != y.dim:
         raise ValueError("dimension mismatch")
     if isinstance(c, int):
@@ -558,124 +474,70 @@ def add_scaled(x: Series, y: Series, c) -> Series:
         terms[e] = a
         if h is not None:
             h += _term_hash(e, a)
-    out = Series._raw(terms, x.dim, None, tuple(order))
+    out = Series._raw(terms, x.dim, tuple(order))
     if h is not None:
         _set_hash(out, h % _HASH_MOD)
     return out
 
 
-def with_trunc(x: Series, bound: Optional[Exp]) -> Series:
-    trunc = _min_trunc(x.trunc, bound)
-    terms = dict(x.terms) if trunc == x.trunc else _below(x.terms, trunc)
-    return Series._raw(terms, x.dim, trunc)
+def restrict_exponents(x: Series, bound: Exp) -> Series:
+    """The series of the terms of x with exponent <= bound."""
+    return Series._raw({e: c for e, c in x.terms.items() if e <= bound},
+                       x.dim)
 
 
-def restrict_exponents(x: Series, bound: Exp, inclusive: bool = True) -> Series:
-    """Exact series made of the stored terms with exponent <= bound
-    (< bound when inclusive=False); the truncation bound is discarded."""
-    if inclusive:
-        kept = {e: c for e, c in x.terms.items() if e <= bound}
-    else:
-        kept = _below(x.terms, bound)
-    return Series._raw(kept, x.dim)
-
-
-def invert(x: Series, order: Optional[Exp] = None) -> Series:
-    """Multiplicative inverse.
-
-    Exact monomials invert exactly whatever the order.  Otherwise `order` is
-    required and the result is a geometric expansion carrying the bound
-    order - 2*v(x); when the lexicographic order makes the target unreachable
-    (the tail valuation is null in a coordinate where the target is not),
-    TruncationInsufficient is raised.
-    """
-    if x.is_zero():
-        raise ZeroDivisionError("cannot invert the zero series")
+def invert(x: Series) -> Series:
+    """Multiplicative inverse of a monomial.  The inverse of a series of
+    two or more terms has infinite support, so ValueError is raised."""
     if not x.terms:
-        raise TruncationInsufficient("no terms below the bound; cannot invert")
-    v, c = leading_term(x)
-    if len(x.terms) == 1 and x.trunc is None:
-        return Series._raw({exp_neg(v): scalar_inv(c)}, x.dim)
-    if order is None:
-        raise ValueError("order is required to invert a non-monomial series")
-    order = make_exp(order, x.dim)
-    lead_inv = Series._raw({exp_neg(v): scalar_inv(c)}, x.dim)
-    eps = subtract(multiply(x, lead_inv), from_scalar(Fraction(1), x.dim))
-    out_trunc = exp_add(exp_add(order, exp_neg(v)), exp_neg(v))
-    if not eps.terms and eps.trunc is None:
-        return with_trunc(lead_inv, None)  # x was exactly its leading term
-    target = exp_add(order, exp_neg(v))
-    veps = _valuation_floor(eps)
-    if veps is INFINITY:
-        return with_trunc(lead_inv, out_trunc)
-    j = next(i for i, q in enumerate(veps) if q != 0)
-    if any(target[i] > 0 for i in range(j)):
-        raise TruncationInsufficient(
-            f"order {_format_exp(order)} is lexicographically unreachable from "
-            f"tail valuation {_format_exp(veps)}"
-        )
-    k = 0
-    while not exp_scale(veps, Fraction(k)) >= target:
-        k += 1
-    acc = from_scalar(Fraction(1), x.dim)
-    power = from_scalar(Fraction(1), x.dim)
-    neg_eps = negate(eps)
-    for _ in range(k - 1):
-        power = multiply(power, neg_eps)
-        acc = add(acc, power)
-    return with_trunc(multiply(acc, lead_inv), out_trunc)
+        raise ZeroDivisionError("cannot invert the zero series")
+    if len(x.terms) > 1:
+        raise ValueError("only a monomial has a finite-support inverse")
+    (v, c), = x.terms.items()
+    return Series._raw({exp_neg(v): scalar_inv(c)}, x.dim)
 
 
-def _first_difference(x: Series, y: Series, unknown: str = _SIGN_UNKNOWN):
+def _first_difference(x: Series, y: Series):
     """(exponent, cx, cy) at the least exponent where x and y differ, with
     cx and cy their coefficients there (Fraction(0) for a missing term), or
-    None when they are equal exact series.
+    None when they are equal.
 
     Merge-walks the two sorted supports; exponents are compared, never
     hashed, and coefficients are tested for equality, never negated or
     added: two Fractions on their numerator and denominator slots, which
-    are normalized, and any other pair with `==`.  When x and y agree below the
-    smaller bound, equality cannot be certified and TruncationInsufficient
-    is raised with `unknown` formatted by that bound.
+    are normalized, and any other pair with `==`.
     """
     if x.dim != y.dim:
         raise ValueError("dimension mismatch")
-    trunc = _min_trunc(x.trunc, y.trunc)
     xs, ys = x.sorted_terms(), y.sorted_terms()
     nx, ny = len(xs), len(ys)
     i = j = 0
     while i < nx or j < ny:
         if j == ny:
-            e, cx, cy = xs[i], xs[i + 1], _ZERO
-        elif i == nx:
-            e, cx, cy = ys[j], _ZERO, ys[j + 1]
-        else:
-            e, ey = xs[i], ys[j]
-            if e is ey or e == ey:
-                cx, cy = xs[i + 1], ys[j + 1]
-                i += 2
-                j += 2
-                if cx is cy or (cx._numerator == cy._numerator
-                                and cx._denominator == cy._denominator
-                                if type(cx) is type(cy) is Fraction
-                                else cx == cy):
-                    continue
-            elif e < ey:
-                cx, cy = xs[i + 1], _ZERO
-            else:
-                e, cx, cy = ey, _ZERO, ys[j + 1]
-        if trunc is not None and not e < trunc:
-            break
-        return e, cx, cy
-    if trunc is None:
-        return None
-    raise TruncationInsufficient(unknown.format(_format_exp(trunc)))
+            return xs[i], xs[i + 1], _ZERO
+        if i == nx:
+            return ys[j], _ZERO, ys[j + 1]
+        e, ey = xs[i], ys[j]
+        if e is ey or e == ey:
+            cx, cy = xs[i + 1], ys[j + 1]
+            i += 2
+            j += 2
+            if cx is cy or (cx._numerator == cy._numerator
+                            and cx._denominator == cy._denominator
+                            if type(cx) is type(cy) is Fraction
+                            else cx == cy):
+                continue
+            return e, cx, cy
+        if e < ey:
+            return e, xs[i + 1], _ZERO
+        return ey, _ZERO, ys[j + 1]
+    return None
 
 
 def compare_series(x: Series, y: Series) -> int:
     """Sign of x - y in the ordered Hahn field; ValueError on a dimension
-    mismatch, TruncationInsufficient when x and y agree below the smaller
-    bound, and ComparisonUndecidedAtPrecision from oracle coefficients."""
+    mismatch and ComparisonUndecidedAtPrecision from oracle
+    coefficients."""
     first = _first_difference(x, y)
     return 0 if first is None else compare(first[1], first[2])
 
@@ -683,7 +545,7 @@ def compare_series(x: Series, y: Series) -> int:
 def diff_valuation(x: Series, y: Series):
     """valuation(subtract(x, y)), errors included, without building the
     difference."""
-    first = _first_difference(x, y, _VALUATION_UNKNOWN)
+    first = _first_difference(x, y)
     return INFINITY if first is None else first[0]
 
 
@@ -694,13 +556,7 @@ def residue(a: Series):
         v = a.sorted_terms()[0]
         if v < zero:
             raise NegativeValuation(f"valuation {_format_exp(v)} is negative")
-    if zero in a.terms:
-        return a.terms[zero]
-    if a.trunc is not None and not zero < a.trunc:
-        raise TruncationInsufficient(
-            "bound does not reach exponent zero; residue unknown"
-        )
-    return Fraction(0)
+    return a.terms.get(zero, _ZERO)
 
 
 def arch_ratio(y: Series, x: Series):

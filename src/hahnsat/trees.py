@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import BoundaryUndecided, NodeNotInTree, NotAChain
-from .scalars import OracleReal, approx_interval
+from .scalars import _PRECISION, OracleReal, approx_interval
 
 
 def _check_bits(sigma: str) -> str:
@@ -125,15 +125,13 @@ def node_interval(sigma: str) -> DyadicInterval:
     return DyadicInterval(lo, lo + Fraction(1, 2 ** len(sigma)))
 
 
-def path_from_real(tree: TreeOracle, r, depth: int,
-                   precision_budget: int = 64) -> list:
+def path_from_real(tree: TreeOracle, r, depth: int) -> list:
     """The chain of tree nodes whose intervals contain r, down to the given
     depth (depth+1 nodes, starting at the root).  Node intervals cover
     [0, 1), so a real outside it is a ValueError, as is a negative depth."""
     if depth < 0:
         raise ValueError(f"depth must be at least 0, got {depth}")
-    if (not _side_of(r, Fraction(0), precision_budget)
-            or _side_of(r, Fraction(1), precision_budget)):
+    if not _side_of(r, Fraction(0)) or _side_of(r, Fraction(1)):
         raise ValueError("tree path needs a real in [0, 1)")
     if "" not in tree:
         raise NodeNotInTree("the empty node is not in the tree")
@@ -141,7 +139,7 @@ def path_from_real(tree: TreeOracle, r, depth: int,
     current = ""
     for _ in range(depth):
         mid = node_interval(current + "1").lo
-        bit = _side_of(r, mid, precision_budget)
+        bit = _side_of(r, mid)
         node = current + ("1" if bit else "0")
         if node not in tree:
             raise NodeNotInTree(node)
@@ -150,16 +148,16 @@ def path_from_real(tree: TreeOracle, r, depth: int,
     return path
 
 
-def _side_of(r, mid: Fraction, precision_budget: int) -> bool:
+def _side_of(r, mid: Fraction) -> bool:
     """True when r >= mid under the half-open convention."""
-    for n in range(1, precision_budget + 1):
+    for n in range(1, _PRECISION + 1):
         a, b = approx_interval(r, n)
         if a >= mid:
             return True
         if b < mid:
             return False
     raise BoundaryUndecided(
-        f"cannot place the real against {mid} within {precision_budget} bits")
+        f"cannot place the real against {mid} within {_PRECISION} bits")
 
 
 def real_from_path(prefix: Sequence[str]) -> DyadicInterval:

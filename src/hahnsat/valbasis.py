@@ -10,9 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
-from .errors import OracleFailure, TruncationInsufficient
+from .errors import OracleFailure
 from .scalars import (
     rational_relations,
     scalar_add,
@@ -191,32 +191,20 @@ def term_sign(s: Sequence[Fraction], basis: SpanBasis) -> int:
 
 @dataclass(frozen=True)
 class PseudoSequence:
-    """A sequence handle: explicit finite prefix, or generator with budget."""
+    """A sequence handle: an explicit finite prefix."""
 
-    items: Optional[tuple] = None
-    generator: Optional[Callable[[int], Series]] = None
-    budget: Optional[int] = None
+    items: tuple
 
     @classmethod
     def explicit(cls, items: Sequence[Series]) -> "PseudoSequence":
-        return cls(items=tuple(items))
-
-    @classmethod
-    def generated(cls, fn: Callable[[int], Series], budget: int) -> "PseudoSequence":
-        return cls(generator=fn, budget=budget)
+        return cls(tuple(items))
 
     def materialize(self, k: int) -> list[Series]:
-        if self.items is not None:
-            if k > len(self.items):
-                raise ValueError(
-                    f"explicit sequence has {len(self.items)} elements, need {k}"
-                )
-            return list(self.items[:k])
-        if k > self.budget:
-            raise TruncationInsufficient(
-                f"sequence budget {self.budget} exceeded (need {k} elements)"
+        if k > len(self.items):
+            raise ValueError(
+                f"explicit sequence has {len(self.items)} elements, need {k}"
             )
-        return [self.generator(i) for i in range(k)]
+        return list(self.items[:k])
 
 
 def check_pseudo_cauchy(seq: PseudoSequence, k: int) -> bool:
@@ -249,4 +237,4 @@ def pseudo_limit(seq: PseudoSequence, k: int) -> Series:
         raise ValueError("prefix is not pseudo-Cauchy")
     elems = seq.materialize(k)
     gamma = diff_valuation(elems[k - 1], elems[k - 2])
-    return restrict_exponents(elems[k - 1], gamma, inclusive=True)
+    return restrict_exponents(elems[k - 1], gamma)

@@ -2,7 +2,8 @@
 do every parameter of a private function and every name a module imports.
 Every public function and method, and every parameter of one, has a reader
 in the package (in the benchmark too, for a function), or a reason on an
-allowlist."""
+allowlist.  Every defaulted parameter has a caller that passes it (in the
+benchmark too, for a public one), or a reason on an allowlist."""
 
 import ast
 from pathlib import Path
@@ -143,14 +144,15 @@ def _is_method(node, parents: dict) -> bool:
     return isinstance(parents.get(node), ast.ClassDef) and not static
 
 
-def unoverridden_private_defaults(src: Path) -> list:
-    """`module.function(param)` for each defaulted parameter of a private,
-    non-dunder function in `src` that no call in `src` passes: a default
-    that no caller changes is a constant."""
+def unpassed_defaults(src: Path, callers: list, private: bool) -> list:
+    """`module.function(param)` for each defaulted parameter of a
+    non-dunder function in `src`, private or public as `private` says, that
+    no call in the files `callers` passes: a default that no caller changes
+    is a constant.  Calls are matched by the function's name alone."""
     trees = {p.stem: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
     passed: dict = {}  # function name -> (most positionals, keywords)
-    for tree in trees.values():
-        for call in ast.walk(tree):
+    for path in callers:
+        for call in ast.walk(ast.parse(path.read_text())):
             if not isinstance(call, ast.Call):
                 continue
             func = call.func
@@ -170,7 +172,7 @@ def unoverridden_private_defaults(src: Path) -> list:
                    for child in ast.iter_child_nodes(node)}
         for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                    or not node.name.startswith("_") \
+                    or node.name.startswith("_") != private \
                     or node.name.startswith("__"):
                 continue
             n_pos, keywords = passed.get(node.name, (0, set()))
@@ -185,10 +187,47 @@ def unoverridden_private_defaults(src: Path) -> list:
 
 
 def test_no_unoverridden_private_defaults():
-    assert unoverridden_private_defaults(SRC) == []
+    assert unpassed_defaults(SRC, sorted(SRC.glob("*.py")), True) == []
 
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+# Defaulted parameters of public functions that no call in src/ or bench/
+# passes, each kept on purpose.
+UNPASSED_DEFAULT_ALLOWED = {
+    "cli.main(argv)":
+        "None reads sys.argv, as the console script calls it; the benchmark "
+        "passes argv through _attempt and the CLI tests pass it",
+    "formulas.cut_bounds(var)":
+        "cut_bounds stays only for the tracer's per-layer metric and goes "
+        "whole once that metric is retargeted",
+    "formulas.cut_bounds(dim)":
+        "cut_bounds stays only for the tracer's per-layer metric and goes "
+        "whole once that metric is retargeted",
+    "formulas.satisfiable(world_cap)":
+        "the scan's cap on worlds; the formula tests pass it to reach "
+        "BudgetExhausted",
+    "formulas.satisfiable(dim)":
+        "the dimension of literals when env holds no series, as AtomTable "
+        "reads it; every caller so far works in dimension 2",
+    "formulas.conjoin(var)":
+        "conjoin is a test helper (UNREAD_PUBLIC_ALLOWED) that keeps "
+        "satisfiable's model parameters",
+    "formulas.conjoin(dim)":
+        "conjoin is a test helper (UNREAD_PUBLIC_ALLOWED) that keeps "
+        "satisfiable's model parameters",
+    "scalars.oracle_bits(name)":
+        "the oracle's printed name; the scalar tests pass it",
+}
+
+
+def test_no_unpassed_public_defaults():
+    """A public function's default that no caller in src/ or bench/ changes
+    is deleted or listed above with its reason; a listed parameter that
+    gains a caller leaves the list."""
+    callers = sorted(SRC.glob("*.py")) + sorted(BENCH.glob("*.py"))
+    assert sorted(unpassed_defaults(SRC, callers, False)) == \
+        sorted(UNPASSED_DEFAULT_ALLOWED)
 
 # Public names that nothing in src/ or bench/ reads, each kept on purpose.
 UNREAD_PUBLIC_ALLOWED = {
@@ -205,11 +244,6 @@ UNREAD_PUBLIC_ALLOWED = {
     "formulas.conjoin":
         "AtomTable.conjoin for one formula in a fresh model, a public helper "
         "the formula and engine tests call",
-    "scalars.set_default_precision":
-        "sets the oracle comparison budget for library callers; the scalar "
-        "tests call it",
-    "scalars.get_default_precision":
-        "reads the oracle comparison budget; the scalar tests call it",
     "scalars.creal_approx":
         "an OracleReal's interval at a precision, a public helper the "
         "scalar tests call",
@@ -228,8 +262,6 @@ UNREAD_PUBLIC_ALLOWED = {
     "trees.join":
         "interleaves two reals' binary expansions, a public helper the tree "
         "tests call",
-    "valbasis.PseudoSequence.generated":
-        "a PseudoSequence from a term generator; the valuation tests call it",
 }
 
 

@@ -67,6 +67,7 @@ from hahnsat.series import (
     Series,
     add,
     compare_series,
+    diff_valuation,
     format_series,
     from_scalar,
     make_exp,
@@ -1603,3 +1604,58 @@ class TestReportDigest:
                                budgets=Budgets(formula_prefix_budget=64))
             h.update(res.report.encode())
         assert h.hexdigest() == self.TAIL_DIGEST
+
+
+def _value_window_holds(res) -> bool:
+    """Whether v(h - d0) lies strictly inside a GroupTranscendental's
+    window, for h the completion's hidden element: its point, or else the
+    gap center of its bounds (what `realize_type` queries)."""
+    cls, c = res.classification, res.completion
+    h = c.point if c.point is not None else \
+        gap_center(c.lower, c.upper, res.witness.dim)
+    v = diff_valuation(h, cls.d0)
+    return (cls.lower is None or cls.lower < v) and \
+        (cls.upper is None or v < cls.upper)
+
+
+class TestValueWindowAtTheHiddenElement:
+    """The value case's stated fact checked against the hidden element
+    (ROADMAP item 13, phase 1): a GroupTranscendental says that v(h - d0)
+    lies strictly between its window's levels."""
+
+    def test_c8_and_beta(self):
+        from hahnsat.cli import load_type_file
+
+        from test_acceptance import FIXTURES
+
+        budgets = Budgets(formula_prefix_budget=100)
+        checked = []
+        for mode in ("group", "field"):
+            for seed in range(1000, 1050):
+                tau, env = _generated_type(seed)
+                res = realize_type(tau, env, mode=mode, budgets=budgets)
+                if isinstance(res.classification, GroupTranscendental):
+                    assert _value_window_holds(res), (mode, seed)
+                    checked.append((mode, seed))
+        assert len(checked) == 43
+        tau, env = load_type_file(str(FIXTURES / "beta.type"), DIM)
+        res = realize_type(tau, env)
+        assert isinstance(res.classification, GroupTranscendental)
+        assert _value_window_holds(res)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 13: d0's coefficient gap to the hidden element is "
+        "below 2^-precision, so v(h - d0) = (1) against the window "
+        "(1) .. (2)"))
+    @pytest.mark.parametrize("precision", [16, 24, 32])
+    def test_scalar_cut_of_sqrt2_t(self, tmp_path, precision):
+        from hahnsat.cli import load_type_file
+
+        path = tmp_path / "sqrt2_t.type"
+        path.write_text("param g1 = alg[-2,0,1;1,2]*t\n"
+                        "generator scalar_cut 1/7 g1\n")
+        tau, env = load_type_file(str(path), DIM)
+        res = realize_type(tau, env, mode="field",
+                           budgets=Budgets(precision_budget=precision))
+        assert isinstance(res.classification, GroupTranscendental)
+        assert _value_window_holds(res)

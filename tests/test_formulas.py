@@ -50,10 +50,8 @@ from hahnsat.scalars import parse_rational
 from hahnsat.series import (
     compare_series,
     format_series,
-    make_exp,
     monomial,
     parse_series,
-    with_trunc,
     zero_series,
 )
 from hahnsat.series import multiply as series_multiply
@@ -1561,6 +1559,9 @@ class TestRationalPaths:
         a = parse_formula(f"{lits} + 2 < x")
         side = a.pos if a.pos.lits else a.neg
         assert len(side.lits) == 16 and dict(side.syms)[CONST]
+        # a pure cache: start far below its bound, so that no clearing
+        # between the two evaluations drops what the first one padded
+        series_mod._EXPS.clear()
         want = _term_series(side, {}, 3)
         calls = []
         make_exp = series_mod.make_exp
@@ -1585,21 +1586,15 @@ class TestSymbolPowers:
         assert time.perf_counter() - start < 1
         assert format_series(got) == f"t^({p})"
 
-    @pytest.mark.parametrize("bounded", [False, True])
-    def test_squared_power_equals_the_repeated_product(self, bounded):
-        rng = random.Random(35 + bounded)
+    def test_squared_power_equals_the_repeated_product(self):
+        rng = random.Random(35)
         multi = 0
         for p in range(1, 13):
             for _ in range(5):
                 dim = rng.randint(1, 3)
                 env = {}
                 for name in ("g1", "g2"):
-                    x = random_series(rng, dim, 3 + bounded,
-                                      allow_zero=not bounded)
-                    if bounded:  # above the least term, or above all
-                        x = with_trunc(x, rng.choice(
-                            sorted(x.terms)[1:] + [make_exp([4], dim)]))
-                    env[name] = x
+                    env[name] = random_series(rng, dim, 3)
                 multi += len(env["g1"].terms) > 1
                 r = rng.randint(1, 3)
                 term = Term.build({(("g1", p), ("g2", r)): Fraction(1)}, {})

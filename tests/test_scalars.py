@@ -25,7 +25,6 @@ from hahnsat.scalars import (
     compare,
     creal_approx,
     format_scalar,
-    get_default_precision,
     isolate_real_roots,
     oracle_algebraic,
     oracle_bits,
@@ -40,7 +39,6 @@ from hahnsat.scalars import (
     scalar_mul,
     scalar_neg,
     scalar_sign,
-    set_default_precision,
     simplest_between,
 )
 
@@ -298,8 +296,8 @@ class TestCompare:
         assert compare(SQRT2, Fraction(3, 2)) == -1
         assert compare(Fraction(3, 2), SQRT2) == 1
 
-    def test_algebraic_vs_oracle_budget_ten(self):
-        assert compare(SQRT2, oracle_rational(Fraction(3, 2)), precision_budget=10) == -1
+    def test_algebraic_vs_oracle(self):
+        assert compare(SQRT2, oracle_rational(Fraction(3, 2))) == -1
 
     def test_identical_oracle_object_equal(self):
         o = oracle_rational(Fraction(1, 3))
@@ -316,21 +314,8 @@ class TestCompare:
             name="hug0",
         )
         with pytest.raises(ComparisonUndecidedAtPrecision) as ei:
-            compare(slow, Fraction(0), precision_budget=12)
-        assert ei.value.budget == 12
-
-    def test_default_budget_configurable(self):
-        assert get_default_precision() == 64
-        set_default_precision(8)
-        try:
-            slow = OracleReal(
-                lambda n: (Fraction(-1, 2 ** (n + 1)), Fraction(1, 2 ** (n + 1)))
-            )
-            with pytest.raises(ComparisonUndecidedAtPrecision) as ei:
-                compare(slow, Fraction(0))
-            assert ei.value.budget == 8
-        finally:
-            set_default_precision(64)
+            compare(slow, Fraction(0))
+        assert ei.value.budget == 64
 
     @given(st.fractions(), st.fractions())
     def test_compare_matches_fraction_order(self, a, b):
@@ -356,7 +341,7 @@ class TestCompare:
     def test_sign_helper(self):
         assert scalar_sign(Fraction(-3)) == -1
         assert scalar_sign(SQRT2) == 1
-        assert scalar_sign(oracle_rational(Fraction(0, 1)), 8) == 0
+        assert scalar_sign(oracle_rational(Fraction(0, 1))) == 0
 
 
 class TestOracle:

@@ -149,7 +149,7 @@ class TestPathFromReal:
             name="fuzzy-half",
         )
         with pytest.raises(BoundaryUndecided):
-            path_from_real(full_tree(), fuzzy, 1, precision_budget=12)
+            path_from_real(full_tree(), fuzzy, 1)
 
     def test_node_not_in_tree(self):
         with pytest.raises(NodeNotInTree):

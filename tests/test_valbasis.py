@@ -7,7 +7,6 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import random_series
-from hahnsat.errors import TruncationInsufficient
 from hahnsat.scalars import real_algebraic
 from hahnsat.series import (
     INFINITY,
@@ -213,17 +212,13 @@ class TestPseudoCauchy:
                 out = add(out, monomial([F(2) - F(1, j)], F(1, math.factorial(j)), DIM))
             return out
 
-        assert check_pseudo_cauchy(PseudoSequence.generated(a, 10), 6) is True
+        seq = PseudoSequence.explicit([a(i) for i in range(10)])
+        assert check_pseudo_cauchy(seq, 6) is True
 
     def test_repeated_element_fails(self):
         x = self.partial_sums(1)
         seq = PseudoSequence.explicit([self.partial_sums(0), x, x])
         assert check_pseudo_cauchy(seq, 3) is False
-
-    def test_budget_exceeded(self):
-        seq = PseudoSequence.generated(self.partial_sums, 4)
-        with pytest.raises(TruncationInsufficient):
-            check_pseudo_cauchy(seq, 5)
 
     def test_k_below_three_rejected(self):
         seq = PseudoSequence.explicit([self.partial_sums(i) for i in range(3)])
@@ -305,7 +300,7 @@ class TestPseudoLimit:
                     out = add(out, monomial([exps[j]], coeffs[j], DIM))
                 return out
 
-            seq = PseudoSequence.generated(a, k)
+            seq = PseudoSequence.explicit([a(i) for i in range(k)])
             assert check_pseudo_cauchy(seq, k)
             x = pseudo_limit(seq, k)
             elems = seq.materialize(k)
